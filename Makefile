@@ -37,6 +37,8 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzTreeDeserialize -fuzztime=10s -fuzzminimizetime=2s ./internal/dtree
 	go test -run='^$$' -fuzz=FuzzHilbertKey -fuzztime=10s -fuzzminimizetime=2s ./internal/sfc
 	go test -run='^$$' -fuzz=FuzzBKMeansAssign -fuzztime=10s -fuzzminimizetime=2s ./internal/bkmeans
+	go test -run='^$$' -fuzz=FuzzBuilder -fuzztime=10s -fuzzminimizetime=2s ./internal/graph
+	go test -run='^$$' -fuzz=FuzzReadMetis -fuzztime=10s -fuzzminimizetime=2s ./internal/graph
 
 # Deterministic fault-injection suite under the race detector: the
 # chaos matrix (seeded fault schedules must leave engine results

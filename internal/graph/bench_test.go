@@ -26,6 +26,7 @@ func benchGraph(n, ncon int) *Graph {
 }
 
 func BenchmarkBuild50k(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchGraph(50000, 2)
 	}
@@ -38,6 +39,7 @@ func BenchmarkCollapse(b *testing.B) {
 	for v := range labels {
 		labels[v] = int32(r.Intn(1000))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Collapse(labels, 1000)

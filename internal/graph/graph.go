@@ -4,15 +4,19 @@
 // formulation of Karypis & Kumar) and an integer weight per edge.
 //
 // Graphs are immutable once built; construction goes through Builder,
-// which deduplicates parallel edges (summing their weights) and drops
-// self-loops. The package also provides the quotient ("collapse")
+// which deduplicates parallel edges (summing their weights), drops
+// self-loops and sorts every adjacency row by ascending neighbor id, in
+// time linear in the vertex and edge counts (a counting sort, not a
+// comparison sort of the edge list). Callers rely on the sorted rows:
+// traversal order fixes the partitioner's tie-breaking, and hence its
+// labels. The package also provides the quotient ("collapse")
 // operation used to build the coarse region graph G' of the paper, and
 // the coarsening contraction used by the multilevel partitioner.
 package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an immutable undirected graph in CSR form.
@@ -132,7 +136,8 @@ func (g *Graph) Validate() error {
 
 // Builder accumulates edges and produces a Graph. Edges may be added in
 // any order and in either direction; parallel edges have their weights
-// summed; self-loops are dropped.
+// summed; self-loops are dropped. The built graph does not depend on
+// the order of AddEdge calls: its rows are sorted by neighbor id.
 type Builder struct {
 	nv   int
 	ncon int
@@ -177,58 +182,70 @@ func (b *Builder) AddEdge(u, v int, w int32) {
 	b.ws = append(b.ws, w)
 }
 
-// Build produces the immutable Graph. The builder can be reused only by
-// discarding it; Build is not idempotent with further AddEdge calls.
+// Build produces the immutable Graph in time and space linear in the
+// number of vertices and added edges. Every adjacency row is sorted by
+// ascending neighbor id; the partitioner's deterministic tie-breaking
+// depends on that order. The builder can be reused only by discarding
+// it; Build is not idempotent with further AddEdge calls.
+//
+// The half-edges are counting-sorted into rows by source vertex. Each
+// row is then compacted in place: a stamp per neighbor detects parallel
+// edges, whose weights accumulate in acc, and the surviving neighbor
+// ids are sorted and given their summed weights.
 func (b *Builder) Build() *Graph {
-	// Sort the (u,v) pairs (packed into one key per edge) to
-	// deduplicate parallel edges, summing their weights.
-	m := len(b.us)
-	type packed struct {
-		key uint64
-		w   int32
-	}
-	recs := make([]packed, m)
-	for i := range recs {
-		recs[i] = packed{key: uint64(b.us[i])<<32 | uint64(uint32(b.vs[i])), w: b.ws[i]}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
-
-	type edge struct {
-		u, v, w int32
-	}
-	uniq := make([]edge, 0, m)
-	for _, r := range recs {
-		u, v := int32(r.key>>32), int32(uint32(r.key))
-		if n := len(uniq); n > 0 && uniq[n-1].u == u && uniq[n-1].v == v {
-			uniq[n-1].w += r.w
-			continue
-		}
-		uniq = append(uniq, edge{u, v, r.w})
-	}
-
 	g := &Graph{
 		NCon: b.ncon,
 		Xadj: make([]int32, b.nv+1),
 		VWgt: append([]int32(nil), b.vwgt...),
 	}
-	deg := make([]int32, b.nv)
-	for _, e := range uniq {
-		deg[e.u]++
-		deg[e.v]++
+	start := make([]int32, b.nv+1)
+	for i := range b.us {
+		start[b.us[i]+1]++
+		start[b.vs[i]+1]++
 	}
 	for v := 0; v < b.nv; v++ {
-		g.Xadj[v+1] = g.Xadj[v] + deg[v]
+		start[v+1] += start[v]
 	}
-	g.Adj = make([]int32, 2*len(uniq))
-	g.AdjWgt = make([]int32, 2*len(uniq))
-	pos := make([]int32, b.nv)
-	copy(pos, g.Xadj[:b.nv])
-	for _, e := range uniq {
-		g.Adj[pos[e.u]], g.AdjWgt[pos[e.u]] = e.v, e.w
-		pos[e.u]++
-		g.Adj[pos[e.v]], g.AdjWgt[pos[e.v]] = e.u, e.w
-		pos[e.v]++
+	adj := make([]int32, 2*len(b.us))
+	wgt := make([]int32, len(adj))
+	pos := append([]int32(nil), start[:b.nv]...)
+	for i, u := range b.us {
+		v, w := b.vs[i], b.ws[i]
+		adj[pos[u]], wgt[pos[u]] = v, w
+		pos[u]++
+		adj[pos[v]], wgt[pos[v]] = u, w
+		pos[v]++
 	}
+
+	stamp, acc := pos, make([]int32, b.nv)
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	n := int32(0)
+	for v := 0; v < b.nv; v++ {
+		row := n
+		for i := start[v]; i < start[v+1]; i++ {
+			u := adj[i]
+			if stamp[u] == int32(v) {
+				acc[u] += wgt[i]
+				continue
+			}
+			stamp[u], acc[u] = int32(v), wgt[i]
+			adj[n] = u
+			n++
+		}
+		slices.Sort(adj[row:n])
+		for i := row; i < n; i++ {
+			wgt[i] = acc[adj[i]]
+		}
+		g.Xadj[v+1] = n
+	}
+	// Parallel edges leave slack behind the compacted rows; release it
+	// when it is a sizeable share of the arrays.
+	if int(n) < len(adj)*3/4 {
+		adj, wgt = slices.Clone(adj[:n]), slices.Clone(wgt[:n])
+	}
+	g.Adj, g.AdjWgt = adj[:n], wgt[:n]
 	return g
 }
 
@@ -237,9 +254,12 @@ func (b *Builder) Build() *Graph {
 // vs[i], keeping its weight vector, with edges retained only when both
 // endpoints lie in vs.
 func (g *Graph) Induce(vs []int32) *Graph {
-	newIdx := make(map[int32]int32, len(vs))
+	newIdx := make([]int32, g.NV())
+	for i := range newIdx {
+		newIdx[i] = -1
+	}
 	for i, v := range vs {
-		if _, dup := newIdx[v]; dup {
+		if newIdx[v] >= 0 {
 			panic(fmt.Sprintf("graph: Induce: duplicate vertex %d", v))
 		}
 		newIdx[v] = int32(i)
@@ -251,7 +271,7 @@ func (g *Graph) Induce(vs []int32) *Graph {
 		wgt := g.EdgeWeights(int(v))
 		for j, u := range adj {
 			if u > v { // each undirected edge once
-				if ui, ok := newIdx[u]; ok {
+				if ui := newIdx[u]; ui >= 0 {
 					b.AddEdge(i, int(ui), wgt[j])
 				}
 			}

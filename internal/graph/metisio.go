@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -74,7 +75,7 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 	}
 	nv, err1 := strconv.Atoi(header[0])
 	ne, err2 := strconv.Atoi(header[1])
-	if err1 != nil || err2 != nil || nv < 0 || ne < 0 {
+	if err1 != nil || err2 != nil || nv < 0 || ne < 0 || nv > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: metis: bad counts in header %v", header)
 	}
 	hasVWgt, hasEWgt := false, false
@@ -100,9 +101,13 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 		ncon = 1
 	}
 
-	b := NewBuilder(nv, ncon)
+	// The header's counts are untrusted: nothing proportional to them
+	// is allocated up front. Vertex weights grow line by line, so a
+	// header claiming more vertices than the file holds fails at the
+	// first missing line.
+	b := &Builder{nv: nv, ncon: ncon}
 	type ekey struct{ u, v int32 }
-	seen := make(map[ekey]struct{}, ne)
+	seen := make(map[ekey]struct{}, min(ne, 1<<16))
 	for v := 0; v < nv; v++ {
 		fields, err := next(false)
 		if err != nil {
@@ -114,15 +119,15 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: metis: vertex %d: missing weights", v+1)
 			}
 			for j := 0; j < ncon; j++ {
-				wj, err := strconv.Atoi(fields[j])
+				wj, err := strconv.ParseInt(fields[j], 10, 32)
 				if err != nil || wj < 0 {
 					return nil, fmt.Errorf("graph: metis: vertex %d: bad weight %q", v+1, fields[j])
 				}
-				b.SetWeight(v, j, int32(wj))
+				b.vwgt = append(b.vwgt, int32(wj))
 			}
 			pos = ncon
 		} else {
-			b.SetWeight(v, 0, 1)
+			b.vwgt = append(b.vwgt, 1)
 		}
 		stride := 1
 		if hasEWgt {
@@ -138,7 +143,7 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 			}
 			ew := int32(1)
 			if hasEWgt {
-				e, err := strconv.Atoi(fields[i+1])
+				e, err := strconv.ParseInt(fields[i+1], 10, 32)
 				if err != nil || e < 1 {
 					return nil, fmt.Errorf("graph: metis: vertex %d: bad edge weight %q", v+1, fields[i+1])
 				}

@@ -118,6 +118,25 @@ func TestReadMetisErrors(t *testing.T) {
 	}
 }
 
+// Header counts and weights come from the file: values past int32 must
+// be rejected, and counts the body does not back must not be allocated
+// up front.
+func TestReadMetisHostileInput(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"vertex weight overflow", "2 1 010\n2147483648 2\n1 1\n"},
+		{"edge weight overflow", "2 1 001\n2 2147483648\n1 2147483648\n"},
+		{"vertex count past int32", "3000000000 0\n3000000000\n"},
+		{"vertex count without lines", "2000000000 0\n\n"},
+		{"constraint count without weights", "1 0 010 1000000000\n1\n"},
+		{"edge count without edges", "1 1000000000000\n\n"},
+	}
+	for _, c := range cases {
+		if _, err := ReadMetis(strings.NewReader(c.src)); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
 // Property: WriteMetis/ReadMetis is the identity on random graphs.
 func TestQuickMetisRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {

@@ -34,7 +34,13 @@ func DefaultNodalOptions() NodalGraphOptions {
 
 // NodalGraph builds the nodal graph of the mesh: one vertex per mesh
 // node, one edge per mesh edge (deduplicated across elements). Vertex
-// and edge weights follow opt.
+// and edge weights follow opt. Adjacency rows are sorted by ascending
+// neighbor id, as graph.Builder produces them.
+//
+// The construction is linear in the mesh size: a counting sort of
+// ENodes gives every node its incident elements, and row v gathers the
+// other endpoints of those elements' edges at v, with a stamp per node
+// dropping neighbors already seen through another element.
 func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
 	if opt.NCon < 1 {
 		opt.NCon = 1
@@ -48,47 +54,69 @@ func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
 	if opt.ContactEdgeWeight <= 0 {
 		opt.ContactEdgeWeight = 1
 	}
-	contact := m.ContactMask()
-	b := graph.NewBuilder(m.NumNodes(), opt.NCon)
-	for v := 0; v < m.NumNodes(); v++ {
-		b.SetWeight(v, 0, opt.FEWeight)
-		if opt.NCon >= 2 && contact[v] {
-			b.SetWeight(v, 1, opt.ContactWeight)
-		}
+	n := m.NumNodes()
+	first := make([]int32, n+1)
+	for _, v := range m.ENodes {
+		first[v+1]++
 	}
-	// Deduplicate mesh edges before insertion: structured meshes share
-	// each edge among several elements, and Builder dedup would
-	// otherwise sum the contact weights. Sort-based dedup of packed
-	// (u,v) keys is several times faster than a hash set at mesh scale.
-	keys := make([]uint64, 0, m.NumElems()*6)
+	for v := 0; v < n; v++ {
+		first[v+1] += first[v]
+	}
+	inc := make([]int32, len(m.ENodes))
+	next := append([]int32(nil), first[:n]...)
 	for e := 0; e < m.NumElems(); e++ {
-		nodes := m.ElemNodes(e)
-		for _, pair := range m.Types[e].Edges() {
-			u, v := nodes[pair[0]], nodes[pair[1]]
-			if u == v {
-				continue
-			}
-			if u > v {
-				u, v = v, u
-			}
-			keys = append(keys, uint64(u)<<32|uint64(uint32(v)))
+		for _, v := range m.ElemNodes(e) {
+			inc[next[v]] = int32(e)
+			next[v]++
 		}
 	}
-	slices.Sort(keys)
-	var prev uint64 = ^uint64(0)
-	for _, k := range keys {
-		if k == prev {
-			continue
-		}
-		prev = k
-		u, v := int32(k>>32), int32(uint32(k))
-		w := int32(1)
-		if contact[u] && contact[v] {
-			w = opt.ContactEdgeWeight
-		}
-		b.AddEdge(int(u), int(v), w)
+
+	stamp := next
+	for i := range stamp {
+		stamp[i] = -1
 	}
-	return b.Build()
+	xadj := make([]int32, n+1)
+	adj := make([]int32, 0, len(m.ENodes))
+	for v := int32(0); v < int32(n); v++ {
+		stamp[v] = v // no self-loops from degenerate elements
+		for _, e := range inc[first[v]:first[v+1]] {
+			nodes := m.ElemNodes(int(e))
+			for _, pair := range m.Types[e].Edges() {
+				a, b := nodes[pair[0]], nodes[pair[1]]
+				if a != v {
+					if b != v {
+						continue
+					}
+					b = a
+				}
+				if stamp[b] != v {
+					stamp[b] = v
+					adj = append(adj, b)
+				}
+			}
+		}
+		slices.Sort(adj[xadj[v]:])
+		xadj[v+1] = int32(len(adj))
+	}
+
+	contact := m.ContactMask()
+	g := &graph.Graph{NCon: opt.NCon, Xadj: xadj, Adj: adj, AdjWgt: make([]int32, len(adj))}
+	if n > 0 { // nil for an empty mesh, as graph.Builder leaves it
+		g.VWgt = make([]int32, n*opt.NCon)
+	}
+	for v := 0; v < n; v++ {
+		g.VWgt[v*opt.NCon] = opt.FEWeight
+		if opt.NCon >= 2 && contact[v] {
+			g.VWgt[v*opt.NCon+1] = opt.ContactWeight
+		}
+		for i := xadj[v]; i < xadj[v+1]; i++ {
+			g.AdjWgt[i] = 1
+			if contact[v] && contact[adj[i]] {
+				g.AdjWgt[i] = opt.ContactEdgeWeight
+			}
+		}
+	}
+	return g
 }
 
 // DualGraph builds the dual graph of the mesh: one vertex per element,

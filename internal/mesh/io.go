@@ -166,7 +166,7 @@ func ReadMesh(r io.Reader) (*Mesh, error) {
 	}
 	m.EPtr = make([]int32, ne+1)
 	for e := 0; e < int(ne); e++ {
-		if err == nil && (m.Types[e] != Tri3 && m.Types[e] != Quad4 && m.Types[e] != Tet4 && m.Types[e] != Hex8) {
+		if err == nil && !m.Types[e].known() {
 			return nil, fmt.Errorf("mesh: element %d has unknown type %d", e, m.Types[e])
 		}
 		if err != nil {

@@ -59,7 +59,7 @@ func (t ElemType) String() string {
 }
 
 // edgeTable[t] lists local node index pairs forming the element's edges.
-var edgeTable = map[ElemType][][2]int{
+var edgeTable = [...][][2]int{
 	Tri3:  {{0, 1}, {1, 2}, {2, 0}},
 	Quad4: {{0, 1}, {1, 2}, {2, 3}, {3, 0}},
 	Tet4:  {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}},
@@ -72,7 +72,7 @@ var edgeTable = map[ElemType][][2]int{
 
 // faceTable[t] lists local node index tuples of the element's facets:
 // edges in 2D, faces in 3D. Used for dual-graph and boundary extraction.
-var faceTable = map[ElemType][][]int{
+var faceTable = [len(edgeTable)][][]int{
 	Tri3:  {{0, 1}, {1, 2}, {2, 0}},
 	Quad4: {{0, 1}, {1, 2}, {2, 3}, {3, 0}},
 	Tet4:  {{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}},
@@ -85,6 +85,10 @@ var faceTable = map[ElemType][][]int{
 		{3, 0, 4, 7}, // x-
 	},
 }
+
+// known reports whether t is one of the element types above; Edges,
+// Faces and NumNodes panic on any other value.
+func (t ElemType) known() bool { return int(t) < len(edgeTable) }
 
 // Edges returns the local node index pairs of the element type's edges.
 func (t ElemType) Edges() [][2]int { return edgeTable[t] }
@@ -168,9 +172,9 @@ func (m *Mesh) SurfaceBox(i int) geom.AABB {
 	return b
 }
 
-// Validate checks structural invariants: CSR bounds, node ids in range,
-// element dimensionality matching the mesh, and surface facets with
-// plausible node counts.
+// Validate checks structural invariants: CSR bounds, known element
+// types, node ids in range, element dimensionality matching the mesh,
+// and surface facets with plausible node counts.
 func (m *Mesh) Validate() error {
 	n := m.NumNodes()
 	if m.Dim != 2 && m.Dim != 3 {
@@ -184,6 +188,9 @@ func (m *Mesh) Validate() error {
 	}
 	for e := 0; e < m.NumElems(); e++ {
 		t := m.Types[e]
+		if !t.known() {
+			return fmt.Errorf("mesh: element %d has unknown type %v", e, t)
+		}
 		if t.Dim() != m.Dim {
 			return fmt.Errorf("mesh: element %d type %v in %dD mesh", e, t, m.Dim)
 		}

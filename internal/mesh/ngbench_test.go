@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	_ "repro/internal/graph"
+	"repro/internal/graph"
 )
 
-func benchTetMesh() *Mesh {
-	// 30x30x8 hex block split into tets ~ 43k tets.
+// blockMesh returns an nx x ny x nz structured block of hexahedra, or
+// of tetrahedra with each hexahedron split into six.
+func blockMesh(nx, ny, nz int, tets bool) *Mesh {
 	m := &Mesh{Dim: 3, EPtr: []int32{0}}
-	nx, ny, nz := 30, 30, 8
 	id := func(x, y, z int) int32 { return int32(z*(ny+1)*(nx+1) + y*(nx+1) + x) }
 	for z := 0; z <= nz; z++ {
 		for y := 0; y <= ny; y++ {
@@ -19,7 +19,7 @@ func benchTetMesh() *Mesh {
 			}
 		}
 	}
-	tets := [6][4]int{{0, 1, 2, 6}, {0, 2, 3, 6}, {0, 3, 7, 6}, {0, 7, 4, 6}, {0, 4, 5, 6}, {0, 5, 1, 6}}
+	split := [6][4]int{{0, 1, 2, 6}, {0, 2, 3, 6}, {0, 3, 7, 6}, {0, 7, 4, 6}, {0, 4, 5, 6}, {0, 5, 1, 6}}
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
@@ -27,7 +27,13 @@ func benchTetMesh() *Mesh {
 					id(x, y, z), id(x+1, y, z), id(x+1, y+1, z), id(x, y+1, z),
 					id(x, y, z+1), id(x+1, y, z+1), id(x+1, y+1, z+1), id(x, y+1, z+1),
 				}
-				for _, t := range tets {
+				if !tets {
+					m.Types = append(m.Types, Hex8)
+					m.ENodes = append(m.ENodes, corners[:]...)
+					m.EPtr = append(m.EPtr, int32(len(m.ENodes)))
+					continue
+				}
+				for _, t := range split {
 					m.Types = append(m.Types, Tet4)
 					m.ENodes = append(m.ENodes, corners[t[0]], corners[t[1]], corners[t[2]], corners[t[3]])
 					m.EPtr = append(m.EPtr, int32(len(m.ENodes)))
@@ -38,10 +44,17 @@ func benchTetMesh() *Mesh {
 	return m
 }
 
-func BenchmarkNodalGraphTets(b *testing.B) {
-	m := benchTetMesh()
+var sinkGraph *graph.Graph
+
+func benchNodalGraph(b *testing.B, m *Mesh) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.NodalGraph(NodalGraphOptions{NCon: 2, ContactEdgeWeight: 5})
+		sinkGraph = m.NodalGraph(NodalGraphOptions{NCon: 2, ContactEdgeWeight: 5})
 	}
 }
+
+// The benchmark block is 30x30x8: 43,200 tets or 7,200 hexahedra.
+func BenchmarkNodalGraphTets(b *testing.B) { benchNodalGraph(b, blockMesh(30, 30, 8, true)) }
+
+func BenchmarkNodalGraphHexes(b *testing.B) { benchNodalGraph(b, blockMesh(30, 30, 8, false)) }

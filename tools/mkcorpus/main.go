@@ -1,6 +1,7 @@
 // Command mkcorpus regenerates the checked-in fuzz seed corpora under
 // internal/partition/testdata/fuzz, internal/dtree/testdata/fuzz,
-// internal/sfc/testdata/fuzz, and internal/bkmeans/testdata/fuzz.
+// internal/sfc/testdata/fuzz, internal/bkmeans/testdata/fuzz, and
+// internal/graph/testdata/fuzz.
 // Run from the repo root: go run ./tools/mkcorpus
 package main
 
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/dtree"
 	"repro/internal/geom"
+	"repro/internal/graph"
 )
 
 func write(dir, name string, data []byte) {
@@ -67,4 +69,35 @@ func main() {
 	write(bkDir, "seed-small", []byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	write(bkDir, "seed-heavy", []byte{1, 0xff, 0xff, 0xff, 0x01, 0x02})
 	write(bkDir, "seed-coincident", []byte{8, 5, 5, 5, 5, 9, 9, 9, 9, 1, 1, 1, 1, 200, 200, 0, 0})
+
+	// Mirrors graph.FuzzBuilder's f.Add seeds: vertex count, constraint
+	// selector, then (u, v, w) edge triples.
+	builderDir := filepath.Join("internal", "graph", "testdata", "fuzz", "FuzzBuilder")
+	write(builderDir, "seed-empty", []byte{0, 0})
+	write(builderDir, "seed-parallel", []byte{5, 1, 0, 1, 2, 1, 0, 3, 2, 2, 9, 4, 3, 1})
+	write(builderDir, "seed-star", []byte{64, 2, 0, 9, 1, 9, 0, 1, 0, 10, 1, 0, 11, 1, 11, 0, 5})
+
+	// METIS files for graph.FuzzReadMetis: what WriteMetis emits for a
+	// two-constraint weighted graph with an isolated vertex, the plain
+	// and edge-weighted formats, a file listing an edge only once, and
+	// a truncated body.
+	metisDir := filepath.Join("internal", "graph", "testdata", "fuzz", "FuzzReadMetis")
+	b := graph.NewBuilder(5, 2)
+	for v := 0; v < 5; v++ {
+		b.SetWeights(v, []int32{int32(1 + v), int32(v % 2)})
+	}
+	b.AddEdge(0, 1, 5)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 0, 3)
+	b.AddEdge(2, 3, 2)
+	buf.Reset()
+	if err := b.Build().WriteMetis(&buf); err != nil {
+		log.Fatal(err)
+	}
+	written := append([]byte(nil), buf.Bytes()...)
+	write(metisDir, "seed-written", written)
+	write(metisDir, "seed-truncated", written[:len(written)/2])
+	write(metisDir, "seed-plain", []byte("% path\n3 2\n2\n1 3\n2\n"))
+	write(metisDir, "seed-edge-weights", []byte("2 1 001\n2 7\n1 7\n"))
+	write(metisDir, "seed-listed-once", []byte("3 2 010\n4 2\n5 3\n6\n"))
 }
