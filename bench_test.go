@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -59,7 +60,7 @@ func BenchmarkTable1(b *testing.B) {
 			var last *repro.ExperimentResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := repro.RunExperiment(snaps, repro.ExperimentConfig{K: k, Seed: 1})
+				r, err := repro.RunExperiment(context.Background(), snaps, repro.ExperimentConfig{K: k, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -89,7 +90,7 @@ func BenchmarkTable1Derived(b *testing.B) {
 			snaps := benchSnapshots(b)
 			var pct float64
 			for i := 0; i < b.N; i++ {
-				r, err := repro.RunExperiment(snaps, repro.ExperimentConfig{K: k, Seed: 1})
+				r, err := repro.RunExperiment(context.Background(), snaps, repro.ExperimentConfig{K: k, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -301,7 +302,7 @@ func BenchmarkPartitionMultiConstraint(b *testing.B) {
 	g := snaps[0].Mesh.NodalGraph(mesh.DefaultNodalOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := partition.Partition(g, partition.Options{K: 25, Seed: int64(i), Imbalance: 0.05}); err != nil {
+		if _, err := partition.KWay(context.Background(), g, partition.Options{K: 25, Seed: int64(i), Imbalance: 0.05}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -443,7 +444,7 @@ func BenchmarkParallelIteration(b *testing.B) {
 	b.ResetTimer()
 	var st *engine.Stats
 	for i := 0; i < b.N; i++ {
-		st, err = engine.Run(m, d, 0.5)
+		st, err = engine.Run(context.Background(), m, d, 0.5, engine.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,6 +8,7 @@ package main
 // and the partitioner's bisection tasks.
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -22,7 +23,7 @@ import (
 // fault plan whose drops are restricted to first attempts, so every
 // injected fault is recovered by retry (visible as "retry" events in
 // the trace) and the results stay identical to a fault-free run.
-func runEngineLeg(sn sim.Snapshot, ks []int, seed, chaosSeed int64, col *obs.Collector, parent *obs.Span) error {
+func runEngineLeg(ctx context.Context, sn sim.Snapshot, ks []int, seed, chaosSeed int64, col *obs.Collector, parent *obs.Span) error {
 	fmt.Println()
 	for _, k := range ks {
 		span := parent.Child("engine_iter", obs.Int("k", int64(k)))
@@ -38,7 +39,7 @@ func runEngineLeg(sn sim.Snapshot, ks []int, seed, chaosSeed int64, col *obs.Col
 				FirstAttemptOnly: true,
 			}
 		}
-		st, err := engine.RunOpts(sn.Mesh, d, 0.5, engine.Options{
+		st, err := engine.Run(ctx, sn.Mesh, d, 0.5, engine.Options{
 			Obs: col, Span: span, Fault: plan,
 		})
 		span.End()

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,6 +39,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("partition: ")
+	ctx := context.Background()
 	var (
 		meshPath  = flag.String("mesh", "", "mesh file (from cmd/meshgen)")
 		graphPath = flag.String("graph", "", "METIS .graph file (partition a raw graph instead of a mesh)")
@@ -114,13 +116,13 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		if err := benchPartition(*graphPath, *meshPath, *k, *seed, *imbalance, *workers, *benchRuns, *benchSnap, *benchJSON); err != nil {
+		if err := benchPartition(ctx, *graphPath, *meshPath, *k, *seed, *imbalance, *workers, *benchRuns, *benchSnap, *benchJSON); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	if *graphPath != "" {
-		partitionGraphFile(*graphPath, *k, *method, *seed, *imbalance, col)
+		partitionGraphFile(ctx, *graphPath, *k, *method, *seed, *imbalance, col)
 		reportObs()
 		return
 	}
@@ -170,7 +172,7 @@ func main() {
 		}
 		fmt.Printf("ML+RCB %d-way:\n", *k)
 		fmt.Printf("  FEComm (comm volume)   %d\n", metrics.CommVolume(st.Graph, st.MeshLabels, *k))
-		fmt.Printf("  EdgeCut                %d\n", metrics.EdgeCut(st.Graph, st.MeshLabels))
+		fmt.Printf("  EdgeCut                %d\n", partition.EdgeCut(st.Graph, st.MeshLabels))
 		fmt.Printf("  LoadImbalance          FE %.4f\n", imb[0])
 		fmt.Printf("  M2MComm                %d (of %d contact points)\n", m2m, len(st.ContactNodes))
 		fmt.Printf("  NRemote                %d\n", st.NRemote(m, *tol))
@@ -265,7 +267,7 @@ func benchGraph(graphPath, meshPath string) (*graph.Graph, string, error) {
 // benchPartition times the strictly serial KWay recursion against the
 // pooled one on the same graph and writes a JSON report. Labels must
 // come out byte-identical; the report records whether they did.
-func benchPartition(graphPath, meshPath string, k int, seed int64, imbalance float64, workers, runs, benchSnap int, outPath string) error {
+func benchPartition(ctx context.Context, graphPath, meshPath string, k int, seed int64, imbalance float64, workers, runs, benchSnap int, outPath string) error {
 	g, source, err := benchGraph(graphPath, meshPath)
 	if err != nil {
 		return err
@@ -287,7 +289,7 @@ func benchPartition(graphPath, meshPath string, k int, seed int64, imbalance flo
 			col := obs.New()
 			opt.Obs = col
 			t0 := time.Now()
-			out, err := partition.KWay(g, opt)
+			out, err := partition.KWay(ctx, g, opt)
 			if err != nil {
 				return l, nil, err
 			}
@@ -343,7 +345,7 @@ func benchPartition(graphPath, meshPath string, k int, seed int64, imbalance flo
 	}
 
 	if benchSnap > 1 {
-		sb, err := benchSnapshots(k, seed, imbalance, benchSnap)
+		sb, err := benchSnapshots(ctx, k, seed, imbalance, benchSnap)
 		if err != nil {
 			return err
 		}
@@ -369,7 +371,7 @@ func benchPartition(graphPath, meshPath string, k int, seed int64, imbalance flo
 // benchSnapshots amortizes adaptive warm-start repartitioning against
 // from-scratch partitioning over a deforming snapshot sequence. Nodal
 // graphs are built up front so both legs time only partitioning work.
-func benchSnapshots(k int, seed int64, eps float64, n int) (*snapshotBench, error) {
+func benchSnapshots(ctx context.Context, k int, seed int64, eps float64, n int) (*snapshotBench, error) {
 	cfg := sim.DefaultConfig()
 	cfg.Snapshots = n
 	cfg.Steps = 10 * n
@@ -412,7 +414,7 @@ func benchSnapshots(k int, seed int64, eps float64, n int) (*snapshotBench, erro
 	t0 := time.Now()
 	var scratchLabels []int32
 	for _, g := range graphs {
-		if scratchLabels, err = partition.Partition(g, opt); err != nil {
+		if scratchLabels, err = partition.KWay(ctx, g, opt); err != nil {
 			return nil, err
 		}
 		bench.Scratch.MaxImbalance = math.Max(bench.Scratch.MaxImbalance, worstImb(g, scratchLabels))
@@ -423,7 +425,7 @@ func benchSnapshots(k int, seed int64, eps float64, n int) (*snapshotBench, erro
 	// Incremental leg: warm-start each snapshot from the previous
 	// labels and let the drift policy choose keep/diffuse/full.
 	t0 = time.Now()
-	labels, err := partition.Partition(graphs[0], opt)
+	labels, err := partition.KWay(ctx, graphs[0], opt)
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +450,7 @@ func benchSnapshots(k int, seed int64, eps float64, n int) (*snapshotBench, erro
 		case partition.DriftFull:
 			bench.Incremental.Full++
 			prev := labels
-			if labels, err = partition.Partition(g, opt); err != nil {
+			if labels, err = partition.KWay(ctx, g, opt); err != nil {
 				return nil, err
 			}
 			bench.Incremental.Migrated += len(prev) - partition.Overlap(prev, labels)
@@ -472,7 +474,7 @@ func benchSnapshots(k int, seed int64, eps float64, n int) (*snapshotBench, erro
 
 // partitionGraphFile partitions a raw METIS graph file and prints the
 // quality metrics.
-func partitionGraphFile(path string, k int, method string, seed int64, imbalance float64, col *obs.Collector) {
+func partitionGraphFile(ctx context.Context, path string, k int, method string, seed int64, imbalance float64, col *obs.Collector) {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -488,9 +490,9 @@ func partitionGraphFile(path string, k int, method string, seed int64, imbalance
 	stopPart := col.Start("partition")
 	switch method {
 	case "rb":
-		labels, err = partition.Partition(g, opt)
+		labels, err = partition.KWay(ctx, g, opt)
 	case "direct":
-		labels, err = partition.PartitionDirect(g, opt)
+		labels, err = partition.PartitionDirect(ctx, g, opt)
 	default:
 		log.Fatalf("unknown -method %q", method)
 	}
@@ -499,7 +501,7 @@ func partitionGraphFile(path string, k int, method string, seed int64, imbalance
 		log.Fatal(err)
 	}
 	fmt.Printf("%s %d-way:\n", method, k)
-	fmt.Printf("  EdgeCut                %d\n", metrics.EdgeCut(g, labels))
+	fmt.Printf("  EdgeCut                %d\n", partition.EdgeCut(g, labels))
 	fmt.Printf("  CommVolume             %d\n", metrics.CommVolume(g, labels, k))
 	imb := metrics.LoadImbalance(g, labels, k)
 	for j, x := range imb {

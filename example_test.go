@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -47,7 +48,7 @@ func ExampleRunExperiment() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := repro.RunExperiment(snaps, repro.ExperimentConfig{K: 8, Seed: 1})
+	res, err := repro.RunExperiment(context.Background(), snaps, repro.ExperimentConfig{K: 8, Seed: 1})
 	if err != nil {
 		panic(err)
 	}

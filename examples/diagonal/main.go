@@ -16,6 +16,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/meshgen"
 	"repro/internal/metrics"
+	"repro/internal/partition"
 )
 
 func main() {
@@ -71,7 +72,7 @@ func main() {
 	dt := descFor(diagonal)
 	fmt.Printf("hand-made diagonal partition:\n")
 	fmt.Printf("  edge cut %5d, comm volume %5d, descriptor tree %4d nodes\n\n",
-		metrics.EdgeCut(g, diagonal), metrics.CommVolume(g, diagonal, 2), dt.NumNodes())
+		partition.EdgeCut(g, diagonal), metrics.CommVolume(g, diagonal, 2), dt.NumNodes())
 
 	// Now let the full MCML+DT pipeline partition the same mesh: the
 	// reshaping step produces axis-parallel boundaries and a small tree.

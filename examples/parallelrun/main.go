@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -43,7 +44,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := engine.RunObserved(m, d, tol, col)
+		st, err := engine.Run(context.Background(), m, d, tol, engine.Options{Obs: col})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -55,7 +55,7 @@ type Options struct {
 	Span    *obs.Span
 	// Ctx, when non-nil, carries a per-call deadline/cancellation into
 	// the backend: the multilevel partitioner stops its recursion
-	// promptly and returns the context's error (partition.KWayCtx); the
+	// promptly and returns the context's error (partition.KWay); the
 	// near-linear geometric backends check it once at entry. Labels of
 	// a run that completes never depend on Ctx. Nil means
 	// context.Background() (never cancelled).
@@ -160,7 +160,7 @@ func (b multilevel) Partition(in Input, opt Options) ([]int32, error) {
 	if err := checkInput(in, b.Caps(), b.Name(), opt); err != nil {
 		return nil, err
 	}
-	return partition.KWayCtx(opt.ctx(), in.Graph, partition.Options{
+	return partition.KWay(opt.ctx(), in.Graph, partition.Options{
 		K: opt.K, Seed: opt.Seed, Imbalance: opt.Imbalance,
 		Workers: opt.Workers, Obs: opt.Obs, Span: opt.Span,
 	})

@@ -61,6 +61,43 @@ func TestBVHEmpty(t *testing.T) {
 	}
 }
 
+func TestBVHQueryOutsideWorld(t *testing.T) {
+	boxes := []geom.AABB{{Min: geom.P3(0, 0, 0), Max: geom.P3(1, 1, 1)}}
+	bvh := contact.NewBVH(boxes, 3)
+	found := false
+	bvh.Query(boxes, geom.AABB{Min: geom.P3(100, 100, 100), Max: geom.P3(101, 101, 101)}, func(int32) {
+		found = true
+	})
+	if found {
+		t.Error("distant query matched")
+	}
+	// A query enclosing the whole world finds the box.
+	bvh.Query(boxes, geom.AABB{Min: geom.P3(-100, -100, -100), Max: geom.P3(101, 101, 101)}, func(int32) {
+		found = true
+	})
+	if !found {
+		t.Error("covering query missed the box")
+	}
+}
+
+func TestBVHCoincidentBoxes(t *testing.T) {
+	// Degenerate: all boxes are the same zero-extent point.
+	boxes := make([]geom.AABB, 20)
+	for i := range boxes {
+		p := geom.P3(1, 2, 3)
+		boxes[i] = geom.AABB{Min: p, Max: p}
+	}
+	bvh := contact.NewBVH(boxes, 3)
+	got := map[int32]bool{}
+	bvh.Query(boxes, geom.AABB{Min: geom.P3(0, 0, 0), Max: geom.P3(5, 5, 5)}, func(i int32) { got[i] = true })
+	if len(got) != 20 {
+		t.Errorf("found %d of 20 coincident boxes", len(got))
+	}
+	if pairs := bvh.Pairs(boxes); len(pairs) != 20*19/2 {
+		t.Errorf("%d pairs among 20 coincident boxes, want %d", len(pairs), 20*19/2)
+	}
+}
+
 func TestBVHPairsMatchBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	boxes := randBoxes(r, 120)

@@ -230,7 +230,7 @@ func TestStatsAgainstMetricsPackage(t *testing.T) {
 	if want := metrics.CommVolume(d.Graph, d.Labels, 4); s.FEComm != want {
 		t.Errorf("FEComm %d != %d", s.FEComm, want)
 	}
-	if want := metrics.EdgeCut(d.Graph, d.Labels); s.EdgeCut != want {
+	if want := partition.EdgeCut(d.Graph, d.Labels); s.EdgeCut != want {
 		t.Errorf("EdgeCut %d != %d", s.EdgeCut, want)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -76,14 +77,14 @@ func assertStatsIdentical(t *testing.T, name string, want, got *Stats) {
 }
 
 // TestChaosMatrix is the chaos determinism gate: for every seed ×
-// fault kind × k, engine.RunOpts under injected faults must produce
+// fault kind × k, engine.Run under injected faults must produce
 // Pairs and communication Stats identical to the fault-free run —
 // whether it recovered by retransmission or by serial degrade.
 func TestChaosMatrix(t *testing.T) {
 	for _, k := range []int{2, 5} {
 		sn, d := testSetup(t, k, 30)
 		const tol = 0.5
-		baseline, err := Run(sn.Mesh, d, tol)
+		baseline, err := Run(context.Background(), sn.Mesh, d, tol, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestChaosMatrix(t *testing.T) {
 					// keeps the stall/exhausted-drop cases fast. A
 					// spurious timeout under load just degrades, which
 					// the identity assertion still covers.
-					st, err := RunOpts(sn.Mesh, d, tol, Options{
+					st, err := Run(context.Background(), sn.Mesh, d, tol, Options{
 						Fault:        plan,
 						PhaseTimeout: 800 * time.Millisecond,
 						RetryBackoff: 5 * time.Millisecond,
@@ -146,12 +147,12 @@ func counterMap(col *obs.Collector) map[string]int64 {
 func TestChaosRetriesVisible(t *testing.T) {
 	sn, d := testSetup(t, 4, 30)
 	const tol = 0.5
-	baseline, err := Run(sn.Mesh, d, tol)
+	baseline, err := Run(context.Background(), sn.Mesh, d, tol, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := obs.New()
-	st, err := RunOpts(sn.Mesh, d, tol, Options{
+	st, err := Run(context.Background(), sn.Mesh, d, tol, Options{
 		Fault:        &fault.Plan{Seed: 3, DropProb: 0.5, FirstAttemptOnly: true},
 		PhaseTimeout: 2 * time.Second,
 		RetryBackoff: 2 * time.Millisecond,
@@ -177,7 +178,7 @@ func TestChaosRetriesVisible(t *testing.T) {
 func TestCorruptTreeBroadcastDegrades(t *testing.T) {
 	sn, d := testSetup(t, 3, 30)
 	const tol = 0.5
-	baseline, err := Run(sn.Mesh, d, tol)
+	baseline, err := Run(context.Background(), sn.Mesh, d, tol, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestCorruptTreeBroadcastDegrades(t *testing.T) {
 		t.Fatal("corrupted tree bytes decoded cleanly; fault injection is a no-op")
 	}
 
-	st, err := RunOpts(sn.Mesh, d, tol, Options{Fault: plan, PhaseTimeout: 2 * time.Second})
+	st, err := Run(context.Background(), sn.Mesh, d, tol, Options{Fault: plan, PhaseTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatalf("corrupt broadcast was not recovered: %v", err)
 	}
@@ -203,7 +204,7 @@ func TestCorruptTreeBroadcastDegrades(t *testing.T) {
 
 	// With degradation disabled the same failure must surface as a
 	// typed per-rank error, not a panic.
-	_, err = RunOpts(sn.Mesh, d, tol, Options{Fault: plan, PhaseTimeout: 2 * time.Second, NoDegrade: true})
+	_, err = Run(context.Background(), sn.Mesh, d, tol, Options{Fault: plan, PhaseTimeout: 2 * time.Second, NoDegrade: true})
 	var re *RankError
 	if !errors.As(err, &re) {
 		t.Fatalf("NoDegrade error = %v, want *RankError", err)
@@ -217,14 +218,14 @@ func TestCorruptTreeBroadcastDegrades(t *testing.T) {
 // no deadline) must behave exactly like the seed engine.
 func TestZeroOptionsMatchesSeedSemantics(t *testing.T) {
 	sn, d := testSetup(t, 6, 30)
-	a, err := Run(sn.Mesh, d, 0.5)
+	a, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Degraded || a.Recovered || a.FailedRanks != nil {
 		t.Errorf("fault-free run marked degraded: %+v", a)
 	}
-	b, err := RunOpts(sn.Mesh, d, 0.5, Options{})
+	b, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

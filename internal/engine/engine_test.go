@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/contact"
 	"repro/internal/core"
 	"repro/internal/dtree"
+	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/mesh"
@@ -14,18 +18,24 @@ import (
 	"repro/internal/sim"
 )
 
-func testSetup(t *testing.T, k int, steps int) (*sim.Snapshot, *core.Decomposition) {
+func testSnaps(t *testing.T, n, steps int) []sim.Snapshot {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.Scene.PlateNX, cfg.Scene.PlateNY, cfg.Scene.PlateNZ = 12, 12, 2
 	cfg.Scene.ProjN, cfg.Scene.ProjLen = 2, 6
 	cfg.Scene.ContactRadius = 4
 	cfg.Steps = steps
-	cfg.Snapshots = 2
+	cfg.Snapshots = n
 	snaps, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return snaps
+}
+
+func testSetup(t *testing.T, k int, steps int) (*sim.Snapshot, *core.Decomposition) {
+	t.Helper()
+	snaps := testSnaps(t, 2, steps)
 	sn := snaps[len(snaps)-1]
 	d, err := core.Decompose(sn.Mesh, core.Config{K: k, Seed: 1})
 	if err != nil {
@@ -34,9 +44,44 @@ func testSetup(t *testing.T, k int, steps int) (*sim.Snapshot, *core.Decompositi
 	return &sn, d
 }
 
+// carriedSetup decomposes the first of four snapshots and carries its
+// labels, by persistent node id, to the last one, re-inducing only the
+// descriptor (core.DescriptorFor) — the paper's default update
+// strategy between repartitions.
+func carriedSetup(t *testing.T, k int) (*sim.Snapshot, *core.Decomposition) {
+	t.Helper()
+	snaps := testSnaps(t, 4, 40)
+	d0, err := core.Decompose(snaps[0].Mesh, core.Config{K: k, Seed: 1, Parallel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[int64]int32, len(snaps[0].NodeID))
+	for v, id := range snaps[0].NodeID {
+		byID[id] = d0.Labels[v]
+	}
+	sn := snaps[len(snaps)-1]
+	labels := make([]int32, sn.Mesh.NumNodes())
+	for v, id := range sn.NodeID {
+		labels[v] = byID[id]
+	}
+	tree, nodes, pts, cl, err := core.DescriptorFor(sn.Mesh, labels, d0.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sn, &core.Decomposition{
+		Cfg:           d0.Cfg,
+		Graph:         sn.Mesh.NodalGraph(d0.Cfg.Nodal),
+		Labels:        labels,
+		Descriptor:    tree,
+		ContactNodes:  nodes,
+		ContactPoints: pts,
+		ContactLabels: cl,
+	}
+}
+
 func TestGhostTrafficEqualsCommVolume(t *testing.T) {
 	sn, d := testSetup(t, 6, 30)
-	st, err := Run(sn.Mesh, d, 0.5)
+	st, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +102,7 @@ func TestGhostTrafficEqualsCommVolume(t *testing.T) {
 func TestElementTrafficEqualsNRemote(t *testing.T) {
 	sn, d := testSetup(t, 6, 30)
 	const tol = 0.5
-	st, err := Run(sn.Mesh, d, tol)
+	st, err := Run(context.Background(), sn.Mesh, d, tol, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,25 +121,81 @@ func TestElementTrafficEqualsNRemote(t *testing.T) {
 }
 
 func TestParallelDetectionMatchesSerial(t *testing.T) {
-	for _, k := range []int{2, 6, 13} {
-		sn, d := testSetup(t, k, 30)
-		const tol = 0.5
-		st, err := Run(sn.Mesh, d, tol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := contact.DetectContacts(sn.Mesh, tol)
-		if len(st.Pairs) != len(serial) {
-			t.Fatalf("k=%d: parallel found %d pairs, serial %d", k, len(st.Pairs), len(serial))
-		}
-		for i := range serial {
-			if st.Pairs[i].A != serial[i].A || st.Pairs[i].B != serial[i].B {
-				t.Fatalf("k=%d: pair %d differs: (%d,%d) vs (%d,%d)",
-					k, i, st.Pairs[i].A, st.Pairs[i].B, serial[i].A, serial[i].B)
+	fresh := func(k int) func(*testing.T) (*sim.Snapshot, *core.Decomposition) {
+		return func(t *testing.T) (*sim.Snapshot, *core.Decomposition) { return testSetup(t, k, 30) }
+	}
+	carried := func(k int) func(*testing.T) (*sim.Snapshot, *core.Decomposition) {
+		return func(t *testing.T) (*sim.Snapshot, *core.Decomposition) { return carriedSetup(t, k) }
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(*testing.T) (*sim.Snapshot, *core.Decomposition)
+	}{
+		{"k=2", fresh(2)},
+		{"k=6", fresh(6)},
+		{"k=13", fresh(13)},
+		{"carried_labels_k=5", carried(5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sn, d := tc.setup(t)
+			const tol = 0.5
+			st, err := Run(context.Background(), sn.Mesh, d, tol, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Logf("k=%d: %d pairs, ghosts=%d, shipped=%d, tree=%dB",
-			k, len(st.Pairs), st.GhostUnits, st.ElemsShipped, st.TreeBytes)
+			serial := contact.DetectContacts(sn.Mesh, tol)
+			if len(st.Pairs) != len(serial) {
+				t.Fatalf("parallel found %d pairs, serial %d", len(st.Pairs), len(serial))
+			}
+			for i := range serial {
+				if st.Pairs[i].A != serial[i].A || st.Pairs[i].B != serial[i].B {
+					t.Fatalf("pair %d differs: (%d,%d) vs (%d,%d)",
+						i, st.Pairs[i].A, st.Pairs[i].B, serial[i].A, serial[i].B)
+				}
+			}
+			t.Logf("%d pairs, ghosts=%d, shipped=%d, tree=%dB",
+				len(st.Pairs), st.GhostUnits, st.ElemsShipped, st.TreeBytes)
+		})
+	}
+}
+
+// TestRunCancelledDoesNotDegrade: cancelling the caller's ctx abandons
+// the iteration — Run returns context.Canceled without waiting out the
+// phase deadline of a stalled rank, and never re-executes serially.
+func TestRunCancelledDoesNotDegrade(t *testing.T) {
+	sn, d := testSetup(t, 4, 30)
+	const phaseTimeout = 2 * time.Second
+	for _, tc := range []struct {
+		name        string
+		cancelAfter time.Duration // 0 = cancelled before Run
+	}{{"before_run", 0}, {"mid_run", 50 * time.Millisecond}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancelAfter == 0 {
+				cancel()
+			} else {
+				time.AfterFunc(tc.cancelAfter, cancel)
+			}
+			col := obs.New()
+			plan := &fault.Plan{StallRank: map[int]fault.Stall{1: {Phase: phaseElems, For: 30 * time.Second}}}
+			t0 := time.Now()
+			st, err := Run(ctx, sn.Mesh, d, 0.5, Options{Fault: plan, PhaseTimeout: phaseTimeout, Obs: col})
+			if elapsed := time.Since(t0); elapsed >= phaseTimeout {
+				t.Errorf("cancelled Run took %v, not below the %v phase deadline", elapsed, phaseTimeout)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if st != nil && st.Degraded {
+				t.Errorf("cancelled run degraded: %+v", st)
+			}
+			for _, c := range col.Report().Counters {
+				if c.Name == "engine_degraded_iters" && c.Value != 0 {
+					t.Errorf("engine_degraded_iters = %d, want 0", c.Value)
+				}
+			}
+		})
 	}
 }
 
@@ -152,7 +253,7 @@ func TestAsymmetricShippingRegression(t *testing.T) {
 		t.Fatalf("scene construction broken: serial found %d pairs, want 1", len(serial))
 	}
 
-	st, err := Run(m, d, tol)
+	st, err := Run(context.Background(), m, d, tol, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +277,7 @@ func TestFallbackDoesNotDuplicate(t *testing.T) {
 	for _, k := range []int{3, 8} {
 		sn, d := testSetup(t, k, 30)
 		const tol = 0.5
-		st, err := Run(sn.Mesh, d, tol)
+		st, err := Run(context.Background(), sn.Mesh, d, tol, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +299,7 @@ func TestFallbackDoesNotDuplicate(t *testing.T) {
 func TestRunObservedRecordsPhases(t *testing.T) {
 	sn, d := testSetup(t, 4, 30)
 	col := obs.New()
-	st, err := RunObserved(sn.Mesh, d, 0.5, col)
+	st, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +331,7 @@ func TestRunObservedRecordsPhases(t *testing.T) {
 
 func TestRunK1NoTraffic(t *testing.T) {
 	sn, d := testSetup(t, 1, 30)
-	st, err := Run(sn.Mesh, d, 0.5)
+	st, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +346,7 @@ func TestRunK1NoTraffic(t *testing.T) {
 
 func TestWorkerStatsConsistent(t *testing.T) {
 	sn, d := testSetup(t, 5, 30)
-	st, err := Run(sn.Mesh, d, 0.5)
+	st, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +368,11 @@ func TestWorkerStatsConsistent(t *testing.T) {
 
 func TestRunDeterministicPairs(t *testing.T) {
 	sn, d := testSetup(t, 4, 30)
-	a, err := Run(sn.Mesh, d, 0.5)
+	a, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(sn.Mesh, d, 0.5)
+	b, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ type Options struct {
 	// (default 5ms).
 	RetryBackoff time.Duration
 	// NoDegrade disables the serial-recovery path: a rank failure
-	// surfaces as an error from RunOpts instead.
+	// surfaces as an error from Run instead.
 	NoDegrade bool
 	// Obs receives phase timers and the resilience counters
 	// (transport_retries, transport_*_injected, engine_degraded_iters).
@@ -403,7 +403,7 @@ func (it *iteration) runWorker(ctx context.Context, w *worker, opts Options, ws 
 // On failure it returns the ranks that failed plus the root-cause
 // error (per-rank errors preferred over the cascade of context
 // cancellations they trigger).
-func (it *iteration) runParallel(opts Options) (*Stats, []int, error) {
+func (it *iteration) runParallel(ctx context.Context, opts Options) (*Stats, []int, error) {
 	k := it.k
 	tp := opts.Transport
 	if tp == nil {
@@ -418,8 +418,7 @@ func (it *iteration) runParallel(opts Options) (*Stats, []int, error) {
 		tp = ft
 	}
 
-	//lint:ignore ctxflow the engine run owns this lifecycle end to end; cancel is deferred in this function
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	drainCtx, drainCancel := context.WithCancel(ctx)
 	defer drainCancel()

@@ -1,13 +1,14 @@
 package engine
 
 // Integration test for span coverage of the engine layers: one traced
-// RunOpts with first-attempt-only fault injection must produce a trace
+// Run with first-attempt-only fault injection must produce a trace
 // that validates (balanced, monotonic) and contains the canonical span
 // and event names for every layer the engine touches — rank phases,
 // transport exchanges, retries, and the injected faults themselves.
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -19,14 +20,14 @@ func TestEngineTraceCoversAllLayers(t *testing.T) {
 	sn, d := testSetup(t, k, 30)
 
 	// Fault-free reference.
-	ref, err := Run(sn.Mesh, d, 0.5)
+	ref, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tr := obs.NewTracer()
 	root := tr.Root("engine_test")
-	st, err := RunOpts(sn.Mesh, d, 0.5, Options{
+	st, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{
 		Obs:  obs.New(),
 		Span: root,
 		Fault: &fault.Plan{

@@ -28,7 +28,7 @@ func tightDrift() partition.DriftThresholds {
 func TestAdaptiveSweepRunsPolicy(t *testing.T) {
 	snaps := testSnaps(t, 5)
 	col := obs.New()
-	r, err := Run(snaps, Config{K: 6, Seed: 1, Adaptive: true, Obs: col})
+	r, err := runOne(snaps, Config{K: 6, Seed: 1, Adaptive: true, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,13 @@ func TestAdaptiveSweepDeterministicAcrossWorkers(t *testing.T) {
 				Drift: tightDrift()},
 		}
 	}
-	want, err := RunAll(snaps, mk(true), 1)
+	want, err := RunSweep(context.Background(), snaps, mk(true), SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantJSON := marshalResults(t, want)
 	for _, workers := range []int{1, 2, 4} {
-		got, err := RunAll(snaps, mk(false), workers)
+		got, err := RunSweep(context.Background(), snaps, mk(false), SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestAdaptiveResumeByteIdentical(t *testing.T) {
 	cfgs := []Config{
 		{K: 5, Seed: 1, Adaptive: true, Drift: tightDrift()},
 	}
-	want, err := RunAll(snaps, cfgs, 1)
+	want, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestAdaptiveResumeByteIdentical(t *testing.T) {
 				cancel()
 			}
 		}
-		if _, err := RunAllResumable(ctx, snaps, cfgs, 1, ck); err == nil {
+		if _, err := RunSweep(ctx, snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck}); err == nil {
 			t.Fatalf("killAt=%d: interrupted sweep reported success", killAt)
 		}
 		cancel()
@@ -161,7 +161,7 @@ func TestAdaptiveResumeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("killAt=%d: %v", killAt, err)
 		}
-		got, err := RunAllResumable(context.Background(), snaps, cfgs, 1, ck2)
+		got, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck2})
 		if err != nil {
 			t.Fatalf("killAt=%d: resume failed: %v", killAt, err)
 		}

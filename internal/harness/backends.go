@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mlrcb"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/sim"
 )
@@ -162,7 +163,7 @@ func coreCompareLeg(snaps []sim.Snapshot, cfg Config, leg backendLeg, span *obs.
 		m := sn.Mesh
 		labels := lookupLabels(sn.NodeID, byID)
 		g := m.NodalGraph(mesh.NodalGraphOptions{NCon: 2})
-		row.Cut += float64(metrics.EdgeCut(g, labels))
+		row.Cut += float64(partition.EdgeCut(g, labels))
 		imb := metrics.LoadImbalance(g, labels, cfg.K)
 		row.ImbalanceFE += imb[0]
 		row.ImbalanceContact += imb[1]
@@ -192,7 +193,7 @@ func mlrcbCompareLeg(snaps []sim.Snapshot, cfg Config, leg backendLeg, span *obs
 		}
 		labels := lookupLabels(sn.NodeID, byID)
 		g := m.NodalGraph(mesh.NodalGraphOptions{NCon: 2})
-		row.Cut += float64(metrics.EdgeCut(g, labels))
+		row.Cut += float64(partition.EdgeCut(g, labels))
 		imb := metrics.LoadImbalance(g, labels, cfg.K)
 		row.ImbalanceFE += imb[0]
 		row.ImbalanceContact += imb[1]

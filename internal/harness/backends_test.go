@@ -104,7 +104,7 @@ func TestBackendCheckpointResume(t *testing.T) {
 		{K: 4, Seed: 2, Backend: "sfc"},
 		{K: 4, Seed: 2, Backend: "bkmeans"},
 	}
-	want, err := RunAll(snaps, cfgs, 2)
+	want, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBackendCheckpointResume(t *testing.T) {
 				cancel()
 			}
 		}
-		if _, err := RunAllResumable(ctx, snaps, cfgs, 1, ck); err == nil {
+		if _, err := RunSweep(ctx, snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck}); err == nil {
 			t.Fatalf("killAt=%d: interrupted sweep reported success", killAt)
 		}
 		cancel()
@@ -131,7 +131,7 @@ func TestBackendCheckpointResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("killAt=%d: %v", killAt, err)
 		}
-		got, err := RunAllResumable(context.Background(), snaps, cfgs, 2, ck2)
+		got, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 2, Checkpoint: ck2})
 		if err != nil {
 			t.Fatalf("killAt=%d: resume failed: %v", killAt, err)
 		}

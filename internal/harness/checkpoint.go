@@ -1,6 +1,6 @@
 package harness
 
-// Checkpoint/restart for the evaluation sweep. A multi-hour RunAll
+// Checkpoint/restart for the evaluation sweep. A multi-hour RunSweep
 // must survive being killed: after every completed snapshot each
 // experiment's rows-so-far, metric accumulators, and snapshot cursor
 // are written to a versioned JSON checkpoint (atomically: temp file +
@@ -73,7 +73,7 @@ type checkpointFile struct {
 }
 
 // Checkpointer persists sweep progress. It is shared by the
-// concurrently running experiments of a RunAll; every update rewrites
+// concurrently running experiments of a RunSweep; every update rewrites
 // the file atomically under a mutex.
 type Checkpointer struct {
 	// Obs, when non-nil, records the "checkpoint_write" phase timer

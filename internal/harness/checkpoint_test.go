@@ -35,7 +35,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		{K: 4, Seed: 1},
 		{K: 5, Seed: 1, RepartitionEvery: 2, Incremental: true},
 	}
-	want, err := RunAll(snaps, cfgs, 2)
+	want, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				cancel()
 			}
 		}
-		if _, err := RunAllResumable(ctx, snaps, cfgs, 1, ck); err == nil {
+		if _, err := RunSweep(ctx, snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck}); err == nil {
 			t.Fatalf("killAt=%d: interrupted sweep reported success", killAt)
 		}
 		cancel()
@@ -75,7 +75,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		}
 		col := obs.New()
 		ck2.Obs = col
-		got, err := RunAllResumable(context.Background(), snaps, cfgs, 2, ck2)
+		got, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 2, Checkpoint: ck2})
 		if err != nil {
 			t.Fatalf("killAt=%d: resume failed: %v", killAt, err)
 		}
@@ -93,7 +93,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		if done := ck3.Done(); done[0] != len(snaps) || done[1] != len(snaps) {
 			t.Fatalf("killAt=%d: cursors after completion = %v", killAt, done)
 		}
-		again, err := RunAllResumable(context.Background(), snaps, cfgs, 2, ck3)
+		again, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 2, Checkpoint: ck3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestCheckpointSkipsMeasuredLegs(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := RunAllResumable(ctx, snaps, cfgs, 1, ck); err == nil {
+	if _, err := RunSweep(ctx, snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck}); err == nil {
 		t.Fatal("interrupted sweep reported success")
 	}
 	cancel()
@@ -131,7 +131,7 @@ func TestCheckpointSkipsMeasuredLegs(t *testing.T) {
 	cfgs[0].Obs = col
 	// Obs participates in neither results nor the config hash, so
 	// attaching it only on resume is legal... but the hash must agree.
-	if _, err := RunAllResumable(context.Background(), snaps, cfgs, 1, ck2); err != nil {
+	if _, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, ph := range col.Report().Phases {
@@ -150,7 +150,7 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
 	ck := NewCheckpointer(path, snaps, cfgs)
-	if _, err := RunAllResumable(context.Background(), snaps, cfgs, 1, ck); err != nil {
+	if _, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -218,7 +218,7 @@ func TestCheckpointObsCounters(t *testing.T) {
 	ck := NewCheckpointer(path, snaps, cfgs)
 	col := obs.New()
 	ck.Obs = col
-	if _, err := RunAllResumable(context.Background(), snaps, cfgs, 1, ck); err != nil {
+	if _, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck}); err != nil {
 		t.Fatal(err)
 	}
 	rep := col.Report()

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -26,9 +27,18 @@ func testSnaps(t *testing.T, n int) []sim.Snapshot {
 	return snaps
 }
 
+// runOne runs a single experiment through RunSweep.
+func runOne(snaps []sim.Snapshot, cfg Config) (*Result, error) {
+	res, err := RunSweep(context.Background(), snaps, []Config{cfg}, SweepOptions{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 func TestRunProducesAllMetrics(t *testing.T) {
 	snaps := testSnaps(t, 4)
-	r, err := Run(snaps, Config{K: 6, Seed: 1})
+	r, err := runOne(snaps, Config{K: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,18 +67,18 @@ func TestRunProducesAllMetrics(t *testing.T) {
 }
 
 func TestRunEmptyInput(t *testing.T) {
-	if _, err := Run(nil, Config{K: 4}); err == nil {
+	if _, err := runOne(nil, Config{K: 4}); err == nil {
 		t.Error("accepted empty snapshot list")
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
 	snaps := testSnaps(t, 3)
-	a, err := Run(snaps, Config{K: 5, Seed: 2})
+	a, err := runOne(snaps, Config{K: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(snaps, Config{K: 5, Seed: 2})
+	b, err := runOne(snaps, Config{K: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +91,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestUpdCommZeroAtFirstSnapshot(t *testing.T) {
 	snaps := testSnaps(t, 3)
-	r, err := Run(snaps, Config{K: 4, Seed: 3})
+	r, err := runOne(snaps, Config{K: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +102,7 @@ func TestUpdCommZeroAtFirstSnapshot(t *testing.T) {
 
 func TestRepartitionEveryRuns(t *testing.T) {
 	snaps := testSnaps(t, 4)
-	r, err := Run(snaps, Config{K: 4, Seed: 4, RepartitionEvery: 2})
+	r, err := runOne(snaps, Config{K: 4, Seed: 4, RepartitionEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,18 +113,18 @@ func TestRepartitionEveryRuns(t *testing.T) {
 
 func TestAblationFlagsChangeResults(t *testing.T) {
 	snaps := testSnaps(t, 2)
-	base, err := Run(snaps, Config{K: 6, Seed: 5})
+	base, err := runOne(snaps, Config{K: 6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := Run(snaps, Config{K: 6, Seed: 5, LooseTreeFilter: true})
+	loose, err := runOne(snaps, Config{K: 6, Seed: 5, LooseTreeFilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loose.Avg.MCNRemote < base.Avg.MCNRemote {
 		t.Errorf("loose filter NRemote %.0f < tight %.0f", loose.Avg.MCNRemote, base.Avg.MCNRemote)
 	}
-	w1, err := Run(snaps, Config{K: 6, Seed: 5, ContactEdgeWeight: 1})
+	w1, err := runOne(snaps, Config{K: 6, Seed: 5, ContactEdgeWeight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +133,7 @@ func TestAblationFlagsChangeResults(t *testing.T) {
 
 func TestWriteTableFormat(t *testing.T) {
 	snaps := testSnaps(t, 2)
-	r, err := Run(snaps, Config{K: 4, Seed: 6})
+	r, err := runOne(snaps, Config{K: 4, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +154,7 @@ func TestWriteTableFormat(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	snaps := testSnaps(t, 2)
-	r, err := Run(snaps, Config{K: 4, Seed: 7})
+	r, err := runOne(snaps, Config{K: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +176,7 @@ func TestWriteCSV(t *testing.T) {
 
 func TestIncrementalRepartitionPath(t *testing.T) {
 	snaps := testSnaps(t, 4)
-	r, err := Run(snaps, Config{K: 4, Seed: 8, RepartitionEvery: 2, Incremental: true})
+	r, err := runOne(snaps, Config{K: 4, Seed: 8, RepartitionEvery: 2, Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +192,7 @@ func TestIncrementalRepartitionPath(t *testing.T) {
 func TestGeometricPipelinePath(t *testing.T) {
 	snaps := testSnaps(t, 2)
 	for _, be := range []string{"rcb", "sfc", "bkmeans"} {
-		r, err := Run(snaps, Config{K: 4, Seed: 9, Backend: be})
+		r, err := runOne(snaps, Config{K: 4, Seed: 9, Backend: be})
 		if err != nil {
 			t.Fatalf("%s: %v", be, err)
 		}
@@ -197,11 +207,11 @@ func TestGeometricPipelinePath(t *testing.T) {
 // be identical to the strictly serial evaluation.
 func TestSerialLegsMatchConcurrentLegs(t *testing.T) {
 	snaps := testSnaps(t, 4)
-	conc, err := Run(snaps, Config{K: 6, Seed: 2})
+	conc, err := runOne(snaps, Config{K: 6, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := Run(snaps, Config{K: 6, Seed: 2, SerialLegs: true})
+	ser, err := runOne(snaps, Config{K: 6, Seed: 2, SerialLegs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +229,7 @@ func TestSerialLegsMatchConcurrentLegs(t *testing.T) {
 }
 
 // TestRunAllMatchesSerialSweep: the concurrent k-sweep must produce
-// Result.Rows identical to running each config through Run in a loop.
+// Result.Rows identical to running each config alone, one at a time.
 func TestRunAllMatchesSerialSweep(t *testing.T) {
 	snaps := testSnaps(t, 3)
 	ks := []int{4, 8, 16}
@@ -230,13 +240,13 @@ func TestRunAllMatchesSerialSweep(t *testing.T) {
 
 	var serial []*Result
 	for _, c := range cfgs {
-		r, err := Run(snaps, c)
+		r, err := runOne(snaps, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		serial = append(serial, r)
 	}
-	concurrent, err := RunAll(snaps, cfgs, 0)
+	concurrent, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,13 +290,13 @@ func TestRunAllSpeedup(t *testing.T) {
 	measure := func() (float64, error) {
 		t0 := time.Now()
 		for _, c := range cfgs {
-			if _, err := Run(snaps, c); err != nil {
+			if _, err := runOne(snaps, c); err != nil {
 				return 0, err
 			}
 		}
 		serialDur := time.Since(t0)
 		t1 := time.Now()
-		if _, err := RunAll(snaps, cfgs, 0); err != nil {
+		if _, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 0}); err != nil {
 			return 0, err
 		}
 		concDur := time.Since(t1)
@@ -314,7 +324,7 @@ func TestRunAllSpeedup(t *testing.T) {
 func TestRunRecordsObsPhases(t *testing.T) {
 	snaps := testSnaps(t, 2)
 	col := obs.New()
-	if _, err := Run(snaps, Config{K: 4, Seed: 5, Obs: col}); err != nil {
+	if _, err := runOne(snaps, Config{K: 4, Seed: 5, Obs: col}); err != nil {
 		t.Fatal(err)
 	}
 	r := col.Report()
@@ -347,7 +357,7 @@ func TestTable1QualitativeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(snaps, Config{K: 16, Seed: 1})
+	r, err := runOne(snaps, Config{K: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +387,7 @@ func TestLabelsCarriedAcrossErosion(t *testing.T) {
 	if snaps[len(snaps)-1].Mesh.NumNodes() >= snaps[0].Mesh.NumNodes() {
 		t.Skip("no erosion in this configuration")
 	}
-	r, err := Run(snaps, Config{K: 5, Seed: 10})
+	r, err := runOne(snaps, Config{K: 5, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func TestSweepTraceAndProgress(t *testing.T) {
 func TestSeriesFromSweep(t *testing.T) {
 	snaps := testSnaps(t, 3)
 	cfgs := []Config{{K: 4, Seed: 1}, {K: 6, Seed: 1}}
-	results, err := RunAll(snaps, cfgs, 2)
+	results, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Package metrics computes the partition-quality quantities reported
 // in the paper's evaluation (Section 5.1): total communication volume
-// (FEComm), edge cut, and per-constraint load imbalance.
+// (FEComm) and per-constraint load imbalance. The edge cut is
+// partition.EdgeCut.
 package metrics
 
 import (
@@ -27,22 +28,6 @@ func CommVolume(g *graph.Graph, labels []int32, k int) int64 {
 		}
 	}
 	return vol
-}
-
-// EdgeCut returns the total weight of edges whose endpoints lie in
-// different partitions.
-func EdgeCut(g *graph.Graph, labels []int32) int64 {
-	var cut int64
-	for v := 0; v < g.NV(); v++ {
-		adj := g.Neighbors(v)
-		wgt := g.EdgeWeights(v)
-		for i, u := range adj {
-			if int(u) > v && labels[u] != labels[v] {
-				cut += int64(wgt[i])
-			}
-		}
-	}
-	return cut
 }
 
 // LoadImbalance returns max_i w_j(V_i) / (w_j(V)/k) for each weight
@@ -74,13 +59,4 @@ func LoadImbalance(g *graph.Graph, labels []int32, k int) []float64 {
 		out[j] = float64(worst) * float64(k) / float64(total[j])
 	}
 	return out
-}
-
-// PartitionSizes returns the number of vertices per partition.
-func PartitionSizes(labels []int32, k int) []int {
-	s := make([]int, k)
-	for _, l := range labels {
-		s[l]++
-	}
-	return s
 }

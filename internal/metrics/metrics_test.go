@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 // star builds a star graph: center 0 with n leaves.
@@ -50,20 +51,22 @@ func TestCommVolumeVsEdgeCut(t *testing.T) {
 		// center->1 (1) + each leaf->0 (10)
 		t.Errorf("CommVolume = %d, want 11", got)
 	}
-	if got := EdgeCut(g, labels); got != 10 {
+	if got := partition.EdgeCut(g, labels); got != 10 {
 		t.Errorf("EdgeCut = %d, want 10", got)
 	}
 }
 
+// TestEdgeCutWeighted checks the one edge-cut implementation
+// (partition.EdgeCut) that the Section 5.1 metrics report.
 func TestEdgeCutWeighted(t *testing.T) {
 	b := graph.NewBuilder(3, 1)
 	b.AddEdge(0, 1, 5)
 	b.AddEdge(1, 2, 3)
 	g := b.Build()
-	if got := EdgeCut(g, []int32{0, 0, 1}); got != 3 {
+	if got := partition.EdgeCut(g, []int32{0, 0, 1}); got != 3 {
 		t.Errorf("EdgeCut = %d, want 3", got)
 	}
-	if got := EdgeCut(g, []int32{0, 1, 0}); got != 8 {
+	if got := partition.EdgeCut(g, []int32{0, 1, 0}); got != 8 {
 		t.Errorf("EdgeCut = %d, want 8", got)
 	}
 }
@@ -83,16 +86,6 @@ func TestLoadImbalance(t *testing.T) {
 	}
 	if imb[1] != 2.0 {
 		t.Errorf("imb[1] = %v", imb[1])
-	}
-}
-
-func TestPartitionSizes(t *testing.T) {
-	s := PartitionSizes([]int32{0, 1, 1, 2, 2, 2}, 4)
-	want := []int{1, 2, 3, 0}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("sizes = %v, want %v", s, want)
-		}
 	}
 }
 

@@ -14,12 +14,12 @@ package mlrcb
 import (
 	"fmt"
 
+	"repro/internal/backend"
 	"repro/internal/contact"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/mesh"
-	"repro/internal/partition"
 	"repro/internal/rcb"
 )
 
@@ -54,7 +54,11 @@ func Decompose(m *mesh.Mesh, cfg Config) (*State, error) {
 		cfg.Imbalance = 0.05
 	}
 	g := m.NodalGraph(mesh.NodalGraphOptions{NCon: 1})
-	labels, err := partition.Partition(g, partition.Options{
+	ml, err := backend.Lookup("multilevel")
+	if err != nil {
+		return nil, err
+	}
+	labels, err := ml.Partition(backend.Input{Graph: g}, backend.Options{
 		K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance,
 	})
 	if err != nil {

@@ -21,7 +21,7 @@ func BenchmarkPartitionRB(b *testing.B) {
 	for _, k := range []int{8, 32} {
 		b.Run(kname(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Partition(g, Options{K: k, Seed: int64(i), Imbalance: 0.05}); err != nil {
+				if _, err := KWay(context.Background(), g, Options{K: k, Seed: int64(i), Imbalance: 0.05}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -34,7 +34,7 @@ func BenchmarkPartitionDirect(b *testing.B) {
 	for _, k := range []int{8, 32} {
 		b.Run(kname(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := PartitionDirect(g, Options{K: k, Seed: int64(i), Imbalance: 0.05}); err != nil {
+				if _, err := PartitionDirect(context.Background(), g, Options{K: k, Seed: int64(i), Imbalance: 0.05}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -44,7 +44,7 @@ func BenchmarkPartitionDirect(b *testing.B) {
 
 func BenchmarkRefineKWay(b *testing.B) {
 	g := grid(100, 100, 2)
-	base, err := Partition(g, Options{K: 16, Seed: 1, Imbalance: 0.05})
+	base, err := KWay(context.Background(), g, Options{K: 16, Seed: 1, Imbalance: 0.05})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func BenchmarkRefineKWay(b *testing.B) {
 
 func BenchmarkRepartition(b *testing.B) {
 	g := grid(100, 100, 2)
-	base, err := Partition(g, Options{K: 16, Seed: 1, Imbalance: 0.05})
+	base, err := KWay(context.Background(), g, Options{K: 16, Seed: 1, Imbalance: 0.05})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func BenchmarkKWayParallel(b *testing.B) {
 	serialOpt := Options{K: 16, Seed: 1, Imbalance: 0.05, ParallelCutoff: -1}
 	parOpt := Options{K: 16, Seed: 1, Imbalance: 0.05}
 
-	serial, err := KWay(g, serialOpt)
+	serial, err := KWay(context.Background(), g, serialOpt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	par, err := KWay(g, parOpt)
+	par, err := KWay(context.Background(), g, parOpt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,14 +101,14 @@ func BenchmarkKWayParallel(b *testing.B) {
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := KWay(g, serialOpt); err != nil {
+			if _, err := KWay(context.Background(), g, serialOpt); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := KWay(g, parOpt); err != nil {
+			if _, err := KWay(context.Background(), g, parOpt); err != nil {
 				b.Fatal(err)
 			}
 		}

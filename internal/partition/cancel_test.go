@@ -1,6 +1,6 @@
 package partition
 
-// Context-cancellation contract of KWayCtx (the per-job deadline path
+// Context-cancellation contract of KWay (the per-job deadline path
 // of the partitioning service): cancelling the context stops a large
 // in-flight k-way partition within a bounded wall clock — far below
 // the uncancelled runtime — and the pool workers the recursion forked
@@ -44,7 +44,7 @@ func waitGoroutines(t *testing.T, base int) {
 		if time.Now().After(deadline) { //lint:ignore detrand test promptness bound; never feeds a partition
 			buf := make([]byte, 1<<16)
 			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("goroutine leak after cancelled KWayCtx: %d goroutines, baseline %d\n%s", n, base, buf)
+			t.Fatalf("goroutine leak after cancelled KWay: %d goroutines, baseline %d\n%s", n, base, buf)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -61,16 +61,16 @@ func TestKWayCtxCancelStopsPromptly(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now() //lint:ignore detrand test promptness bound; never feeds a partition
-	labels, err := KWayCtx(ctx, g, opt)
+	labels, err := KWay(ctx, g, opt)
 	elapsed := time.Since(t0) //lint:ignore detrand test promptness bound; never feeds a partition
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("KWayCtx after cancel: err = %v, want context.Canceled", err)
+		t.Fatalf("KWay after cancel: err = %v, want context.Canceled", err)
 	}
 	if labels != nil {
-		t.Fatalf("cancelled KWayCtx returned labels")
+		t.Fatalf("cancelled KWay returned labels")
 	}
 	if elapsed > cancelBound {
-		t.Fatalf("cancelled KWayCtx took %v, want <= %v", elapsed, cancelBound)
+		t.Fatalf("cancelled KWay took %v, want <= %v", elapsed, cancelBound)
 	}
 	waitGoroutines(t, base)
 }
@@ -83,37 +83,51 @@ func TestKWayCtxDeadlineStopsPromptly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	t0 := time.Now() //lint:ignore detrand test promptness bound; never feeds a partition
-	_, err := KWayCtx(ctx, g, opt)
+	_, err := KWay(ctx, g, opt)
 	elapsed := time.Since(t0) //lint:ignore detrand test promptness bound; never feeds a partition
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("KWayCtx after deadline: err = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("KWay after deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed > cancelBound {
-		t.Fatalf("deadline-expired KWayCtx took %v, want <= %v", elapsed, cancelBound)
+		t.Fatalf("deadline-expired KWay took %v, want <= %v", elapsed, cancelBound)
 	}
 	waitGoroutines(t, base)
 }
 
 // TestKWayCtxUncancelledIdentical pins that threading a live context
-// through the recursion does not perturb the labels: KWayCtx under a
-// background context is bit-identical to KWay, on both the serial and
-// the pooled path.
+// through the recursion does not perturb the labels: KWay under a
+// cancellable context that never fires is bit-identical to KWay under
+// the nil (never-cancelled) context, on both the serial and the pooled
+// path.
 func TestKWayCtxUncancelledIdentical(t *testing.T) {
 	g := grid(120, 120, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, cutoff := range []int{-1, 2048} {
 		opt := Options{K: 8, Seed: 3, Imbalance: 0.05, Workers: 2, ParallelCutoff: cutoff}
-		want, err := KWay(g, opt)
+		want, err := KWay(nil, g, opt)
 		if err != nil {
-			t.Fatalf("KWay: %v", err)
+			t.Fatalf("KWay(nil ctx): %v", err)
 		}
-		got, err := KWayCtx(context.Background(), g, opt)
+		got, err := KWay(ctx, g, opt)
 		if err != nil {
-			t.Fatalf("KWayCtx: %v", err)
+			t.Fatalf("KWay(live ctx): %v", err)
 		}
 		for v := range want {
 			if got[v] != want[v] {
-				t.Fatalf("cutoff %d: labels diverge at vertex %d: KWayCtx %d, KWay %d", cutoff, v, got[v], want[v])
+				t.Fatalf("cutoff %d: labels diverge at vertex %d: live ctx %d, nil ctx %d", cutoff, v, got[v], want[v])
 			}
 		}
+	}
+}
+
+// TestPartitionDirectCancelled pins that the direct k-way scheme honours
+// a dead context instead of running to completion.
+func TestPartitionDirectCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	labels, err := PartitionDirect(ctx, grid(60, 60, 2), Options{K: 8, Seed: 1})
+	if !errors.Is(err, context.Canceled) || labels != nil {
+		t.Fatalf("PartitionDirect under a cancelled ctx: labels %v, err %v; want nil, context.Canceled", labels != nil, err)
 	}
 }

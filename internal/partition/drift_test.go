@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestDriftDecideLadder(t *testing.T) {
 // package's own (independently tested) cut and imbalance evaluators.
 func TestMeasureDrift(t *testing.T) {
 	g := grid(12, 9, 2)
-	labels, err := Partition(g, Options{K: 4, Seed: 3, Imbalance: 0.05})
+	labels, err := KWay(context.Background(), g, Options{K: 4, Seed: 3, Imbalance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestRepartitionPropertiesGrid(t *testing.T) {
 	const eps = 0.05
 	for trial, k := range []int{2, 4, 4, 8, 8, 16} {
 		g := grid(20+4*trial, 15+3*trial, 2)
-		prev, err := Partition(g, Options{K: k, Seed: int64(trial), Imbalance: eps})
+		prev, err := KWay(context.Background(), g, Options{K: k, Seed: int64(trial), Imbalance: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestRepartitionPropertiesGrid(t *testing.T) {
 				trial, g2.NV(), k, flagged)
 		}
 
-		scratch, err := Partition(g2, Options{K: k, Seed: int64(trial), Imbalance: eps})
+		scratch, err := KWay(context.Background(), g2, Options{K: k, Seed: int64(trial), Imbalance: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func TestRepartitionPropertiesRandom(t *testing.T) {
 	flagged := 0
 	for trial := 0; trial < runs; trial++ {
 		g, k := randConnGraph(r)
-		prev, err := Partition(g, Options{K: k, Seed: int64(trial), Imbalance: eps})
+		prev, err := KWay(context.Background(), g, Options{K: k, Seed: int64(trial), Imbalance: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestRepartitionPropertiesRandom(t *testing.T) {
 			t.Logf("trial %d (nv=%d k=%d) flagged: %v", trial, g2.NV(), k, v)
 		}
 
-		scratch, err := Partition(g2, Options{K: k, Seed: int64(trial), Imbalance: eps})
+		scratch, err := KWay(context.Background(), g2, Options{K: k, Seed: int64(trial), Imbalance: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +208,7 @@ func TestRepartitionPropertiesRandom(t *testing.T) {
 // labels — the repartitioner's reductions must be exact.
 func TestRepartitionDeterministicAcrossEvalPaths(t *testing.T) {
 	g := grid(40, 30, 2)
-	prev, err := Partition(g, Options{K: 6, Seed: 5, Imbalance: 0.05})
+	prev, err := KWay(context.Background(), g, Options{K: 6, Seed: 5, Imbalance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -56,17 +57,17 @@ func FuzzKWay(f *testing.F) {
 			return
 		}
 		opt := Options{K: k, Seed: seed, Imbalance: 0.05, ParallelCutoff: -1}
-		serial, err := KWay(g, opt)
+		serial, err := KWay(context.Background(), g, opt)
 		if err != nil {
-			t.Fatalf("KWay(nv=%d k=%d): %v", g.NV(), k, err)
+			t.Fatalf("KWay(context.Background(), nv=%d k=%d): %v", g.NV(), k, err)
 		}
 		checkInvariants(t, g, serial, k, 0.05)
 
 		opt.ParallelCutoff = 8
 		opt.Workers = 2
-		par, err := KWay(g, opt)
+		par, err := KWay(context.Background(), g, opt)
 		if err != nil {
-			t.Fatalf("parallel KWay(nv=%d k=%d): %v", g.NV(), k, err)
+			t.Fatalf("parallel KWay(context.Background(), nv=%d k=%d): %v", g.NV(), k, err)
 		}
 		for v := range serial {
 			if par[v] != serial[v] {

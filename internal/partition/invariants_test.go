@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -160,7 +161,7 @@ func TestInvariantsRandomConnectedGraphs(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		g, k := randConnGraph(r)
 		eps := 0.03 + r.Float64()*0.12
-		labels, err := Partition(g, Options{K: k, Seed: int64(i), Imbalance: eps})
+		labels, err := KWay(context.Background(), g, Options{K: k, Seed: int64(i), Imbalance: eps})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -182,7 +183,7 @@ func TestInvariantsRandomDisconnectedGraphs(t *testing.T) {
 	const runs = 25
 	for i := 0; i < runs; i++ {
 		g, k := randClusterGraph(r)
-		labels, err := Partition(g, Options{K: k, Seed: int64(i), Imbalance: 0.1})
+		labels, err := KWay(context.Background(), g, Options{K: k, Seed: int64(i), Imbalance: 0.1})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -200,7 +201,7 @@ func TestInvariantsPartitionDirect(t *testing.T) {
 	r := rand.New(rand.NewSource(303))
 	for i := 0; i < 15; i++ {
 		g, k := randConnGraph(r)
-		labels, err := PartitionDirect(g, Options{K: k, Seed: int64(i), Imbalance: 0.1})
+		labels, err := PartitionDirect(context.Background(), g, Options{K: k, Seed: int64(i), Imbalance: 0.1})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -250,21 +251,21 @@ func TestKWaySerialParallelIdentical(t *testing.T) {
 
 				serialOpt := base
 				serialOpt.ParallelCutoff = -1
-				serial, err := KWay(g, serialOpt)
+				serial, err := KWay(context.Background(), g, serialOpt)
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				parOpt := base
 				parOpt.ParallelCutoff = 32 // forks deep into the tree
-				par, err := KWay(g, parOpt)
+				par, err := KWay(context.Background(), g, parOpt)
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				oneOpt := parOpt
 				oneOpt.Workers = 1
-				one, err := KWay(g, oneOpt)
+				one, err := KWay(context.Background(), g, oneOpt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -17,43 +17,32 @@ import (
 // subproblems stays span-free.
 const spanRBMinNV = 1 << 10
 
-// Partition computes a k-way multi-constraint partitioning of g by
+// KWay computes a k-way multi-constraint partitioning of g by
 // multilevel recursive bisection followed by a direct k-way
-// refinement/balancing pass. The returned labels are in [0, opt.K).
-// Results are deterministic for a fixed Options.Seed.
+// refinement/balancing pass. The returned labels are in [0, opt.K) and
+// are deterministic for a fixed Options.Seed.
 //
-// Partition is the historical name; it is KWay.
-func Partition(g *graph.Graph, opt Options) ([]int32, error) {
-	return KWay(g, opt)
-}
-
-// KWay is the k-way recursive-bisection partitioner. The two children
-// of every bisection above the parallel cutoff run as independent
-// tasks on a pool.Group worker pool; below the cutoff the recursion
-// stays on the calling goroutine so small subtrees pay no scheduling
-// overhead. Each subtree derives its RNG seed from its position in
-// the bisection tree and writes to a disjoint range of the label
-// slice, so the output is bit-identical to the strictly serial
+// The two children of every bisection above the parallel cutoff run as
+// independent tasks on a pool.Group worker pool; below the cutoff the
+// recursion stays on the calling goroutine so small subtrees pay no
+// scheduling overhead. Each subtree derives its RNG seed from its
+// position in the bisection tree and writes to a disjoint range of the
+// label slice, so the output is bit-identical to the strictly serial
 // recursion for every worker count and cutoff. A panic in one branch
 // cancels its sibling subtree's queued tasks and is returned as an
 // error instead of crashing the process.
-func KWay(g *graph.Graph, opt Options) ([]int32, error) {
-	//lint:ignore ctxflow compatibility wrapper; KWayCtx is the context-aware form
-	return KWayCtx(context.Background(), g, opt)
-}
-
-// KWayCtx is KWay under a context: cancelling ctx (or its deadline
-// expiring) stops the multilevel recursion promptly and returns the
-// context's error. The cancellation check runs at every bisection node
-// of the recursion tree, at every multilevel phase boundary inside a
-// bisection (coarsening levels, initial-cut trials, uncoarsening
-// levels), and before the final k-way polish, so the wall clock until
-// return is bounded by a single phase step, not by the remaining
-// recursion. The pool workers of an interrupted run drain and exit
-// before KWayCtx returns — no goroutines leak. A nil ctx is
-// context.Background(); a run that is never cancelled returns labels
-// bit-identical to KWay's for the same options.
-func KWayCtx(ctx context.Context, g *graph.Graph, opt Options) ([]int32, error) {
+//
+// Cancelling ctx (or its deadline expiring) stops the recursion
+// promptly and returns the context's error. The cancellation check
+// runs at every bisection node of the recursion tree, at every
+// multilevel phase boundary inside a bisection (coarsening levels,
+// initial-cut trials, uncoarsening levels), and before the final k-way
+// polish, so the wall clock until return is bounded by a single phase
+// step, not by the remaining recursion. The pool workers of an
+// interrupted run drain and exit before KWay returns — no goroutines
+// leak. A nil ctx is context.Background(); labels of a run that
+// completes never depend on ctx.
+func KWay(ctx context.Context, g *graph.Graph, opt Options) ([]int32, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -9,13 +9,14 @@ import (
 
 // PartitionDirect computes a k-way multi-constraint partitioning with
 // the direct multilevel k-way scheme (the kmetis counterpart of the
-// recursive-bisection Partition): coarsen the whole graph once,
+// recursive-bisection KWay): coarsen the whole graph once,
 // partition the coarsest graph k ways by recursive bisection, then
 // uncoarsen with direct k-way refinement at every level. For large k
 // this does one coarsening instead of k-1 and refines against all
-// parts at once; quality is comparable to Partition and wall-clock is
-// lower at high k.
-func PartitionDirect(g *graph.Graph, opt Options) ([]int32, error) {
+// parts at once; quality is comparable to KWay and wall-clock is
+// lower at high k. Cancelling ctx stops the coarsening and the initial
+// partition and returns the context's error.
+func PartitionDirect(ctx context.Context, g *graph.Graph, opt Options) ([]int32, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -30,13 +31,15 @@ func PartitionDirect(g *graph.Graph, opt Options) ([]int32, error) {
 	const coarsenPerPart = 30
 	target := maxInt(opt.CoarsenTo, coarsenPerPart*opt.K)
 	rng := rand.New(rand.NewSource(opt.Seed))
-	//lint:ignore ctxflow the direct variant is the uncancellable reference path; KWayCtx serves cancellation
-	levels := coarsen(context.Background(), g, target, rng)
+	levels := coarsen(ctx, g, target, rng)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	// Initial k-way partition of the coarsest graph by recursive
 	// bisection (cheap: the coarsest graph is small).
 	coarsest := levels[len(levels)-1].g
-	init, err := Partition(coarsest, Options{
+	init, err := KWay(ctx, coarsest, Options{
 		K:           opt.K,
 		Imbalance:   opt.Imbalance,
 		Seed:        opt.Seed + 1,

@@ -69,18 +69,18 @@ func TestPartitionDeterministicAcrossRBCutoff(t *testing.T) {
 	}
 	opt := Options{K: 8, Seed: 42, Imbalance: 0.05}
 
-	parallel1, err := Partition(g, opt)
+	parallel1, err := KWay(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel2, err := Partition(g, opt)
+	parallel2, err := KWay(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	saved := parallelRBCutoff
 	parallelRBCutoff = g.NV() + 1 // force every branch serial
-	serial, err := Partition(g, opt)
+	serial, err := KWay(context.Background(), g, opt)
 	parallelRBCutoff = saved
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestPartitionDeterministicAcrossRBCutoff(t *testing.T) {
 
 func TestPartitionSingle(t *testing.T) {
 	g := grid(10, 10, 1)
-	labels, err := Partition(g, Options{K: 1, Seed: 1})
+	labels, err := KWay(context.Background(), g, Options{K: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPartitionSingle(t *testing.T) {
 
 func TestPartitionValidation(t *testing.T) {
 	g := grid(4, 4, 1)
-	if _, err := Partition(g, Options{K: 0}); err == nil {
+	if _, err := KWay(context.Background(), g, Options{K: 0}); err == nil {
 		t.Error("accepted K=0")
 	}
 }
@@ -120,7 +120,7 @@ func TestPartitionValidation(t *testing.T) {
 func TestPartitionGridSingleConstraint(t *testing.T) {
 	g := grid(40, 40, 1)
 	for _, k := range []int{2, 4, 7, 16} {
-		labels, err := Partition(g, Options{K: k, Seed: 42, Imbalance: 0.05})
+		labels, err := KWay(context.Background(), g, Options{K: k, Seed: 42, Imbalance: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestPartitionGridSingleConstraint(t *testing.T) {
 func TestPartitionMultiConstraint(t *testing.T) {
 	g := grid(40, 40, 2)
 	for _, k := range []int{4, 8} {
-		labels, err := Partition(g, Options{K: k, Seed: 7, Imbalance: 0.08})
+		labels, err := KWay(context.Background(), g, Options{K: k, Seed: 7, Imbalance: 0.08})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +149,11 @@ func TestPartitionMultiConstraint(t *testing.T) {
 
 func TestPartitionDeterminism(t *testing.T) {
 	g := grid(30, 30, 2)
-	l1, err := Partition(g, Options{K: 6, Seed: 5})
+	l1, err := KWay(context.Background(), g, Options{K: 6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Partition(g, Options{K: 6, Seed: 5})
+	l2, err := KWay(context.Background(), g, Options{K: 6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPartitionDisconnected(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	labels, err := Partition(g, Options{K: 4, Seed: 3, Imbalance: 0.05})
+	labels, err := KWay(context.Background(), g, Options{K: 4, Seed: 3, Imbalance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPartitionDisconnected(t *testing.T) {
 func TestPartitionTinyGraph(t *testing.T) {
 	// k close to n.
 	g := grid(3, 3, 1)
-	labels, err := Partition(g, Options{K: 4, Seed: 2, Imbalance: 0.3})
+	labels, err := KWay(context.Background(), g, Options{K: 4, Seed: 2, Imbalance: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestPartitionZeroSecondConstraint(t *testing.T) {
 		b.AddEdge(v, v+1, 1)
 	}
 	g := b.Build()
-	labels, err := Partition(g, Options{K: 4, Seed: 11, Imbalance: 0.05})
+	labels, err := KWay(context.Background(), g, Options{K: 4, Seed: 11, Imbalance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestBisectionStateMachine(t *testing.T) {
 func TestPartitionDirectGrid(t *testing.T) {
 	g := grid(40, 40, 1)
 	for _, k := range []int{4, 16} {
-		labels, err := PartitionDirect(g, Options{K: k, Seed: 3, Imbalance: 0.05})
+		labels, err := PartitionDirect(context.Background(), g, Options{K: k, Seed: 3, Imbalance: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestPartitionDirectGrid(t *testing.T) {
 
 func TestPartitionDirectMultiConstraint(t *testing.T) {
 	g := grid(40, 40, 2)
-	labels, err := PartitionDirect(g, Options{K: 8, Seed: 4, Imbalance: 0.08})
+	labels, err := PartitionDirect(context.Background(), g, Options{K: 8, Seed: 4, Imbalance: 0.08})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,11 +381,11 @@ func TestPartitionDirectMultiConstraint(t *testing.T) {
 func TestPartitionDirectQualityComparableToRB(t *testing.T) {
 	g := grid(50, 50, 1)
 	k := 12
-	rb, err := Partition(g, Options{K: k, Seed: 5, Imbalance: 0.05})
+	rb, err := KWay(context.Background(), g, Options{K: k, Seed: 5, Imbalance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := PartitionDirect(g, Options{K: k, Seed: 5, Imbalance: 0.05})
+	direct, err := PartitionDirect(context.Background(), g, Options{K: k, Seed: 5, Imbalance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestPartitionDirectQualityComparableToRB(t *testing.T) {
 
 func TestPartitionDirectTrivial(t *testing.T) {
 	g := grid(4, 4, 1)
-	labels, err := PartitionDirect(g, Options{K: 1, Seed: 1})
+	labels, err := PartitionDirect(context.Background(), g, Options{K: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,15 +407,15 @@ func TestPartitionDirectTrivial(t *testing.T) {
 			t.Fatal("K=1 wrong")
 		}
 	}
-	if _, err := PartitionDirect(g, Options{K: 0}); err == nil {
+	if _, err := PartitionDirect(context.Background(), g, Options{K: 0}); err == nil {
 		t.Error("accepted K=0")
 	}
 }
 
 func TestPartitionDirectDeterminism(t *testing.T) {
 	g := grid(30, 30, 2)
-	a, _ := PartitionDirect(g, Options{K: 6, Seed: 9})
-	b, _ := PartitionDirect(g, Options{K: 6, Seed: 9})
+	a, _ := PartitionDirect(context.Background(), g, Options{K: 6, Seed: 9})
+	b, _ := PartitionDirect(context.Background(), g, Options{K: 6, Seed: 9})
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatal("not deterministic")
@@ -442,7 +442,7 @@ func TestQuickPartitionValidity(t *testing.T) {
 			b.AddEdge(r.Intn(nv), r.Intn(nv), 1)
 		}
 		g := b.Build()
-		labels, err := Partition(g, Options{K: k, Seed: seed, Imbalance: 0.1})
+		labels, err := KWay(context.Background(), g, Options{K: k, Seed: seed, Imbalance: 0.1})
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestRepartitionNoopWhenBalanced(t *testing.T) {
 	g := grid(20, 20, 1)
-	labels, err := Partition(g, Options{K: 4, Seed: 1, Imbalance: 0.05})
+	labels, err := KWay(context.Background(), g, Options{K: 4, Seed: 1, Imbalance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestRepartitionRestoresBalance(t *testing.T) {
 func TestRepartitionMultiConstraint(t *testing.T) {
 	g := grid(24, 24, 2)
 	k := 4
-	labels, err := Partition(g, Options{K: k, Seed: 3, Imbalance: 0.05})
+	labels, err := KWay(context.Background(), g, Options{K: k, Seed: 3, Imbalance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestRepartitionAfterTopologyChange(t *testing.T) {
 	// repartition the survivors' induced subgraph with carried labels.
 	g := grid(20, 20, 1)
 	k := 4
-	labels, err := Partition(g, Options{K: k, Seed: 5, Imbalance: 0.05})
+	labels, err := KWay(context.Background(), g, Options{K: k, Seed: 5, Imbalance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 //   - backpressure: a full queue sheds load with ErrQueueFull (HTTP
 //     429 + Retry-After) instead of buffering without bound;
 //   - deadlines: every job runs under a context deadline that
-//     actually stops the multilevel recursion (partition.KWayCtx) and
+//     actually stops the multilevel recursion (partition.KWay) and
 //     the sweep loop, not just abandons the goroutine;
 //   - panic isolation: a panicking job becomes that job's failure,
 //     never the daemon's;
@@ -40,6 +40,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
@@ -687,7 +688,7 @@ func (s *Server) runGraphJob(ctx context.Context, job *Job, col *obs.Collector, 
 	}
 	res := GraphResult{
 		Labels:     labels,
-		Cut:        metrics.EdgeCut(g, labels),
+		Cut:        partition.EdgeCut(g, labels),
 		Imbalances: metrics.LoadImbalance(g, labels, spec.K),
 	}
 	return json.Marshal(res)

@@ -28,10 +28,11 @@
 // sequence (or use cmd/contactbench):
 //
 //	snaps, err := repro.RunSimulation(repro.PaperSimConfig())
-//	res, err := repro.RunExperiment(snaps, repro.ExperimentConfig{K: 25, Seed: 1})
+//	res, err := repro.RunExperiment(ctx, snaps, repro.ExperimentConfig{K: 25, Seed: 1})
 package repro
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/contact"
@@ -97,8 +98,13 @@ type ExperimentConfig = harness.Config
 type ExperimentResult = harness.Result
 
 // RunExperiment measures MCML+DT and ML+RCB over a snapshot sequence.
-func RunExperiment(snaps []Snapshot, cfg ExperimentConfig) (*ExperimentResult, error) {
-	return harness.Run(snaps, cfg)
+// Cancelling ctx stops it between snapshots with ctx's error.
+func RunExperiment(ctx context.Context, snaps []Snapshot, cfg ExperimentConfig) (*ExperimentResult, error) {
+	res, err := harness.RunSweep(ctx, snaps, []ExperimentConfig{cfg}, harness.SweepOptions{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // WriteTable renders experiment results in the layout of Table 1.
@@ -124,6 +130,7 @@ type ParallelStats = engine.Stats
 // RunParallelIteration executes one iteration of the decomposed
 // contact/impact computation on K message-passing workers (ghost
 // exchange, descriptor broadcast, element shipping, local search).
-func RunParallelIteration(m *Mesh, d *Decomposition, tol float64) (*ParallelStats, error) {
-	return engine.Run(m, d, tol)
+// Cancelling ctx abandons the iteration with ctx's error.
+func RunParallelIteration(ctx context.Context, m *Mesh, d *Decomposition, tol float64) (*ParallelStats, error) {
+	return engine.Run(ctx, m, d, tol, engine.Options{})
 }

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := repro.RunExperiment(snaps, repro.ExperimentConfig{K: 4, Seed: 1})
+	res, err := repro.RunExperiment(context.Background(), snaps, repro.ExperimentConfig{K: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFacadeParallelIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := repro.RunParallelIteration(m, d, 0.5)
+	st, err := repro.RunParallelIteration(context.Background(), m, d, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
