@@ -5,7 +5,7 @@
 # workers, and the parallel recursive-bisection partitioner), and a
 # short fuzz smoke per native fuzz target.
 
-.PHONY: check vet lint lint-fixtures test race fuzz-smoke chaos serve bench trace obs
+.PHONY: check vet lint lint-fixtures test race fuzz-smoke chaos serve bench trace obs loc
 
 check: vet lint lint-fixtures race chaos serve fuzz-smoke trace obs
 
@@ -39,6 +39,8 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzBKMeansAssign -fuzztime=10s -fuzzminimizetime=2s ./internal/bkmeans
 	go test -run='^$$' -fuzz=FuzzBuilder -fuzztime=10s -fuzzminimizetime=2s ./internal/graph
 	go test -run='^$$' -fuzz=FuzzReadMetis -fuzztime=10s -fuzzminimizetime=2s ./internal/graph
+	go test -run='^$$' -fuzz=FuzzReadMesh -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
+	go test -run='^$$' -fuzz=FuzzReadText -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 
 # Deterministic fault-injection suite under the race detector: the
 # chaos matrix (seeded fault schedules must leave engine results
@@ -90,6 +92,15 @@ obs:
 		-require partition,metric_eval,rb_coarsen,rb_refine,go_sched_goroutines_goroutines \
 		$(PROM_OUT)
 
+
+# Non-test Go lines per package, then the total: the one way every
+# change measures the line-count target. perfbench/ is its own module
+# and testdata/ holds no packages, so `go list ./...` skips both.
+loc:
+	@go list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		while read -r pkg files; do \
+			[ -n "$$files" ] && printf '%6d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+		done | awk '{ print; sum += $$1 } END { printf "%6d  total\n", sum }'
 
 # Microbenchmarks plus the serial-vs-parallel KWay comparison and the
 # amortized adaptive-vs-scratch snapshot sweep; the latter two rewrite

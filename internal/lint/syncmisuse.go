@@ -1,37 +1,27 @@
 package lint
 
-// syncmisuse flags three concurrency foot-guns the pipeline has been
-// bitten by or must never be bitten by:
+// syncmisuse flags ignoring the error returned by pool.Group.Submit /
+// Fork: on a cancelled group the task is dropped without running, so
+// the submitting branch must propagate the error (or discard it with
+// `_ =` plus a reason) or it will wait on work that never happened.
 //
-//  1. copying a sync.Mutex / RWMutex / WaitGroup / Once / Cond by
-//     value (parameter, range copy, or plain assignment): the copy
-//     has its own lock state, so the original's exclusion silently
-//     stops applying;
-//  2. `go func(){...}()` inside a loop capturing the loop variable:
-//     correct under Go 1.22 per-iteration semantics, but silently
-//     wrong if the file is ever built or vendored with an older
-//     toolchain — pass the variable as an argument instead, which is
-//     equally clear and portable;
-//  3. ignoring the error returned by pool.Group.Submit / Fork: on a
-//     cancelled group the task is dropped without running, so the
-//     submitting branch must propagate the error (or discard it with
-//     `_ =` plus a reason) or it will wait on work that never
-//     happened.
+// Locks copied by value are go vet's copylocks check, and loop-variable
+// captures in go statements are per-iteration under the module's
+// go 1.22, so this analyzer covers only what vet cannot express.
 //
-// Unlike errdrop, the Submit/Fork check covers _test.go files too —
-// the tests are where fork-join patterns get copied from.
+// Unlike errdrop, this check covers _test.go files too — the tests are
+// where fork-join patterns get copied from.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
 )
 
 // SyncMisuse returns the syncmisuse analyzer.
 func SyncMisuse() *Analyzer {
 	return &Analyzer{
 		Name: "syncmisuse",
-		Doc:  "flag lock copies, non-portable loop-variable captures in go statements, and ignored pool submissions",
+		Doc:  "flag ignored pool.Group.Submit/Fork errors",
 		Run:  runSyncMisuse,
 	}
 }
@@ -39,178 +29,10 @@ func SyncMisuse() *Analyzer {
 func runSyncMisuse(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
-		out = append(out, lockCopies(p, f)...)
-		out = append(out, goLoopCaptures(p, f)...)
 		out = append(out, ignoredSubmits(p, f)...)
 	}
 	return out
 }
-
-// ---- check 1: locks copied by value ----
-
-// containsLock reports whether t held by value embeds sync state that
-// must not be copied.
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return true
-			}
-		}
-		return containsLock(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
-}
-
-func lockTypeName(t types.Type) string {
-	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
-}
-
-func lockCopies(p *Package, f *ast.File) []Finding {
-	var out []Finding
-	flag := func(pos ast.Node, t types.Type, how string) {
-		out = append(out, Finding{Pos: pos.Pos(), Message: fmt.Sprintf(
-			"%s copies %s by value; the copy carries its own lock state — use a pointer", how, lockTypeName(t))})
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			checkFieldList(p, n.Type.Params, flag)
-			checkFieldList(p, n.Recv, flag)
-		case *ast.FuncLit:
-			checkFieldList(p, n.Type.Params, flag)
-		case *ast.RangeStmt:
-			if id, ok := n.Value.(*ast.Ident); ok && id.Name != "_" {
-				if obj := objOf(p, id); obj != nil && containsLock(obj.Type(), nil) {
-					flag(n.Value, obj.Type(), "range value")
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				switch ast.Unparen(rhs).(type) {
-				case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-				default:
-					continue // fresh values (composite literals, calls) are moves, not copies
-				}
-				if tv, ok := p.Info.Types[rhs]; ok && tv.Type != nil && containsLock(tv.Type, nil) {
-					flag(rhs, tv.Type, "assignment")
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-func checkFieldList(p *Package, fl *ast.FieldList, flag func(ast.Node, types.Type, string)) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		tv, ok := p.Info.Types[field.Type]
-		if !ok || tv.Type == nil {
-			continue
-		}
-		if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-			continue
-		}
-		if containsLock(tv.Type, nil) {
-			flag(field.Type, tv.Type, "parameter")
-		}
-	}
-}
-
-// ---- check 2: go statements capturing loop variables ----
-
-func goLoopCaptures(p *Package, f *ast.File) []Finding {
-	var out []Finding
-	ast.Inspect(f, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		vars := enclosingLoopVars(p, f, g)
-		if len(vars) == 0 {
-			return true
-		}
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			id, ok := m.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if obj := p.Info.Uses[id]; obj != nil && vars[obj] {
-				out = append(out, Finding{Pos: id.Pos(), Message: fmt.Sprintf(
-					"go statement captures loop variable %s; under pre-Go-1.22 semantics every goroutine sees the last iteration — pass it as an argument", id.Name)})
-			}
-			return true
-		})
-		return true
-	})
-	return out
-}
-
-// enclosingLoopVars collects the loop variables of every for/range
-// statement whose body encloses the go statement.
-func enclosingLoopVars(p *Package, f *ast.File, g *ast.GoStmt) map[types.Object]bool {
-	vars := map[types.Object]bool{}
-	addIdent := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := p.Info.Defs[id]; obj != nil {
-				vars[obj] = true
-			}
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil || !within(g.Pos(), n) {
-			return false
-		}
-		switch loop := n.(type) {
-		case *ast.ForStmt:
-			if within(g.Pos(), loop.Body) {
-				if init, ok := loop.Init.(*ast.AssignStmt); ok {
-					for _, lhs := range init.Lhs {
-						addIdent(lhs)
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if within(g.Pos(), loop.Body) {
-				addIdent(loop.Key)
-				addIdent(loop.Value)
-			}
-		}
-		return true
-	})
-	return vars
-}
-
-// ---- check 3: ignored pool.Group.Submit / Fork errors ----
 
 func ignoredSubmits(p *Package, f *ast.File) []Finding {
 	var out []Finding

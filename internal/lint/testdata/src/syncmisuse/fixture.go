@@ -1,67 +1,11 @@
-// Fixture for the syncmisuse analyzer: lock copies, loop-variable
-// captures in go statements, and ignored pool submissions.
+// Fixture for the syncmisuse analyzer: ignored pool submissions.
 package syncmisuse
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"repro/internal/pool"
 )
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-// copyMutexParam and copyStructParam take lock state by value.
-func copyMutexParam(mu sync.Mutex) { // want: parameter copies Mutex
-	mu.Lock()
-}
-
-func copyStructParam(g guarded) int { // want: parameter copies guarded
-	return g.n
-}
-
-// ptrParam is the correct shape.
-func ptrParam(g *guarded) int {
-	return g.n
-}
-
-// rangeCopy copies each element's lock into the loop variable.
-func rangeCopy(gs []guarded) int { // want: range value copies guarded
-	n := 0
-	for _, g := range gs {
-		n += g.n
-	}
-	return n
-}
-
-// assignCopy duplicates lock state through a dereference.
-func assignCopy(gp *guarded) int {
-	cp := *gp // want: assignment copies guarded
-	return cp.n
-}
-
-// goCapture closes over the loop variable by reference.
-func goCapture(xs []int) {
-	for _, x := range xs {
-		go func() {
-			fmt.Println(x) // want: captures loop variable x
-		}()
-	}
-}
-
-// goParam passes the loop variable as an argument — portable under
-// any toolchain semantics.
-func goParam(xs []int) {
-	for _, x := range xs {
-		go func(v int) {
-			fmt.Println(v)
-		}(x)
-	}
-}
 
 // ignoredSubmit and ignoredFork drop the cancellation signal.
 func ignoredSubmit(g *pool.Group) {

@@ -136,66 +136,62 @@ func ReadMesh(r io.Reader) (*Mesh, error) {
 		return nil, fmt.Errorf("mesh: bad dimension %d", m.Dim)
 	}
 
-	const maxCount = 1 << 28 // sanity bound against corrupt headers
-	nn := get32()
-	if err == nil && nn > maxCount {
-		return nil, fmt.Errorf("mesh: implausible node count %d", nn)
-	}
-	m.Coords = make([]geom.Point, nn)
-	for i := range m.Coords {
-		for d := 0; d < 3; d++ {
-			m.Coords[i][d] = math.Float64frombits(get64())
+	// Every count comes from untrusted bytes. It is bounded, and the
+	// slice it sizes starts at most growCap long and grows only as its
+	// data actually arrives, so a truncated header claiming 2^28 nodes
+	// fails at the first missing byte instead of allocating gigabytes.
+	const maxCount = 1 << 28
+	const growCap = 1 << 12
+	count := func(what string) uint32 {
+		n := get32()
+		if err == nil && n > maxCount {
+			err = fmt.Errorf("implausible %s %d", what, n)
 		}
+		return n
 	}
 
-	ne := get32()
-	if err == nil && ne > maxCount {
-		return nil, fmt.Errorf("mesh: implausible element count %d", ne)
-	}
-	m.Types = make([]ElemType, ne)
-	for i := range m.Types {
-		m.Types[i] = ElemType(getByte())
-	}
-	nen := get32()
-	if err == nil && nen > maxCount {
-		return nil, fmt.Errorf("mesh: implausible node-list length %d", nen)
-	}
-	m.ENodes = make([]int32, nen)
-	for i := range m.ENodes {
-		m.ENodes[i] = int32(get32())
-	}
-	m.EPtr = make([]int32, ne+1)
-	for e := 0; e < int(ne); e++ {
-		if err == nil && !m.Types[e].known() {
-			return nil, fmt.Errorf("mesh: element %d has unknown type %d", e, m.Types[e])
+	nn := count("node count")
+	m.Coords = make([]geom.Point, 0, min(nn, growCap))
+	for i := uint32(0); i < nn && err == nil; i++ {
+		var p geom.Point
+		for d := range p {
+			p[d] = math.Float64frombits(get64())
 		}
-		if err != nil {
-			break
-		}
-		m.EPtr[e+1] = m.EPtr[e] + int32(m.Types[e].NumNodes())
-	}
-	if err == nil && int(m.EPtr[ne]) != len(m.ENodes) {
-		return nil, fmt.Errorf("mesh: node list length %d does not match element types (%d)", len(m.ENodes), m.EPtr[ne])
+		m.Coords = append(m.Coords, p)
 	}
 
-	ns := get32()
-	if err == nil && ns > maxCount {
-		return nil, fmt.Errorf("mesh: implausible surface count %d", ns)
+	ne := count("element count")
+	m.Types = make([]ElemType, 0, min(ne, growCap))
+	m.EPtr = make([]int32, 1, min(ne, growCap)+1)
+	for e := uint32(0); e < ne && err == nil; e++ {
+		t := ElemType(getByte())
+		if err == nil && !t.known() {
+			return nil, fmt.Errorf("mesh: element %d has unknown type %d", e, t)
+		}
+		m.Types = append(m.Types, t)
+		m.EPtr = append(m.EPtr, m.EPtr[e]+int32(t.NumNodes()))
 	}
-	m.Surface = make([]SurfaceElem, ns)
-	for i := range m.Surface {
+	nen := count("node-list length")
+	if err == nil && int(nen) != int(m.EPtr[ne]) {
+		return nil, fmt.Errorf("mesh: node list length %d does not match element types (%d)", nen, m.EPtr[ne])
+	}
+	m.ENodes = make([]int32, 0, min(nen, growCap))
+	for i := uint32(0); i < nen && err == nil; i++ {
+		m.ENodes = append(m.ENodes, int32(get32()))
+	}
+
+	ns := count("surface count")
+	m.Surface = make([]SurfaceElem, 0, min(ns, growCap))
+	for i := uint32(0); i < ns && err == nil; i++ {
 		k := int(getByte())
 		if err == nil && (k < 2 || k > 4) {
 			return nil, fmt.Errorf("mesh: surface element %d has %d nodes", i, k)
-		}
-		if err != nil {
-			break
 		}
 		nodes := make([]int32, k)
 		for j := range nodes {
 			nodes[j] = int32(get32())
 		}
-		m.Surface[i] = SurfaceElem{Nodes: nodes, Elem: int32(get32())}
+		m.Surface = append(m.Surface, SurfaceElem{Nodes: nodes, Elem: int32(get32())})
 	}
 
 	if err != nil {

@@ -115,3 +115,31 @@ func TestTextBinaryAgree(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadText feeds arbitrary bytes to ReadText. A mesh it accepts must
+// survive a WriteText/ReadText round trip unchanged.
+func FuzzReadText(f *testing.F) {
+	f.Add([]byte("mesh 2\nnode 0 0\nnode 1 0\nnode 0 1\nelem tri3 0 1 2\nsurf -1 0 1\n"))
+	f.Add([]byte("# tet\nmesh 3\nnode 0 0 0\nnode 1 0 0\nnode 0 1 0\nnode 0 0 1\nelem tet4 0 1 2 3\n"))
+	f.Add([]byte("mesh 3\nnode 1e308 -0 NaN\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadText(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := m.WriteText(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadText(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading written mesh: %v\n%s", err, first.String())
+		}
+		if err := back.WriteText(&second); err != nil {
+			t.Fatal(err)
+		}
+		if first.String() != second.String() {
+			t.Fatalf("round trip changed the mesh:\n%s\nvs\n%s", first.String(), second.String())
+		}
+	})
+}

@@ -1,21 +1,24 @@
 // Command mkcorpus regenerates the checked-in fuzz seed corpora under
 // internal/partition/testdata/fuzz, internal/dtree/testdata/fuzz,
-// internal/sfc/testdata/fuzz, internal/bkmeans/testdata/fuzz, and
-// internal/graph/testdata/fuzz.
+// internal/sfc/testdata/fuzz, internal/bkmeans/testdata/fuzz,
+// internal/graph/testdata/fuzz, and internal/mesh/testdata/fuzz.
 // Run from the repo root: go run ./tools/mkcorpus
 package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/dtree"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/mesh"
 )
 
 func write(dir, name string, data []byte) {
@@ -100,4 +103,22 @@ func main() {
 	write(metisDir, "seed-plain", []byte("% path\n3 2\n2\n1 3\n2\n"))
 	write(metisDir, "seed-edge-weights", []byte("2 1 001\n2 7\n1 7\n"))
 	write(metisDir, "seed-listed-once", []byte("3 2 010\n4 2\n5 3\n6\n"))
+
+	// Mesh files for mesh.FuzzReadText and mesh.FuzzReadMesh: a text
+	// mesh, its binary encoding and a truncated copy, and a 10-byte
+	// binary header claiming 2^28 nodes.
+	text := "mesh 2\nnode 0 0\nnode 1 0\nnode 1 1\nnode 2 0\nelem tri3 0 1 2\nelem tri3 1 3 2\nsurf 0 0 1\nsurf -1 1 3\n"
+	write(filepath.Join("internal", "mesh", "testdata", "fuzz", "FuzzReadText"), "seed-valid", []byte(text))
+	m, err := mesh.ReadText(strings.NewReader(text))
+	if err != nil {
+		log.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := m.WriteTo(&buf); err != nil {
+		log.Fatal(err)
+	}
+	meshDir := filepath.Join("internal", "mesh", "testdata", "fuzz", "FuzzReadMesh")
+	write(meshDir, "seed-valid", buf.Bytes())
+	write(meshDir, "seed-truncated", buf.Bytes()[:buf.Len()/2])
+	write(meshDir, "seed-huge-count", binary.LittleEndian.AppendUint32([]byte("HSEM\x01\x03"), 1<<28))
 }
