@@ -72,7 +72,7 @@ TRACE_OUT := $(if $(TMPDIR),$(TMPDIR),/tmp)/contactbench-trace.json
 trace:
 	go run ./cmd/contactbench -quick -snapshots 3 -k 4 -engine -chaos 1 -trace $(TRACE_OUT)
 	go run ./tools/tracecheck \
-		-require experiment,snapshot,mc_leg,ml_leg,rank,ghost_exchange,global_search,local_search,transport_exchange,rb_task,retry,fault_drop \
+		-require experiment,snapshot,metric_eval,partition,tree_induction,rank,ghost_exchange,global_search,local_search,transport_exchange,rb_task,retry,fault_drop \
 		$(TRACE_OUT)
 
 # Observability gate under the race detector: the Prometheus renderer

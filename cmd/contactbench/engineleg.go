@@ -39,8 +39,8 @@ func runEngineLeg(ctx context.Context, sn sim.Snapshot, ks []int, seed, chaosSee
 				FirstAttemptOnly: true,
 			}
 		}
-		st, err := engine.Run(ctx, sn.Mesh, d, 0.5, engine.Options{
-			Obs: col, Span: span, Fault: plan,
+		st, err := engine.Run(obs.ContextWithSpan(ctx, span), sn.Mesh, d, 0.5, engine.Options{
+			Obs: col, Fault: plan,
 		})
 		span.End()
 		if err != nil {

@@ -80,7 +80,7 @@ func run() int {
 		backendsJSON = flag.String("backends-json", "", "run the 4-way backend comparison (MCML+DT, ML+RCB, SFC, BKMeans) per k and write the crossover table to this JSON file")
 		backendsRuns = flag.Int("backends-runs", 3, "with -backends-json: timing passes per backend (best wins)")
 		adaptive     = flag.Bool("adaptive", false, "adaptive warm-start repartitioning: keep/diffuse/full per snapshot by drift policy")
-		repartEvery  = flag.Int("repart-every", 0, "repartition the MCML+DT side every N snapshots (0 = every snapshot from scratch)")
+		repartEvery  = flag.Int("repart-every", 0, "repartition the MCML+DT side every N snapshots (0 = keep the snapshot-0 partition throughout)")
 		incremental  = flag.Bool("incremental", false, "with -repart-every: warm-start via diffusion instead of from scratch")
 		driftCut     = flag.Float64("drift-cut", 0, "with -adaptive: relative cut-drift that triggers a diffusion repair (0 = default)")
 		driftFullCut = flag.Float64("drift-full-cut", 0, "with -adaptive: relative cut-drift that forces a full repartition (0 = default)")
@@ -284,11 +284,10 @@ func run() int {
 	}
 
 	t1 := time.Now()
-	results, err := harness.RunSweep(ctx, snaps, cfgs, harness.SweepOptions{
+	results, err := harness.RunSweep(obs.ContextWithSpan(ctx, rootSpan), snaps, cfgs, harness.SweepOptions{
 		Workers:    *workers,
 		Checkpoint: ck,
 		Progress:   prog,
-		Span:       rootSpan,
 	})
 	if err != nil {
 		if ctx.Err() != nil {

@@ -4,9 +4,9 @@ package main
 // background HTTP server exposes
 //
 //	/metrics          the obs report (phases, counters, gauges,
-//	                  histograms) plus runtime/metrics samples (heap,
-//	                  GC, goroutines) as JSON; ?format=prom switches
-//	                  to Prometheus text exposition
+//	                  histograms) as JSON; ?format=prom switches to
+//	                  Prometheus text exposition, with runtime/metrics
+//	                  samples (heap, GC, goroutines) as go_* series
 //	/progress         the sweep cursor: per experiment, snapshot i of N
 //	/debug/pprof/*    the standard net/http/pprof handlers
 //
@@ -16,44 +16,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on DefaultServeMux
-	"runtime/metrics"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
-
-// runtimeSamples reads a fixed set of runtime/metrics samples into a
-// name -> value map for the /metrics body.
-func runtimeSamples() map[string]any {
-	names := []string{
-		"/memory/classes/heap/objects:bytes",
-		"/memory/classes/total:bytes",
-		"/gc/cycles/total:gc-cycles",
-		"/gc/heap/allocs:bytes",
-		"/sched/goroutines:goroutines",
-	}
-	samples := make([]metrics.Sample, len(names))
-	for i, n := range names {
-		samples[i].Name = n
-	}
-	metrics.Read(samples)
-	out := make(map[string]any, len(samples))
-	for _, s := range samples {
-		switch s.Value.Kind() {
-		case metrics.KindUint64:
-			out[s.Name] = s.Value.Uint64()
-		case metrics.KindFloat64:
-			out[s.Name] = s.Value.Float64()
-		}
-	}
-	return out
-}
 
 // startServer binds addr and serves the observability endpoints in a
 // background goroutine. Returns the resolved listen address (":0"
@@ -66,22 +37,7 @@ func runtimeSamples() map[string]any {
 // endpoints stream for a caller-chosen duration.
 func startServer(addr string, col *obs.Collector, prog *harness.Progress) (string, func(), error) {
 	mux := http.DefaultServeMux // net/http/pprof registered itself here
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			// A scrape's connection is the only sink for write errors.
-			_ = col.Report().WritePrometheus(w)
-			_ = obs.WritePrometheusRuntime(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(struct {
-			Obs     obs.Report     `json:"obs"`
-			Runtime map[string]any `json:"runtime"`
-		}{col.Report(), runtimeSamples()})
-	})
+	mux.Handle("/metrics", obs.MetricsHandler(col.Report))
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = prog.WriteJSON(w)

@@ -487,7 +487,7 @@ func partitionGraphFile(ctx context.Context, path string, k int, method string, 
 	fmt.Printf("graph: %d vertices, %d edges, %d constraints\n", g.NV(), g.NE(), g.NCon)
 	opt := partition.Options{K: k, Seed: seed, Imbalance: imbalance}
 	var labels []int32
-	stopPart := col.Start("partition")
+	ph := col.Phase(nil, "partition")
 	switch method {
 	case "rb":
 		labels, err = partition.KWay(ctx, g, opt)
@@ -496,7 +496,7 @@ func partitionGraphFile(ctx context.Context, path string, k int, method string, 
 	default:
 		log.Fatalf("unknown -method %q", method)
 	}
-	stopPart()
+	ph.End()
 	if err != nil {
 		log.Fatal(err)
 	}

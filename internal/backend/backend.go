@@ -160,9 +160,9 @@ func (b multilevel) Partition(in Input, opt Options) ([]int32, error) {
 	if err := checkInput(in, b.Caps(), b.Name(), opt); err != nil {
 		return nil, err
 	}
-	return partition.KWay(opt.ctx(), in.Graph, partition.Options{
+	return partition.KWay(obs.ContextWithSpan(opt.ctx(), opt.Span), in.Graph, partition.Options{
 		K: opt.K, Seed: opt.Seed, Imbalance: opt.Imbalance,
-		Workers: opt.Workers, Obs: opt.Obs, Span: opt.Span,
+		Workers: opt.Workers, Obs: opt.Obs,
 	})
 }
 
@@ -193,7 +193,7 @@ func (b sfcBackend) Partition(in Input, opt Options) ([]int32, error) {
 		return nil, err
 	}
 	return sfc.Partition(in.Coords, in.Graph.VWgt, in.Graph.NCon, in.Dim, opt.K, sfc.Options{
-		K: opt.K, Workers: opt.Workers, Obs: opt.Obs, Span: opt.Span,
+		Workers: opt.Workers, Obs: opt.Obs, Span: opt.Span,
 	})
 }
 
@@ -208,7 +208,7 @@ func (b bkmeansBackend) Partition(in Input, opt Options) ([]int32, error) {
 		return nil, err
 	}
 	return bkmeans.Partition(in.Coords, in.Graph.VWgt, in.Graph.NCon, in.Dim, opt.K, bkmeans.Options{
-		K: opt.K, Seed: opt.Seed, Imbalance: opt.Imbalance,
+		Seed: opt.Seed, Imbalance: opt.Imbalance,
 		Workers: opt.Workers, Obs: opt.Obs, Span: opt.Span,
 	})
 }

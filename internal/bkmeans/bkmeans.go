@@ -25,8 +25,6 @@ import (
 
 // Options configures Partition.
 type Options struct {
-	// K is the number of clusters.
-	K int
 	// Seed drives the k-means++ centroid initialization.
 	Seed int64
 	// Imbalance is the capacity slack epsilon on the primary weight
@@ -43,7 +41,8 @@ type Options struct {
 	// Obs, when non-nil, receives bkmeans_init/bkmeans_assign phase
 	// timers and the bkmeans_iters counter. Observational only.
 	Obs *obs.Collector
-	// Span, when non-nil, records one "bkmeans" child span.
+	// Span, when non-nil, records one "bkmeans" child span, with the
+	// phases nested beneath it.
 	Span *obs.Span
 }
 
@@ -106,12 +105,12 @@ func Partition(pts []geom.Point, wgts []int32, ncon, dim, k int, opt Options) ([
 		caps[p] = cap0
 	}
 
-	stopInit := opt.Obs.Start("bkmeans_init")
+	ph := opt.Obs.Phase(span, "bkmeans_init")
 	cents := initCentroids(pts, w, k, opt.Seed)
-	stopInit()
+	ph.End()
 
-	stopAssign := opt.Obs.Start("bkmeans_assign")
-	defer stopAssign()
+	ph = opt.Obs.Phase(span, "bkmeans_assign")
+	defer ph.End()
 	var iters int64
 	for it := 0; it < opt.MaxIters; it++ {
 		iters++

@@ -29,7 +29,7 @@ func TestPartitionBalanceAndCoverage(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, k := range []int{2, 6, 16} {
 		pts, wgts := randPoints(r, 2500, 1)
-		labels, err := Partition(pts, wgts, 1, 3, k, Options{K: k, Seed: 42})
+		labels, err := Partition(pts, wgts, 1, 3, k, Options{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestPartitionCompactness(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pts, wgts := randPoints(r, 3000, 1)
 	k := 8
-	labels, err := Partition(pts, wgts, 1, 3, k, Options{K: k, Seed: 7})
+	labels, err := Partition(pts, wgts, 1, 3, k, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +93,12 @@ func TestPartitionCompactness(t *testing.T) {
 func TestPartitionWorkerDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	pts, wgts := randPoints(r, 9000, 2) // > assignChunk to exercise pool.Run
-	base, err := Partition(pts, wgts, 2, 3, 10, Options{K: 10, Seed: 3, Workers: 1})
+	base, err := Partition(pts, wgts, 2, 3, 10, Options{Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 3, 8} {
-		got, err := Partition(pts, wgts, 2, 3, 10, Options{K: 10, Seed: 3, Workers: w})
+		got, err := Partition(pts, wgts, 2, 3, 10, Options{Seed: 3, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +115,11 @@ func TestPartitionWorkerDeterminism(t *testing.T) {
 func TestPartitionSeedSensitivity(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	pts, wgts := randPoints(r, 1200, 1)
-	a, err := Partition(pts, wgts, 1, 3, 6, Options{K: 6, Seed: 1})
+	a, err := Partition(pts, wgts, 1, 3, 6, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Partition(pts, wgts, 1, 3, 6, Options{K: 6, Seed: 1})
+	b, err := Partition(pts, wgts, 1, 3, 6, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestPartitionValidation(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	labels, err := Partition(same, w, 1, 3, 4, Options{K: 4, Seed: 2})
+	labels, err := Partition(same, w, 1, 3, 4, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

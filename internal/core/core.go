@@ -75,12 +75,13 @@ type Config struct {
 	// Decompose and Redecompose.
 	Drift partition.DriftThresholds
 	// Obs, when non-nil, receives per-phase wall-clock timings
-	// ("partition", "tree_induction") for every pipeline run.
+	// ("partition", "tree_induction", "drift_eval") for every pipeline
+	// run.
 	Obs *obs.Collector
-	// Span, when non-nil, is the parent trace span: the pipeline
-	// records "partition" and "tree_induction" child spans under it,
-	// and the partitioner's bisection tasks record "rb_task" spans on
-	// the "rb" track. Nil disables tracing at zero cost.
+	// Span, when non-nil, is the parent trace span: every phase timed
+	// into Obs records a same-named child span under it, and the
+	// partitioner's bisection tasks record "rb_task" spans on the "rb"
+	// track. Nil disables tracing at zero cost.
 	Span *obs.Span
 }
 
@@ -177,18 +178,16 @@ func partitionWith(be backend.Partitioner, m *mesh.Mesh, g *graph.Graph, cfg Con
 }
 
 // pipeline is the tail every entry point shares: part computes P
-// under the "partition" timer and span (attr annotates the span), the
+// under the "partition" phase (attr annotates its span), the
 // tree-guided reshape turns it into P” when the backend benefits
 // (steps 3-4), and the contact-point descriptor is induced (step 5).
 func pipeline(m *mesh.Mesh, g *graph.Graph, cfg Config, be backend.Partitioner, part func(partition.Options) ([]int32, error), attr ...obs.Attr) (*Decomposition, error) {
-	popt := partition.Options{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance, Obs: cfg.Obs, Span: cfg.Span}
+	popt := partition.Options{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance, Obs: cfg.Obs}
 	attrs := [3]obs.Attr{obs.Int("k", int64(cfg.K)), obs.Int("nv", int64(g.NV()))}
 	n := 2 + copy(attrs[2:], attr)
-	stopPart := cfg.Obs.Start("partition")
-	partSpan := cfg.Span.Child("partition", attrs[:n]...)
+	ph := cfg.Obs.Phase(cfg.Span, "partition", attrs[:n]...)
 	labels, err := part(popt)
-	partSpan.End()
-	stopPart()
+	ph.End()
 	if err != nil {
 		return nil, err
 	}
@@ -280,11 +279,11 @@ func AdaptiveDecompose(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Conf
 	cfg = cfg.withDefaults(m.NumNodes())
 	g := m.NodalGraph(cfg.Nodal)
 
-	stopDrift := cfg.Obs.Start("drift_eval")
+	ph := cfg.Obs.Phase(cfg.Span, "drift_eval")
 	cur := partition.MeasureDrift(g, prevLabels, cfg.K)
 	out.Cut, out.Imbalance = cur.Cut, cur.Imbalance
 	out.Decision = cfg.Drift.Decide(cur, baseCut, cfg.Imbalance)
-	stopDrift()
+	ph.End()
 
 	if out.Decision == partition.DriftKeep {
 		out.BaselineCut = baseCut
@@ -320,16 +319,14 @@ func AdaptiveDecompose(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Conf
 // and G' refinement.
 func (d *Decomposition) reshape(m *mesh.Mesh, popt partition.Options) error {
 	cfg := d.Cfg
-	stopTree := cfg.Obs.Start("tree_induction")
-	treeSpan := cfg.Span.Child("tree_induction", obs.Str("mode", "guidance"))
+	ph := cfg.Obs.Phase(cfg.Span, "tree_induction", obs.Str("mode", "guidance"))
 	gt, err := dtree.Build(m.Coords, d.Labels, m.Dim, cfg.K, dtree.Options{
 		Mode:      dtree.Guidance,
 		MaxPure:   cfg.MaxPure,
 		MaxImpure: cfg.MaxImpure,
 		Parallel:  cfg.Parallel,
 	})
-	treeSpan.End()
-	stopTree()
+	ph.End()
 	if err != nil {
 		return err
 	}
@@ -383,15 +380,13 @@ func DescriptorFor(m *mesh.Mesh, labels []int32, cfg Config) (*dtree.Tree, []int
 	if k < 1 {
 		k = 1
 	}
-	stopTree := cfg.Obs.Start("tree_induction")
-	treeSpan := cfg.Span.Child("tree_induction", obs.Str("mode", "descriptor"))
+	ph := cfg.Obs.Phase(cfg.Span, "tree_induction", obs.Str("mode", "descriptor"))
 	tree, err := dtree.Build(pts, cl, m.Dim, k, dtree.Options{
 		Mode:           dtree.Descriptor,
 		Parallel:       cfg.Parallel,
 		PreferWideGaps: cfg.WideGaps,
 	})
-	treeSpan.End()
-	stopTree()
+	ph.End()
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

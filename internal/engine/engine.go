@@ -127,8 +127,8 @@ func Run(ctx context.Context, m *mesh.Mesh, d *core.Decomposition, tol float64, 
 	// traffic and the same pairs, so a recovered iteration is
 	// numerically indistinguishable from a fault-free one.
 	opts.Obs.Add("engine_degraded_iters", 1)
-	opts.Span.Event("serial_degrade", obs.Int("failed_ranks", int64(len(failed))))
-	st, serr := it.runSerial(opts)
+	obs.SpanFromContext(ctx).Event("serial_degrade", obs.Int("failed_ranks", int64(len(failed))))
+	st, serr := it.runSerial(ctx, opts)
 	if serr != nil {
 		return nil, fmt.Errorf("engine: parallel iteration failed (%v) and serial recovery failed: %w", perr, serr)
 	}

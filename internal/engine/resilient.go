@@ -62,14 +62,12 @@ type Options struct {
 	NoDegrade bool
 	// Obs receives phase timers and the resilience counters
 	// (transport_retries, transport_*_injected, engine_degraded_iters).
+	// When the ctx passed to Run carries a trace span, each rank gets
+	// a child span on its own "rank<r>" track, each engine phase a
+	// nested span, each exchange a "transport_exchange" span with
+	// "retry" instant events, and injected faults appear as events on
+	// the exchange timeline.
 	Obs *obs.Collector
-	// Span, when non-nil, is the parent span of this iteration: each
-	// rank gets a child span on its own "rank<r>" track, each engine
-	// phase a nested span, each exchange a "transport_exchange" span
-	// with "retry" instant events, and injected faults appear as
-	// events on the exchange timeline. Nil disables tracing at zero
-	// cost.
-	Span *obs.Span
 }
 
 func (o Options) withDefaults() Options {
@@ -340,25 +338,40 @@ func (it *iteration) runWorker(ctx context.Context, w *worker, opts Options, ws 
 		ws.GhostsRecv += int64(len(b))
 	}
 
-	// --- Phase 2: global search. Parse the broadcast tree and filter
-	// our own surface elements through it. ---
+	// --- Phase 2: global search. ---
 	opts.Fault.MaybePanic(rank, phaseElems)
 	opts.Fault.MaybeStall(ctx, rank, phaseElems)
-	stopGlobal := opts.Obs.Start("global_search")
-	gsCtx, gsSpan := obs.StartSpan(ctx, "global_search")
-	defer gsSpan.End() // idempotent; covers the error exits
-	defer func() {
-		if stopGlobal != nil {
-			stopGlobal()
-		}
-	}()
+	received, err := it.globalSearch(ctx, w, opts, ws)
+	if err != nil {
+		return nil, err
+	}
+
+	// --- Phase 3: local search over own + received elements. ---
+	opts.Fault.MaybePanic(rank, phaseLocal)
+	ph := opts.Obs.Phase(obs.SpanFromContext(ctx), "local_search")
+	pprof.Do(ctx, pprof.Labels("phase", "local_search"), func(context.Context) {
+		pairs = localSearch(it.m, it.boxes, it.owners, it.elemsOf[rank], received, rank, it.tol)
+	})
+	ph.End()
+	ws.PairsDetected = len(pairs)
+	return pairs, nil
+}
+
+// globalSearch is one rank's engine phase 2: parse the broadcast tree,
+// filter the rank's own surface elements through it, and exchange the
+// filtered elements. It returns the elements received from peers.
+func (it *iteration) globalSearch(ctx context.Context, w *worker, opts Options, ws *WorkerStats) ([]int32, error) {
+	rank := w.rank
+	ph := opts.Obs.Phase(obs.SpanFromContext(ctx), "global_search")
+	defer ph.End()
+	ctx = obs.ContextWithSpan(ctx, ph.Span())
 	raw := opts.Fault.CorruptTreeBytes(rank, it.treeBuf)
-	tree, terr := dtree.ReadTree(bytes.NewReader(raw))
-	if terr != nil {
+	tree, err := dtree.ReadTree(bytes.NewReader(raw))
+	if err != nil {
 		// The broadcast this rank received is undecodable. Surface a
 		// per-rank error; the serial-degrade path re-reads the
 		// pristine bytes.
-		return nil, &RankError{Rank: rank, Phase: phaseElems, Err: terr}
+		return nil, &RankError{Rank: rank, Phase: phaseElems, Err: err}
 	}
 	filter := &contact.TreeFilter{
 		Tree:       tree,
@@ -366,10 +379,10 @@ func (it *iteration) runWorker(ctx context.Context, w *worker, opts Options, ws 
 		TightBoxes: tree.PointBoxes(it.d.ContactPoints),
 	}
 	var sendElems [][]int32
-	pprof.Do(gsCtx, pprof.Labels("phase", "global_search"), func(context.Context) {
+	pprof.Do(ctx, pprof.Labels("phase", "global_search"), func(context.Context) {
 		sendElems = it.sendElemsFor(rank, filter, make([]bool, it.k))
 	})
-	gotElems, err := w.exchange(gsCtx, phaseElems, sendElems)
+	gotElems, err := w.exchange(ctx, phaseElems, sendElems)
 	if err != nil {
 		return nil, err
 	}
@@ -382,21 +395,7 @@ func (it *iteration) runWorker(ctx context.Context, w *worker, opts Options, ws 
 		ws.ElemsRecv += int64(len(gotElems[from]))
 		received = append(received, gotElems[from]...)
 	}
-	stopGlobal()
-	stopGlobal = nil
-	gsSpan.End()
-
-	// --- Phase 3: local search over own + received elements. ---
-	opts.Fault.MaybePanic(rank, phaseLocal)
-	stopLocal := opts.Obs.Start("local_search")
-	_, lsSpan := obs.StartSpan(ctx, "local_search")
-	pprof.Do(ctx, pprof.Labels("phase", "local_search"), func(context.Context) {
-		pairs = localSearch(it.m, it.boxes, it.owners, it.elemsOf[rank], received, rank, it.tol)
-	})
-	lsSpan.End()
-	stopLocal()
-	ws.PairsDetected = len(pairs)
-	return pairs, nil
+	return received, nil
 }
 
 // runParallel attempts the concurrent iteration over the transport.
@@ -429,6 +428,7 @@ func (it *iteration) runParallel(ctx context.Context, opts Options) (*Stats, []i
 	var retries int64
 	var retriesMu sync.Mutex
 
+	parent := obs.SpanFromContext(ctx)
 	var mainWG, allWG sync.WaitGroup
 	mainWG.Add(k)
 	allWG.Add(k)
@@ -436,7 +436,7 @@ func (it *iteration) runParallel(ctx context.Context, opts Options) (*Stats, []i
 		go func(rank int) {
 			defer allWG.Done()
 			pprof.Do(ctx, pprof.Labels("rank", strconv.Itoa(rank)), func(ctx context.Context) {
-				rankSpan := opts.Span.Child("rank",
+				rankSpan := parent.Child("rank",
 					obs.Int("rank", int64(rank)),
 					obs.Track(fmt.Sprintf("rank%d", rank)))
 				ctx = obs.ContextWithSpan(ctx, rankSpan)
@@ -494,8 +494,10 @@ func (it *iteration) runParallel(ctx context.Context, opts Options) (*Stats, []i
 // transport, from the pristine inputs captured in it: the recovery
 // path when a rank is unrecoverable. It produces exactly the Stats a
 // fault-free concurrent run would (all counts are logical), which is
-// what makes graceful degradation invisible in the results.
-func (it *iteration) runSerial(opts Options) (*Stats, error) {
+// what makes graceful degradation invisible in the results. Its phases
+// nest under the span ctx carries.
+func (it *iteration) runSerial(ctx context.Context, opts Options) (*Stats, error) {
+	parent := obs.SpanFromContext(ctx)
 	k := it.k
 	stats := &Stats{K: k, TreeBytes: int64(len(it.treeBuf)), PerWorker: make([]WorkerStats, k)}
 
@@ -532,7 +534,7 @@ func (it *iteration) runSerial(opts Options) (*Stats, error) {
 	received := make([][]int32, k)
 	mark := make([]bool, k)
 	for rank := 0; rank < k; rank++ {
-		stopGlobal := opts.Obs.Start("global_search")
+		ph := opts.Obs.Phase(parent, "global_search", obs.Int("rank", int64(rank)))
 		send := it.sendElemsFor(rank, filter, mark)
 		for to := 0; to < k; to++ {
 			if to == rank {
@@ -543,15 +545,15 @@ func (it *iteration) runSerial(opts Options) (*Stats, error) {
 			stats.PerWorker[to].ElemsRecv += n
 			received[to] = append(received[to], send[to]...)
 		}
-		stopGlobal()
+		ph.End()
 	}
 
 	// Phase 3: local search per rank.
 	pairs := make([][]contact.Pair, k)
 	for rank := 0; rank < k; rank++ {
-		stopLocal := opts.Obs.Start("local_search")
+		ph := opts.Obs.Phase(parent, "local_search", obs.Int("rank", int64(rank)))
 		prs := localSearch(it.m, it.boxes, it.owners, it.elemsOf[rank], received[rank], rank, it.tol)
-		stopLocal()
+		ph.End()
 		stats.PerWorker[rank].PairsDetected = len(prs)
 		pairs[rank] = prs
 	}

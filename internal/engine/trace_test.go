@@ -27,9 +27,8 @@ func TestEngineTraceCoversAllLayers(t *testing.T) {
 
 	tr := obs.NewTracer()
 	root := tr.Root("engine_test")
-	st, err := Run(context.Background(), sn.Mesh, d, 0.5, Options{
-		Obs:  obs.New(),
-		Span: root,
+	st, err := Run(obs.ContextWithSpan(context.Background(), root), sn.Mesh, d, 0.5, Options{
+		Obs: obs.New(),
 		Fault: &fault.Plan{
 			Seed:             42,
 			DropProb:         0.3,

@@ -100,7 +100,7 @@ func CompareBackends(ctx context.Context, snaps []sim.Snapshot, cfg Config, runs
 			if leg.core != "" {
 				row, err = coreCompareLeg(snaps, cfg, leg, legSpan)
 			} else {
-				row, err = mlrcbCompareLeg(snaps, cfg, leg, legSpan)
+				row, err = mlrcbCompareLeg(snaps, cfg, leg)
 			}
 			if err != nil {
 				return fmt.Errorf("harness: %s leg: %w", leg.name, err)
@@ -179,7 +179,7 @@ func coreCompareLeg(snaps []sim.Snapshot, cfg Config, leg backendLeg, span *obs.
 
 // mlrcbCompareLeg evaluates the ML+RCB baseline with its own
 // incremental update pipeline.
-func mlrcbCompareLeg(snaps []sim.Snapshot, cfg Config, leg backendLeg, span *obs.Span) (BackendRow, error) {
+func mlrcbCompareLeg(snaps []sim.Snapshot, cfg Config, leg backendLeg) (BackendRow, error) {
 	row := BackendRow{Leg: leg.name}
 	st, err := mlrcb.Decompose(snaps[0].Mesh, mlrcb.Config{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance})
 	if err != nil {

@@ -193,9 +193,10 @@ func (c *Checkpointer) SavedObs() *obs.Report {
 
 // record appends one completed snapshot to an experiment and flushes
 // the whole checkpoint atomically, together with the collector's
-// current cumulative report (when Obs is set).
-func (c *Checkpointer) record(exp, cursor int, row Row, ev EvalTimes, imbFE, imbContact float64) error {
-	stop := c.Obs.Start("checkpoint_write")
+// current cumulative report (when Obs is set). span is the parent of
+// the "checkpoint_write" phase's span.
+func (c *Checkpointer) record(span *obs.Span, exp, cursor int, row Row, ev EvalTimes, imbFE, imbContact float64) error {
+	ph := c.Obs.Phase(span, "checkpoint_write")
 	var rep *obs.Report
 	if c.Obs != nil {
 		r := c.Obs.Report()
@@ -213,7 +214,7 @@ func (c *Checkpointer) record(exp, cursor int, row Row, ev EvalTimes, imbFE, imb
 	}
 	err := c.flushLocked()
 	c.mu.Unlock()
-	stop()
+	ph.End()
 	c.Obs.Add("checkpoint_writes", 1)
 	if err == nil && c.AfterFlush != nil {
 		c.AfterFlush(exp, cursor)

@@ -22,7 +22,6 @@ import (
 	"io"
 	"strconv"
 	"text/tabwriter"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mesh"
@@ -88,7 +87,9 @@ type Config struct {
 	// Obs, when non-nil, receives per-phase timings: "partition" and
 	// "tree_induction" from the decomposition pipeline plus
 	// "metric_eval" per snapshot leg. Shared by concurrent legs and
-	// experiments (the collector is concurrency-safe).
+	// experiments (the collector is concurrency-safe). When the ctx
+	// passed to RunSweep carries a trace span, every phase also records
+	// a same-named span beneath it.
 	Obs *obs.Collector
 }
 
@@ -185,7 +186,8 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	// When the context carries a trace span, this experiment records a
 	// span tree under it: one "experiment" span per config on its own
 	// track, one "snapshot" span per measured snapshot, one leg span
-	// per measurement leg. With no span in ctx all of this is free.
+	// ("metric_eval" with a leg attribute) per measurement leg. With no
+	// span in ctx all of this is free.
 	ctx, expSpan := obs.StartSpan(ctx, "experiment",
 		obs.Int("k", int64(cfg.K)), obs.Track(fmt.Sprintf("harness k=%d", cfg.K)))
 	defer expSpan.End()
@@ -335,7 +337,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		g := m.NodalGraph(mesh.NodalGraphOptions{NCon: 2})
 		var row Row
 		ev := EvalTimes{Repart: repartEvent, Migrated: repartMigrated}
-		sctx, snapSpan := obs.StartSpan(ctx, "snapshot", obs.Int("t", int64(t)))
+		snapSpan := expSpan.Child("snapshot", obs.Int("t", int64(t)))
 
 		// The two measurement legs are independent — the MC leg reads
 		// only MCML+DT state and writes only the MC* fields of row
@@ -345,10 +347,8 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		// across snapshots), which keeps Rows identical to the serial
 		// path.
 		mcLeg := func() error {
-			defer cfg.Obs.Start("metric_eval")()
-			_, leg := obs.StartSpan(sctx, "mc_leg")
-			t0 := time.Now()
-			defer func() { ev.MCNS = int64(time.Since(t0)); leg.End() }()
+			ph := cfg.Obs.Phase(snapSpan, "metric_eval", obs.Str("leg", "mc"))
+			defer func() { ev.MCNS = int64(ph.End()) }()
 			row.MCFEComm = metrics.CommVolume(g, mcLabels, cfg.K)
 
 			// MCML+DT: refresh the descriptor tree for the moved
@@ -367,10 +367,8 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			return nil
 		}
 		mlLeg := func() error {
-			defer cfg.Obs.Start("metric_eval")()
-			_, leg := obs.StartSpan(sctx, "ml_leg")
-			t0 := time.Now()
-			defer func() { ev.MLNS = int64(time.Since(t0)); leg.End() }()
+			ph := cfg.Obs.Phase(snapSpan, "metric_eval", obs.Str("leg", "ml"))
+			defer func() { ev.MLNS = int64(ph.End()) }()
 			row.MLFEComm = metrics.CommVolume(g, mlLabels, cfg.K)
 
 			// ML+RCB: incremental RCB update, then the decoupling costs.
@@ -412,7 +410,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		res.Rows = append(res.Rows, row)
 		res.evals = append(res.evals, ev)
 		if ck != nil {
-			if err := ck.record(exp, t+1, row, ev, imbFE, imbContact); err != nil {
+			if err := ck.record(expSpan, exp, t+1, row, ev, imbFE, imbContact); err != nil {
 				return nil, fmt.Errorf("harness: checkpoint snapshot %d: %w", t, err)
 			}
 		}
@@ -454,9 +452,6 @@ type SweepOptions struct {
 	// Progress, when non-nil, receives live per-experiment cursor
 	// updates (the /progress endpoint's source).
 	Progress *Progress
-	// Span, when non-nil, is the parent trace span: every experiment,
-	// snapshot, and measurement leg records a span beneath it.
-	Span *obs.Span
 }
 
 // RunSweep executes independent experiment configs (typically a
@@ -466,9 +461,10 @@ type SweepOptions struct {
 // to running the configs serially — concurrency only buys wall-clock
 // time. A panicking experiment surfaces as a *pool.PanicError;
 // cancelling ctx stops the sweep with everything completed so far
-// durable in the checkpoint (if any).
+// durable in the checkpoint (if any). When ctx carries a trace span,
+// every experiment, snapshot, and measurement leg records a span
+// beneath it.
 func RunSweep(ctx context.Context, snaps []sim.Snapshot, cfgs []Config, o SweepOptions) ([]*Result, error) {
-	ctx = obs.ContextWithSpan(ctx, o.Span)
 	return pool.Map(o.Workers, len(cfgs), func(i int) (*Result, error) {
 		return run(ctx, snaps, cfgs[i], o.Checkpoint, i, o.Progress)
 	})

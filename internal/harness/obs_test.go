@@ -7,6 +7,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -51,8 +52,9 @@ func TestProgressTracker(t *testing.T) {
 
 // TestSweepTraceAndProgress: a traced RunSweep must produce a valid
 // trace containing the harness span layers — one experiment span per
-// config, one snapshot span and one leg span pair per measured
-// snapshot — and drive the progress tracker to completion.
+// config, one snapshot span and one metric_eval span per leg
+// (leg=mc, leg=ml) per measured snapshot — and drive the progress
+// tracker to completion.
 func TestSweepTraceAndProgress(t *testing.T) {
 	snaps := testSnaps(t, 3)
 	cfgs := []Config{{K: 4, Seed: 1}, {K: 6, Seed: 1}}
@@ -60,10 +62,9 @@ func TestSweepTraceAndProgress(t *testing.T) {
 	tr := obs.NewTracer()
 	root := tr.Root("sweep")
 	prog := NewProgress(len(snaps), cfgs)
-	results, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{
+	results, err := RunSweep(obs.ContextWithSpan(context.Background(), root), snaps, cfgs, SweepOptions{
 		Workers:  2,
 		Progress: prog,
-		Span:     root,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,19 +90,58 @@ func TestSweepTraceAndProgress(t *testing.T) {
 	}
 	nMeasured := len(snaps) * len(cfgs)
 	for name, want := range map[string]int{
-		"experiment": len(cfgs),
-		"snapshot":   nMeasured,
-		"mc_leg":     nMeasured,
-		"ml_leg":     nMeasured,
+		"experiment":  len(cfgs),
+		"snapshot":    nMeasured,
+		"metric_eval": 2 * nMeasured,
 	} {
 		if sum.Names[name] != want {
 			t.Errorf("span %q appears %d times, want %d", name, sum.Names[name], want)
 		}
 	}
+	legs := map[string]int{}
+	for _, e := range traceBegins(t, buf.Bytes()) {
+		if e.Name == "metric_eval" {
+			leg, _ := e.Args["leg"].(string)
+			legs[leg]++
+		}
+	}
+	if legs["mc"] != nMeasured || legs["ml"] != nMeasured || len(legs) != 2 {
+		t.Errorf("metric_eval spans per leg = %v, want mc and ml %d each", legs, nMeasured)
+	}
 	// Each experiment runs on its own named track, plus the root's.
 	if sum.Tracks < len(cfgs)+1 {
 		t.Errorf("trace has %d lanes, want at least %d", sum.Tracks, len(cfgs)+1)
 	}
+}
+
+// traceBegin is one span-begin event of a Chrome trace.
+type traceBegin struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Args map[string]any `json:"args"`
+}
+
+// traceBegins returns the span-begin ("B") events of a WriteTrace
+// output.
+func traceBegins(t *testing.T, trace []byte) []traceBegin {
+	t.Helper()
+	var file struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace, &file); err != nil {
+		t.Fatal(err)
+	}
+	var out []traceBegin
+	for _, raw := range file.TraceEvents {
+		var e traceBegin
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Ph == "B" {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // TestSeriesFromSweep: the per-snapshot series has one point per

@@ -1,11 +1,11 @@
 package lint
 
 // metricname statically guarantees WritePrometheus family stability:
-// every obs.Collector metric name (Start/Observe/Add/Max/Hist) must
+// every obs.Collector metric name (Phase/Observe/Add/Max/Hist) must
 // be a constant prom-safe literal, and the exposition families those
 // names render to must not collide across categories. The renderer
 // maps a counter `name` to family `name_total`, a gauge to `name`,
-// and a histogram (Start/Observe/Hist) to `name` plus `name_bucket`,
+// and a histogram (Phase/Observe/Hist) to `name` plus `name_bucket`,
 // `name_sum`, `name_count` — so a counter "x" and a gauge "x_total"
 // would silently merge on the scrape side, and nothing at runtime
 // would notice.
@@ -37,7 +37,7 @@ type metricUse struct {
 var metricCategories = map[string]string{
 	"Add":     "counter",
 	"Max":     "gauge",
-	"Start":   "hist",
+	"Phase":   "hist",
 	"Observe": "hist",
 	"Hist":    "hist",
 }
@@ -106,7 +106,7 @@ func collectorMetrics(p *Package) (uses []metricUse, bad []Finding) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
+			if !ok {
 				return true
 			}
 			fn := calleeOf(p, call)
@@ -118,6 +118,9 @@ func collectorMetrics(p *Package) (uses []metricUse, bad []Finding) {
 				return true
 			}
 			nameArg := call.Args[0]
+			if fn.Name() == "Phase" {
+				nameArg = call.Args[1] // Phase(parent, name, ...)
+			}
 			tv, ok := p.Info.Types[nameArg]
 			if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 				bad = append(bad, Finding{Pos: nameArg.Pos(), Message: fmt.Sprintf(

@@ -1,18 +1,16 @@
 package lint
 
-// obsbalance enforces the start/stop discipline of the observability
-// layer: every obs.Collector.Start timer must have its stop function
-// invoked, and every span created by obs.StartSpan / Tracer.Root /
-// Span.Child must reach a matching End. An unbalanced timer silently
-// loses a phase from every report; an un-Ended span vanishes from the
-// trace and breaks the B/E balance tracecheck relies on.
+// obsbalance enforces the start/end discipline of the observability
+// layer: every obs.Collector.Phase and every span created by
+// obs.StartSpan / Tracer.Root / Span.Child must reach a matching End.
+// An un-Ended phase silently loses a sample from every report; an
+// un-Ended span vanishes from the trace and breaks the B/E balance
+// tracecheck relies on.
 //
 // The check is structural rather than fully path-sensitive:
 //
-//   - discarding the handle (expression statement, or assigning the
-//     span to _) is always a violation — nothing can ever close it;
-//   - `defer c.Start("x")` (missing the trailing call) starts the
-//     timer at function exit and is flagged specially;
+//   - discarding the handle (expression statement, or assigning it
+//     to _) is always a violation — nothing can ever end it;
 //   - a handle held in a variable must be closed somewhere in the
 //     enclosing function — a deferred close (directly or inside a
 //     deferred closure) balances every path, while a plain close with
@@ -32,7 +30,7 @@ import (
 func ObsBalance() *Analyzer {
 	return &Analyzer{
 		Name: "obsbalance",
-		Doc:  "every obs timer start and span must be stopped/ended on all paths",
+		Doc:  "every obs phase and span must be ended on all paths",
 		Run:  runObsBalance,
 	}
 }
@@ -47,20 +45,11 @@ func runObsBalance(p *Package) []Finding {
 	return out
 }
 
-// obsKind distinguishes the two handle shapes.
-type obsKind int
-
-const (
-	obsTimer obsKind = iota // c.Start(...) -> func()
-	obsSpan                 // StartSpan/Root/Child -> *obs.Span
-)
-
-// obsCreation is one timer/span creation bound to a variable, with
-// the closing obligation to discharge.
+// obsCreation is one phase/span creation bound to a variable, with
+// the End obligation to discharge.
 type obsCreation struct {
 	pos  token.Pos
-	kind obsKind
-	what string // "timer \"x\"" or "span \"y\"" for messages
+	what string // "obs phase \"x\"" or "span \"y\"" for messages
 	obj  types.Object
 }
 
@@ -68,40 +57,35 @@ func obsBalanceInFunc(p *Package, body *ast.BlockStmt) []Finding {
 	var out []Finding
 	var creations []obsCreation
 
-	record := func(kind obsKind, what string, lhs ast.Expr, pos token.Pos) {
+	record := func(what string, lhs ast.Expr, pos token.Pos) {
 		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok {
-			return // stored into a field/index: escapes, closed elsewhere
+			return // stored into a field/index: escapes, ended elsewhere
 		}
 		if id.Name == "_" {
-			out = append(out, Finding{Pos: pos, Message: fmt.Sprintf("%s is assigned to _ and can never be %s", what, closeVerb(kind))})
+			out = append(out, Finding{Pos: pos, Message: fmt.Sprintf("%s is assigned to _ and can never be ended", what)})
 			return
 		}
 		obj := objOf(p, id)
 		if obj == nil {
 			return
 		}
-		creations = append(creations, obsCreation{pos: pos, kind: kind, what: what, obj: obj})
+		creations = append(creations, obsCreation{pos: pos, what: what, obj: obj})
 	}
 
 	inspectShallow(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.ExprStmt:
-			if kind, what, ok := obsCreationCall(p, n.X); ok {
-				out = append(out, Finding{Pos: n.Pos(), Message: fmt.Sprintf("%s is discarded; it can never be %s", what, closeVerb(kind))})
-			}
-		case *ast.DeferStmt:
-			if kind, what, ok := obsCreationCall(p, n.Call); ok && kind == obsTimer {
-				out = append(out, Finding{Pos: n.Pos(), Message: fmt.Sprintf("defer starts %s at function exit and discards the stop; write `defer c.Start(...)()`", what)})
+			if what, ok := obsCreationCall(p, n.X); ok {
+				out = append(out, Finding{Pos: n.Pos(), Message: fmt.Sprintf("%s is discarded; it can never be ended", what)})
 			}
 		case *ast.AssignStmt:
 			if len(n.Rhs) == 1 {
-				if kind, what, ok := obsCreationCall(p, n.Rhs[0]); ok {
-					switch {
-					case kind == obsSpan && len(n.Lhs) == 2:
-						record(kind, what, n.Lhs[1], n.Rhs[0].Pos()) // ctx, span := obs.StartSpan(...)
-					case len(n.Lhs) == 1:
-						record(kind, what, n.Lhs[0], n.Rhs[0].Pos())
+				if what, ok := obsCreationCall(p, n.Rhs[0]); ok {
+					// ctx, span := obs.StartSpan(...) binds the handle
+					// in the second slot.
+					if lhs := len(n.Lhs); lhs <= 2 {
+						record(what, n.Lhs[lhs-1], n.Rhs[0].Pos())
 					}
 				}
 			}
@@ -115,56 +99,47 @@ func obsBalanceInFunc(p *Package, body *ast.BlockStmt) []Finding {
 	return out
 }
 
-func closeVerb(kind obsKind) string {
-	if kind == obsTimer {
-		return "stopped"
-	}
-	return "ended"
-}
-
-// obsCreationCall recognizes expressions that open a timer or span.
-// For spans it distinguishes the two-result StartSpan (handled by the
-// caller via the second assignment slot) from the single-result
-// Root/Child.
-func obsCreationCall(p *Package, e ast.Expr) (obsKind, string, bool) {
+// obsCreationCall recognizes expressions that open a phase or span
+// and returns a label for messages. Its one two-result form,
+// StartSpan, binds the span in the caller's second assignment slot.
+func obsCreationCall(p *Package, e ast.Expr) (string, bool) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
-		return 0, "", false
+		return "", false
 	}
 	fn := calleeOf(p, call)
 	if fn == nil {
-		return 0, "", false
+		return "", false
 	}
 	label := func(kind string) string {
-		if len(call.Args) > 0 {
-			if lit, ok := ast.Unparen(nameArgOf(fn, call)).(*ast.BasicLit); ok {
-				return fmt.Sprintf("%s %s", kind, lit.Value)
-			}
+		if lit, ok := ast.Unparen(nameArgOf(fn, call)).(*ast.BasicLit); ok {
+			return fmt.Sprintf("%s %s", kind, lit.Value)
 		}
 		return kind
 	}
 	switch {
-	case isMethod(fn, "internal/obs", "Collector", "Start"):
-		return obsTimer, label("obs timer"), true
+	case isMethod(fn, "internal/obs", "Collector", "Phase"):
+		return label("obs phase"), true
 	case isPkgFunc(fn, "internal/obs", "StartSpan"),
 		isMethod(fn, "internal/obs", "Tracer", "Root"),
 		isMethod(fn, "internal/obs", "Span", "Child"):
-		return obsSpan, label("span"), true
+		return label("span"), true
 	}
-	return 0, "", false
+	return "", false
 }
 
 // nameArgOf picks the argument holding the phase/span name: the
-// second for StartSpan(ctx, name, ...), the first otherwise.
+// second for StartSpan(ctx, name, ...) and Phase(parent, name, ...),
+// the first otherwise.
 func nameArgOf(fn *types.Func, call *ast.CallExpr) ast.Expr {
-	if fn.Name() == "StartSpan" && len(call.Args) > 1 {
+	if fn.Name() == "StartSpan" || fn.Name() == "Phase" {
 		return call.Args[1]
 	}
 	return call.Args[0]
 }
 
-// checkObligation verifies that the handle bound in c is closed:
-// stop() called for timers, .End() called for spans. Deferred closes
+// checkObligation verifies that the handle bound in c is closed by a
+// .End() call. Deferred closes
 // (defer stmt or inside a deferred closure) balance all paths; a plain
 // close is accepted unless an early return sits between the creation
 // and the first close. Any other use of the handle counts as an
@@ -206,7 +181,7 @@ func checkObligation(p *Package, body *ast.BlockStmt, c obsCreation) []Finding {
 		return nil
 	}
 	if !plainClose {
-		return []Finding{{Pos: c.pos, Message: fmt.Sprintf("%s is never %s in this function", c.what, closeVerb(c.kind))}}
+		return []Finding{{Pos: c.pos, Message: fmt.Sprintf("%s is never ended in this function", c.what)}}
 	}
 	// Plain close only: an early return between creation and close
 	// leaks the handle on that path.
@@ -224,28 +199,21 @@ func checkObligation(p *Package, body *ast.BlockStmt, c obsCreation) []Finding {
 	return nil
 }
 
-// closesHandle reports whether call is `handle()` (timer) or
-// `handle.End()` (span) for the tracked object.
+// closesHandle reports whether call is `handle.End()` for the tracked
+// object.
 func closesHandle(p *Package, call *ast.CallExpr, c obsCreation) bool {
-	switch c.kind {
-	case obsTimer:
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		return ok && objOf(p, id) == c.obj
-	case obsSpan:
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "End" {
-			return false
-		}
-		id, ok := ast.Unparen(sel.X).(*ast.Ident)
-		return ok && objOf(p, id) == c.obj
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "End" {
+		return false
 	}
-	return false
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	return ok && objOf(p, id) == c.obj
 }
 
 // identUseExempt reports whether this use of the handle cannot
-// transfer the close obligation elsewhere: the handle's own close
-// call (`stop()`, `span.End()`) or any method call with the handle in
-// receiver position (`span.Event(...)` records but does not end).
+// transfer the close obligation elsewhere: any method call with the
+// handle in receiver position — its own `End()`, or `span.Event(...)`
+// and `phase.Span()`, which record or read but do not end.
 // Every other use — argument, return value, store — is an escape and
 // the obligation is assumed discharged by the new owner.
 func identUseExempt(p *Package, id *ast.Ident, c obsCreation) bool {
@@ -254,9 +222,6 @@ func identUseExempt(p *Package, id *ast.Ident, c obsCreation) bool {
 		return false
 	}
 	parent := path[len(path)-2]
-	if call, ok := parent.(*ast.CallExpr); ok && call.Fun == ast.Expr(id) {
-		return closesHandle(p, call, c)
-	}
 	if sel, ok := parent.(*ast.SelectorExpr); ok && sel.X == ast.Expr(id) && len(path) >= 3 {
 		if call, ok := path[len(path)-3].(*ast.CallExpr); ok && call.Fun == ast.Expr(sel) {
 			return true // method call on the handle

@@ -11,9 +11,11 @@ import (
 	"repro/internal/obs"
 )
 
-// dynamic builds a name at runtime: an unbounded family set.
+// dynamic builds a name at runtime: an unbounded family set. Phase's
+// name is its second argument.
 func dynamic(col *obs.Collector, leg string) {
 	col.Add(fmt.Sprintf("compare_%s_runs", leg), 1)
+	col.Phase(nil, leg+"_eval").End()
 }
 
 // notPromSafe would be rewritten by the exposition layer.
@@ -36,12 +38,12 @@ func merge(col *obs.Collector) {
 	col.Add("fx_jobs", 2)
 }
 
-// hists: Start, Observe, and Hist on one name are the same family.
+// hists: Phase, Observe, and Hist on one name are the same family.
 func hists(col *obs.Collector) {
-	stop := col.Start("fx_phase")
+	ph := col.Phase(nil, "fx_phase")
 	col.Observe("fx_phase", time.Millisecond)
 	col.Hist("fx_phase", 7)
-	stop()
+	ph.End()
 }
 
 // suppressed: a bounded dynamic name with a reason.

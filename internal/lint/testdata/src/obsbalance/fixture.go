@@ -1,5 +1,5 @@
-// Fixture for the obsbalance analyzer: obs timers and spans must be
-// stopped/ended on every path.
+// Fixture for the obsbalance analyzer: obs phases and spans must be
+// ended on every path.
 package obsbal
 
 import (
@@ -8,34 +8,43 @@ import (
 	"repro/internal/obs"
 )
 
-// discardedTimer drops the stop function on the floor.
-func discardedTimer(c *obs.Collector) {
-	c.Start("phase") // want: discarded
+// discardedPhase drops the phase handle on the floor.
+func discardedPhase(c *obs.Collector) {
+	c.Phase(nil, "phase") // want: discarded
 }
 
-// deferredStart is the classic typo: the timer starts at function
-// exit and is never stopped.
-func deferredStart(c *obs.Collector) {
-	defer c.Start("phase") // want: defer starts at exit
-}
-
-// balancedDefer and balancedVar are the two sanctioned shapes.
-func balancedDefer(c *obs.Collector) {
-	defer c.Start("phase")()
+// balancedDefer, balancedVar and balancedDuration are the sanctioned
+// shapes; reading the phase's span does not end it.
+func balancedDefer(c *obs.Collector, parent *obs.Span) context.Context {
+	ph := c.Phase(parent, "phase")
+	defer ph.End()
+	return obs.ContextWithSpan(context.Background(), ph.Span())
 }
 
 func balancedVar(c *obs.Collector) {
-	stop := c.Start("phase")
-	stop()
+	ph := c.Phase(nil, "phase")
+	ph.End()
 }
 
-// earlyReturn stops the timer on only one path.
+func balancedDuration(c *obs.Collector) (ns int64) {
+	ph := c.Phase(nil, "phase")
+	defer func() { ns = int64(ph.End()) }()
+	return 0
+}
+
+// earlyReturn ends the phase on only one path.
 func earlyReturn(c *obs.Collector, cond bool) {
-	stop := c.Start("phase")
+	ph := c.Phase(nil, "phase")
 	if cond {
-		return // want: return skips the stop
+		return // want: return skips the end
 	}
-	stop()
+	ph.End()
+}
+
+// phaseNeverEnded reads the phase's span but never ends it.
+func phaseNeverEnded(c *obs.Collector) *obs.Span {
+	ph := c.Phase(nil, "phase") // want: never ended
+	return ph.Span()
 }
 
 // spanDiscardedStmt opens a span nothing can ever end.
@@ -88,5 +97,5 @@ func escapes(ctx context.Context) context.Context {
 // immediately after, so the report is never read).
 func suppressed(c *obs.Collector) {
 	//lint:ignore obsbalance crash-path instrumentation; the process exits before reporting
-	c.Start("phase")
+	c.Phase(nil, "phase")
 }

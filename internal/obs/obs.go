@@ -3,7 +3,14 @@
 // decomposition pipeline (partition, tree induction), the parallel
 // engine (global search, local search), and the measurement harness
 // (metric evaluation) report into, exported as a machine-readable JSON
-// report and a human table.
+// report, a human table, and Prometheus text exposition.
+//
+// Collector.Phase is the one instrumentation primitive for a timed
+// region: a single call yields the phase histogram (and with it the
+// Prometheus family of the same name) and, when a parent span is
+// given, a same-named child span in the trace. Nothing else opens a
+// timed region, so every phase name in a report is also a span name
+// in the trace of the same run.
 //
 // A nil *Collector is valid everywhere and records nothing, so hot
 // paths thread a collector through unconditionally and pay one nil
@@ -14,11 +21,18 @@
 // Canonical phase names used across the repo (the per-phase breakdown
 // of one end-to-end experiment):
 //
-//	partition       multilevel multi-constraint partitioning (core step 2)
-//	tree_induction  guidance + descriptor decision trees (core steps 3, 5)
-//	global_search   engine phase 2: tree filtering + element shipping
-//	local_search    engine phase 3: narrow-phase detection
-//	metric_eval     harness Section 5.1 metric computation
+//	partition         multilevel multi-constraint partitioning (core step 2)
+//	rb_coarsen,       the multilevel phases of one bisection inside
+//	rb_initcut,       partition, also recorded per recursion depth as
+//	rb_refine         <name>_d<depth>
+//	tree_induction    guidance + descriptor decision trees (core steps 3, 5)
+//	drift_eval        grading inherited labels against the drift policy
+//	global_search     engine phase 2: tree filtering + element shipping
+//	local_search      engine phase 3: narrow-phase detection
+//	metric_eval       harness Section 5.1 metric computation, one per
+//	                  measurement leg (span attribute leg=mc|ml)
+//	checkpoint_write  harness checkpoint flush
+//	sfc_*, bkmeans_*  the geometric backends' phases
 package obs
 
 import (
@@ -51,15 +65,42 @@ type timer struct {
 // New returns an empty collector.
 func New() *Collector { return &Collector{} }
 
-// Start begins timing one occurrence of the named phase and returns
-// the function that stops it. Usage: defer c.Start("partition")().
-func (c *Collector) Start(name string) func() {
-	if c == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { c.Observe(name, time.Since(t0)) } //lint:ignore metricname forwarding the caller's name; Start call sites are checked
+// Phase is one timed occurrence of a named pipeline phase, opened by
+// Collector.Phase.
+type Phase struct {
+	c    *Collector
+	span *Span
+	name string
+	t0   time.Time
 }
+
+// Phase starts timing one occurrence of the named phase. When parent
+// is non-nil it also opens a same-named child span of parent carrying
+// attrs, so the histogram and the trace always agree on phase names.
+// Usage:
+//
+//	ph := c.Phase(span, "partition", obs.Int("k", k))
+//	defer ph.End()
+//
+// A nil collector and a nil parent record nothing and allocate
+// nothing; the phase is still timed, so End's duration is always
+// valid.
+func (c *Collector) Phase(parent *Span, name string, attrs ...Attr) Phase {
+	return Phase{c: c, span: parent.Child(name, attrs...), name: name, t0: time.Now()}
+}
+
+// End completes the phase: it records one sample under the phase's
+// name, ends its span, and returns the elapsed time. Call it once.
+func (p Phase) End() time.Duration {
+	d := time.Since(p.t0)
+	p.c.Observe(p.name, d) //lint:ignore metricname forwarding the caller's name; Phase call sites are checked
+	p.span.End()
+	return d
+}
+
+// Span returns the phase's span (nil when the phase has no parent),
+// for nesting further spans or for obs.ContextWithSpan.
+func (p Phase) Span() *Span { return p.span }
 
 // Observe records one completed occurrence of the named phase. The
 // duration also feeds a histogram of the same name (in nanoseconds),

@@ -11,7 +11,7 @@ import (
 
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	c.Start("x")()
+	c.Phase(nil, "x").End()
 	c.Observe("x", time.Second)
 	c.Add("n", 3)
 	r := c.Report()
@@ -45,14 +45,43 @@ func TestObserveAndAdd(t *testing.T) {
 	}
 }
 
-func TestStartStop(t *testing.T) {
+// TestPhaseRecordsHistogramAndSpan: one Phase call yields the phase
+// timer, its histogram, and a same-named child span carrying the
+// attrs; End returns the duration it recorded.
+func TestPhaseRecordsHistogramAndSpan(t *testing.T) {
 	c := New()
-	stop := c.Start("work")
+	tr := NewTracer()
+	root := tr.Root("root")
+	ph := c.Phase(root, "work", Str("leg", "mc"))
+	if ph.Span() == nil || ph.Span().Name() != "work" {
+		t.Fatalf("phase span = %v, want a child named work", ph.Span())
+	}
 	time.Sleep(time.Millisecond)
-	stop()
+	d := ph.End()
+	root.End()
 	r := c.Report()
-	if len(r.Phases) != 1 || r.Phases[0].TotalNS <= 0 {
-		t.Errorf("timer did not record: %+v", r)
+	if len(r.Phases) != 1 || r.Phases[0].Name != "work" || r.Phases[0].TotalNS != int64(d) || d <= 0 {
+		t.Errorf("timer did not record the returned %v: %+v", d, r.Phases)
+	}
+	if len(r.Hists) != 1 || r.Hists[0].Name != "work" || r.Hists[0].Count != 1 {
+		t.Errorf("histogram did not record: %+v", r.Hists)
+	}
+	spans := tr.snapshotSpans()
+	if len(spans) != 2 {
+		t.Fatalf("recorded %d spans, want root + work", len(spans))
+	}
+	for _, s := range spans {
+		if s.name == "work" && (s.parent != root.id || len(s.attrs) != 1 || s.attrs[0] != Str("leg", "mc")) {
+			t.Errorf("work span = parent %d attrs %+v, want parent %d attrs [leg=mc]", s.parent, s.attrs, root.id)
+		}
+	}
+
+	// Without a parent the phase is histogram-only but still timed.
+	if d := c.Phase(nil, "work").End(); d <= 0 {
+		t.Errorf("parentless phase returned %v", d)
+	}
+	if got := c.Report().Phases[0].Count; got != 2 {
+		t.Errorf("work count = %d, want 2", got)
 	}
 }
 
@@ -156,7 +185,7 @@ func TestConcurrentAllRecorders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				c.Start("timed")()
+				c.Phase(nil, "timed").End()
 				c.Observe("phase", time.Duration(i+1))
 				c.Add("count", 1)
 				c.Max("peak", int64(g*1000+i))

@@ -16,7 +16,8 @@ package obs
 //
 // WritePrometheusRuntime appends a small fixed set of runtime/metrics
 // samples (heap, GC, goroutines) under go_* names, for scrapes that
-// want process health next to the serving metrics.
+// want process health next to the serving metrics. MetricsHandler is
+// the /metrics endpoint both servers mount on top of the two writers.
 //
 // ValidateProm is the inverse gate: exposition-format parse, TYPE
 // discipline, and — the property the histograms above must uphold —
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"runtime/metrics"
 	"sort"
 	"strconv"
@@ -151,6 +153,25 @@ func WritePrometheusRuntime(w io.Writer) error {
 		ew.printf("%s %v\n", name, v)
 	}
 	return ew.err
+}
+
+// MetricsHandler serves the report that report returns per request:
+// as JSON (Report.WriteJSON) by default, and with ?format=prom as
+// Prometheus text exposition followed by the WritePrometheusRuntime
+// samples.
+func MetricsHandler(report func() Report) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rep := report()
+		// The connection is the only sink for write errors.
+		if r.URL.Query().Get("format") == "prom" {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			_ = rep.WritePrometheus(w)
+			_ = WritePrometheusRuntime(w)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = rep.WriteJSON(w)
+	})
 }
 
 // PromSummary is what ValidateProm learned about an exposition.

@@ -1,10 +1,51 @@
 package obs
 
 import (
+	"encoding/json"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestPromMetricsHandler: the shared /metrics handler serves the
+// plain JSON report by default and, with ?format=prom, valid
+// exposition carrying both the report's families and the go_*
+// runtime samples.
+func TestPromMetricsHandler(t *testing.T) {
+	c := New()
+	c.Add("requests", 3)
+	c.Phase(nil, "partition").End()
+	h := MetricsHandler(c.Report)
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var rep Report
+	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+		t.Fatalf("JSON body: %v\n%s", err, rec.Body.String())
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("JSON content type = %q", ct)
+	}
+	if len(rep.Counters) != 1 || rep.Counters[0].Name != "requests" || len(rep.Phases) != 1 {
+		t.Errorf("JSON report = %+v, want the collector's report", rep)
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prom", nil))
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("prom content type = %q", ct)
+	}
+	sum, err := ValidateProm(strings.NewReader(rec.Body.String()))
+	if err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, rec.Body.String())
+	}
+	for _, fam := range []string{"requests_total", "partition", "go_sched_goroutines_goroutines"} {
+		if sum.Names[fam] == 0 {
+			t.Errorf("exposition lacks family %s", fam)
+		}
+	}
+}
 
 // TestWritePrometheusGolden pins the exact exposition rendered for a
 // small fixed collector: counters as _total, gauges bare, histograms

@@ -42,7 +42,7 @@ func TestSpanNestingAndContext(t *testing.T) {
 	if snap == nil || SpanFromContext(ctx2) != snap {
 		t.Fatal("StartSpan did not thread the child through the context")
 	}
-	_, leg := StartSpan(ctx2, "mc_leg")
+	_, leg := StartSpan(ctx2, "leg")
 	leg.Event("retry", Int("attempt", 1))
 	leg.End()
 	snap.End()
@@ -59,14 +59,14 @@ func TestSpanNestingAndContext(t *testing.T) {
 	if byName["snapshot"].parent != byName["root"].id {
 		t.Errorf("snapshot parent = %d, want root %d", byName["snapshot"].parent, byName["root"].id)
 	}
-	if byName["mc_leg"].parent != byName["snapshot"].id {
-		t.Errorf("leg parent = %d, want snapshot %d", byName["mc_leg"].parent, byName["snapshot"].id)
+	if byName["leg"].parent != byName["snapshot"].id {
+		t.Errorf("leg parent = %d, want snapshot %d", byName["leg"].parent, byName["snapshot"].id)
 	}
-	if byName["mc_leg"].track != "main" {
-		t.Errorf("leg track = %q, want inherited %q", byName["mc_leg"].track, "main")
+	if byName["leg"].track != "main" {
+		t.Errorf("leg track = %q, want inherited %q", byName["leg"].track, "main")
 	}
-	if len(byName["mc_leg"].events) != 1 || byName["mc_leg"].events[0].name != "retry" {
-		t.Errorf("leg events = %+v", byName["mc_leg"].events)
+	if len(byName["leg"].events) != 1 || byName["leg"].events[0].name != "retry" {
+		t.Errorf("leg events = %+v", byName["leg"].events)
 	}
 }
 
@@ -162,12 +162,12 @@ func TestDisabledPathsZeroAlloc(t *testing.T) {
 	var span *Span
 
 	checks := map[string]func(){
-		"nil collector Start":   func() { col.Start("p")() },
-		"nil collector Observe": func() { col.Observe("p", 1) },
-		"nil collector Add":     func() { col.Add("c", 1) },
-		"nil collector Max":     func() { col.Max("g", 1) },
-		"nil collector Hist":    func() { col.Hist("h", 1) },
-		"SpanFromContext":       func() { _ = SpanFromContext(ctx) },
+		"Phase with nil collector and nil parent": func() { col.Phase(span, "p", Int("k", 4)).End() },
+		"nil collector Observe":                   func() { col.Observe("p", 1) },
+		"nil collector Add":                       func() { col.Add("c", 1) },
+		"nil collector Max":                       func() { col.Max("g", 1) },
+		"nil collector Hist":                      func() { col.Hist("h", 1) },
+		"SpanFromContext":                         func() { _ = SpanFromContext(ctx) },
 		//lint:ignore obsbalance the nil span's Child is nil; the no-op path is what this test pins
 		"nil span Child":      func() { _ = span.Child("c") },
 		"nil span Event":      func() { span.Event("e") },

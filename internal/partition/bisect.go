@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -222,51 +221,49 @@ func (b *bisection) computeCut() {
 	b.cut = cut
 }
 
-// startPhase times one multilevel phase of a bisection, recording the
-// duration under both the aggregate name and a per-depth breakdown
-// (<name>_d<depth>) so the phase profile of the recursion tree is
-// visible in the observability report. A nil collector costs one
-// comparison and no allocation.
-func startPhase(col *obs.Collector, name string, depth int) func() {
-	if col == nil {
-		return func() {}
-	}
-	t0 := time.Now() //lint:ignore detrand phase timing only; durations feed obs, never the partition
-	return func() {
-		d := time.Since(t0) //lint:ignore detrand phase timing only; durations feed obs, never the partition
-		col.Observe(name, d) //lint:ignore metricname phase names come from the fixed phase set; depth is bounded by the recursion
-		col.Observe(fmt.Sprintf("%s_d%d", name, depth), d)
+// rbPhase starts the named multilevel phase of a bisection: an
+// obs.Phase under the task's rb_task span (nil below spanRBMinNV).
+func rbPhase(opt Options, span *obs.Span, name string) obs.Phase {
+	return opt.Obs.Phase(span, name) //lint:ignore metricname bisect passes only the fixed rb_coarsen/rb_initcut/rb_refine names
+}
+
+// endRBPhase ends ph and records its duration again per recursion
+// depth (<name>_d<depth>), so the phase profile of the recursion tree
+// is visible in the observability report.
+func endRBPhase(opt Options, ph obs.Phase, name string, depth int) {
+	if d := ph.End(); opt.Obs != nil {
+		opt.Obs.Observe(fmt.Sprintf("%s_d%d", name, depth), d) //lint:ignore metricname phase names come from the fixed phase set; depth is bounded by the recursion
 	}
 }
 
 // bisect computes a multilevel 2-way partition of g with left-side
 // fraction fracLeft and per-constraint tolerance eps, returning the
-// side of every vertex and the edge cut. col and depth only feed the
+// side of every vertex and the edge cut. span and depth only feed the
 // phase timers; they never influence the partition. ctx is checked at
 // every multilevel phase boundary (coarsening levels, initial-cut
 // trials, uncoarsening levels); a cancelled bisection returns ctx's
-// error with its phase timers stopped. The checks never alter the
+// error with its phases ended. The checks never alter the
 // result of a run that completes.
-func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Options, rng *rand.Rand, col *obs.Collector, depth int) ([]int8, int64, error) {
+func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Options, rng *rand.Rand, span *obs.Span, depth int) ([]int8, int64, error) {
 	if g.NV() == 0 {
 		return nil, 0, nil
 	}
-	stopCoarsen := startPhase(col, "rb_coarsen", depth)
+	ph := rbPhase(opt, span, "rb_coarsen")
 	levels := coarsen(ctx, g, opt.CoarsenTo, rng)
 	coarsest := levels[len(levels)-1].g
-	stopCoarsen()
+	endRBPhase(opt, ph, "rb_coarsen", depth)
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 
 	// Initial partition at the coarsest level: several GGG trials.
-	stopInit := startPhase(col, "rb_initcut", depth)
+	ph = rbPhase(opt, span, "rb_initcut")
 	best := newBisection(coarsest, fracLeft, eps)
 	bestScore := trialScore(best)
 	trial := newBisection(coarsest, fracLeft, eps)
 	for t := 0; t < opt.InitTrials; t++ {
 		if err := ctx.Err(); err != nil {
-			stopInit()
+			endRBPhase(opt, ph, "rb_initcut", depth)
 			return nil, 0, err
 		}
 		trial.reset()
@@ -280,14 +277,14 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 			best.cut = trial.cut
 		}
 	}
-	stopInit()
+	endRBPhase(opt, ph, "rb_initcut", depth)
 
 	// Project back through the hierarchy, refining at each level.
-	stopRefine := startPhase(col, "rb_refine", depth)
+	ph = rbPhase(opt, span, "rb_refine")
 	where := best.where
 	for li := len(levels) - 2; li >= 0; li-- {
 		if err := ctx.Err(); err != nil {
-			stopRefine()
+			endRBPhase(opt, ph, "rb_refine", depth)
 			return nil, 0, err
 		}
 		lv := levels[li]
@@ -312,7 +309,7 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 		refineFM(b, opt.RefineIters, rng)
 		where = b.where
 	}
-	stopRefine()
+	endRBPhase(opt, ph, "rb_refine", depth)
 
 	// Recompute final cut on the original graph.
 	fb := newBisection(g, fracLeft, eps)

@@ -144,7 +144,7 @@ func rb(ctx context.Context, grp *pool.Group, sub *graph.Graph, ids []int32, k, 
 	// siblings on the "rb" track rather than a nested tree.
 	var span *obs.Span
 	if sub.NV() >= spanRBMinNV {
-		span = opt.Span.Child("rb_task", obs.Track("rb"),
+		span = obs.SpanFromContext(ctx).Child("rb_task", obs.Track("rb"),
 			obs.Int("depth", int64(depth)), obs.Int("k", int64(k)),
 			obs.Int("base", int64(base)), obs.Int("nv", int64(sub.NV())))
 	}
@@ -154,10 +154,10 @@ func rb(ctx context.Context, grp *pool.Group, sub *graph.Graph, ids []int32, k, 
 		// Pool-task-sized subtree: label the goroutine so CPU profiles
 		// break bisection time out by recursion depth.
 		pprof.Do(ctx, pprof.Labels("rb_depth", strconv.Itoa(depth)), func(ctx context.Context) {
-			where, _, bisErr = bisect(ctx, sub, fracL, eps, opt, rng, opt.Obs, depth)
+			where, _, bisErr = bisect(ctx, sub, fracL, eps, opt, rng, span, depth)
 		})
 	} else {
-		where, _, bisErr = bisect(ctx, sub, fracL, eps, opt, rng, opt.Obs, depth)
+		where, _, bisErr = bisect(ctx, sub, fracL, eps, opt, rng, span, depth)
 	}
 	if bisErr != nil {
 		span.End()

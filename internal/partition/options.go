@@ -51,14 +51,13 @@ type Options struct {
 	// multilevel bisections (rb_coarsen, rb_initcut, rb_refine — each
 	// also broken out per recursion depth as <name>_d<depth>) plus the
 	// scheduling counters partition_rb_tasks and the worker-occupancy
-	// gauge partition_rb_workers_max. Timings are observational only;
-	// they never affect the computed partition.
+	// gauge partition_rb_workers_max. When the ctx passed to KWay
+	// carries a trace span, every bisection task over spanRBMinNV
+	// vertices records a flat "rb_task" span on the "rb" track with
+	// its depth, k, base label, and subgraph size, and its phases nest
+	// beneath it. Timings and spans are observational only; they never
+	// affect the computed partition.
 	Obs *obs.Collector
-	// Span, when non-nil, is the parent trace span: every bisection
-	// task over spanRBMinNV vertices records a flat "rb_task" span on
-	// the "rb" track with its depth, k, base label, and subgraph size.
-	// Spans are observational only; nil disables them at zero cost.
-	Span *obs.Span
 }
 
 // withDefaults returns opt with zero fields replaced by defaults.

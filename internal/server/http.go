@@ -50,7 +50,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /api/v1/accounting", s.handleAccounting)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", obs.MetricsHandler(s.metricsReport))
 	mux.HandleFunc("GET /debug/events", s.handleEvents)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	if s.opt.Log == nil {
@@ -222,21 +222,6 @@ func (s *Server) metricsReport() obs.Report {
 	sort.Slice(rep.Gauges, func(i, j int) bool { return rep.Gauges[i].Name < rep.Gauges[j].Name })
 	sort.Slice(rep.Counters, func(i, j int) bool { return rep.Counters[i].Name < rep.Counters[j].Name })
 	return rep
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	rep := s.metricsReport()
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		// Connection errors have no other sink on a scrape.
-		_ = rep.WritePrometheus(w)
-		_ = obs.WritePrometheusRuntime(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = rep.WriteJSON(w) // connection errors have no other sink
 }
 
 // handleTrace streams a retained job trace as Chrome trace-event

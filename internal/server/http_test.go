@@ -122,6 +122,29 @@ func TestHTTPSubmitWaitResult(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitAdaptiveNeedsWarmstart: an adaptive sweep is refused
+// at submit (400) unless its backend can warm-start, instead of being
+// queued and failing after the scene and snapshot 0 were computed.
+func TestHTTPSubmitAdaptiveNeedsWarmstart(t *testing.T) {
+	_, ts := newTestAPI(t, Options{Workers: 1})
+	for _, tc := range []struct {
+		backend string
+		want    int
+	}{
+		{"sfc", http.StatusBadRequest},
+		{"bkmeans", http.StatusBadRequest},
+		{"rcb", http.StatusBadRequest},
+		{"multilevel", http.StatusAccepted},
+	} {
+		spec := JobSpec{Kind: KindSweep, Sweep: &SweepSpec{
+			Snapshots: 1, Ks: []int{2}, Seed: 9, Backend: tc.backend, Adaptive: true,
+		}}
+		if code, view, _ := postJob(t, ts, spec, ""); code != tc.want {
+			t.Errorf("adaptive sweep on %s: HTTP %d (%s), want %d", tc.backend, code, view.Error, tc.want)
+		}
+	}
+}
+
 func TestHTTPStatusCodes(t *testing.T) {
 	plan := &fault.Plan{StallRank: map[int]fault.Stall{0: {Phase: jobPhase, For: time.Minute}}}
 	s, ts := newTestAPI(t, Options{Workers: 1, QueueDepth: 1, Fault: plan, RetryAfter: 2 * time.Second})

@@ -253,8 +253,12 @@ func (js *JobSpec) validate(maxVertices int) error {
 				return fmt.Errorf("sweep job: k = %d, want 1..1024", k)
 			}
 		}
-		if _, err := backend.Lookup(s.Backend); err != nil {
+		be, err := backend.Lookup(s.Backend)
+		if err != nil {
 			return err
+		}
+		if s.Adaptive && !be.Caps().Warmstart {
+			return fmt.Errorf("sweep job: adaptive needs a warm-start-capable backend, %q is not", be.Name())
 		}
 		return nil
 	default:

@@ -739,8 +739,8 @@ func (s *Server) runSweepJob(ctx context.Context, job *Job, col *obs.Collector, 
 		ck.Obs = col
 	}
 
-	results, err := harness.RunSweep(ctx, snaps, cfgs, harness.SweepOptions{
-		Workers: s.opt.JobWorkers, Checkpoint: ck, Span: span,
+	results, err := harness.RunSweep(obs.ContextWithSpan(ctx, span), snaps, cfgs, harness.SweepOptions{
+		Workers: s.opt.JobWorkers, Checkpoint: ck,
 	})
 	if err != nil {
 		return nil, err

@@ -11,8 +11,6 @@ import (
 
 // Options configures Partition.
 type Options struct {
-	// K is the number of partitions.
-	K int
 	// Bits is the quantization resolution per axis (0 = MaxBits(dim)).
 	Bits int
 	// Workers bounds the worker pool for key computation and the merge
@@ -21,7 +19,8 @@ type Options struct {
 	// Obs, when non-nil, receives the sfc_keys/sfc_sort/sfc_split phase
 	// timers and the sfc_sort_chunks counter. Observational only.
 	Obs *obs.Collector
-	// Span, when non-nil, records one "sfc" child span over the run.
+	// Span, when non-nil, records one "sfc" child span over the run,
+	// with the phases nested beneath it.
 	Span *obs.Span
 }
 
@@ -63,17 +62,17 @@ func Partition(pts []geom.Point, wgts []int32, ncon, dim, k int, opt Options) ([
 		return labels, nil
 	}
 
-	stopKeys := opt.Obs.Start("sfc_keys")
+	ph := opt.Obs.Phase(span, "sfc_keys")
 	recs := curveKeys(pts, dim, bits, opt.Workers)
-	stopKeys()
+	ph.End()
 
-	stopSort := opt.Obs.Start("sfc_sort")
+	ph = opt.Obs.Phase(span, "sfc_sort")
 	sortKeys(recs, opt.Workers, opt.Obs)
-	stopSort()
+	ph.End()
 
-	stopSplit := opt.Obs.Start("sfc_split")
+	ph = opt.Obs.Phase(span, "sfc_split")
 	splitCurve(recs, wgts, ncon, k, labels)
-	stopSplit()
+	ph.End()
 	return labels, nil
 }
 

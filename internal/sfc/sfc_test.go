@@ -101,7 +101,7 @@ func TestPartitionBalanceAndCoverage(t *testing.T) {
 	for _, k := range []int{2, 5, 16} {
 		for _, ncon := range []int{1, 2} {
 			pts, wgts := randPoints(r, 3000, ncon)
-			labels, err := Partition(pts, wgts, ncon, 3, k, Options{K: k})
+			labels, err := Partition(pts, wgts, ncon, 3, k, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestPartitionLocality(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	pts, wgts := randPoints(r, 4000, 1)
 	k := 8
-	labels, err := Partition(pts, wgts, 1, 3, k, Options{K: k})
+	labels, err := Partition(pts, wgts, 1, 3, k, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPartitionLocality(t *testing.T) {
 func TestPartitionWorkerDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	pts, wgts := randPoints(r, 5000, 2)
-	base, err := Partition(pts, wgts, 2, 3, 12, Options{K: 12, Workers: 1})
+	base, err := Partition(pts, wgts, 2, 3, 12, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestPartitionWorkerDeterminism(t *testing.T) {
 	for _, cutoff := range []int{saved, 1} {
 		parallelCutoff = cutoff
 		for _, w := range []int{1, 2, 3, 8} {
-			got, err := Partition(pts, wgts, 2, 3, 12, Options{K: 12, Workers: w})
+			got, err := Partition(pts, wgts, 2, 3, 12, Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestPartitionValidation(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	labels, err := Partition(same, w, 1, 3, 3, Options{K: 3})
+	labels, err := Partition(same, w, 1, 3, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
