@@ -253,31 +253,72 @@ func (b *Builder) Build() *Graph {
 // contain no duplicates): vertex i of the subgraph corresponds to
 // vs[i], keeping its weight vector, with edges retained only when both
 // endpoints lie in vs.
+//
+// Rows are filtered and relabelled directly. When vs is ascending the
+// relabelling is monotone and the rows stay sorted; otherwise each row
+// is sorted, so the result is the same graph Builder would produce.
 func (g *Graph) Induce(vs []int32) *Graph {
 	newIdx := make([]int32, g.NV())
 	for i := range newIdx {
 		newIdx[i] = -1
 	}
+	sorted := true
+	deg := 0
 	for i, v := range vs {
 		if newIdx[v] >= 0 {
 			panic(fmt.Sprintf("graph: Induce: duplicate vertex %d", v))
 		}
 		newIdx[v] = int32(i)
+		if i > 0 && v < vs[i-1] {
+			sorted = false
+		}
+		deg += g.Degree(int(v))
 	}
-	b := NewBuilder(len(vs), g.NCon)
+	sub := &Graph{
+		NCon: g.NCon,
+		Xadj: make([]int32, len(vs)+1),
+		VWgt: make([]int32, len(vs)*g.NCon),
+	}
+	adj := make([]int32, 0, deg)
+	wgt := make([]int32, 0, deg)
+	var acc []int32 // row weights by new id, for sorting rows
+	if !sorted {
+		acc = make([]int32, len(vs))
+	}
 	for i, v := range vs {
-		b.SetWeights(i, g.Weights(int(v)))
-		adj := g.Neighbors(int(v))
-		wgt := g.EdgeWeights(int(v))
-		for j, u := range adj {
-			if u > v { // each undirected edge once
-				if ui := newIdx[u]; ui >= 0 {
-					b.AddEdge(i, int(ui), wgt[j])
-				}
+		copy(sub.VWgt[i*g.NCon:], g.Weights(int(v)))
+		row := len(adj)
+		ew := g.EdgeWeights(int(v))
+		for j, u := range g.Neighbors(int(v)) {
+			if ui := newIdx[u]; ui >= 0 {
+				adj = append(adj, ui)
+				wgt = append(wgt, ew[j])
 			}
 		}
+		if !sorted {
+			for j := row; j < len(adj); j++ {
+				acc[adj[j]] = wgt[j]
+			}
+			slices.Sort(adj[row:])
+			for j := row; j < len(adj); j++ {
+				wgt[j] = acc[adj[j]]
+			}
+		}
+		sub.Xadj[i+1] = int32(len(adj))
 	}
-	return b.Build()
+	sub.Adj, sub.AdjWgt = shrink(adj), shrink(wgt)
+	return sub
+}
+
+// shrink releases a row array's unused capacity when it is more than
+// half of the allocation. The bound is loose on purpose: contraction
+// typically fills about half of its degree-sum capacity, and copying
+// on every call would cost more allocation than the slack it frees.
+func shrink(s []int32) []int32 {
+	if len(s) < cap(s)/2 {
+		return slices.Clone(s)
+	}
+	return s
 }
 
 // Components returns the connected component id of every vertex and the
@@ -318,28 +359,84 @@ func (g *Graph) Components() (comp []int32, n int) {
 // It returns the quotient graph. This is both the multilevel
 // contraction step (label = matching map) and the G' construction of
 // Section 4.2 (label = decision-tree leaf ids).
+//
+// The contraction is direct, as in METIS: vertices are bucketed by
+// group, and each group's row merges its members' rows, with a marker
+// per coarse neighbour recording where it already sits in the row so
+// parallel edges add their weights there. Edges inside a group are
+// dropped. Each row is then sorted, so the result is the same graph
+// Builder would produce from the inter-group edges.
 func (g *Graph) Collapse(label []int32, ngroups int) *Graph {
-	if len(label) != g.NV() {
-		panic(fmt.Sprintf("graph: Collapse label length %d != NV %d", len(label), g.NV()))
+	n := g.NV()
+	if len(label) != n {
+		panic(fmt.Sprintf("graph: Collapse label length %d != NV %d", len(label), n))
 	}
-	b := NewBuilder(ngroups, g.NCon)
-	for v := 0; v < g.NV(); v++ {
-		lv := label[v]
-		if lv < 0 || int(lv) >= ngroups {
-			panic(fmt.Sprintf("graph: Collapse label[%d] = %d out of range [0,%d)", v, lv, ngroups))
+	c := &Graph{
+		NCon: g.NCon,
+		Xadj: make([]int32, ngroups+1),
+		VWgt: make([]int32, ngroups*g.NCon),
+	}
+	// Counting-sort the vertices into groups: group l's members are
+	// members[start[l]:start[l+1]], in ascending vertex order.
+	start := make([]int32, ngroups+1)
+	for v, l := range label {
+		if l < 0 || int(l) >= ngroups {
+			panic(fmt.Sprintf("graph: Collapse label[%d] = %d out of range [0,%d)", v, l, ngroups))
 		}
-		for j := 0; j < g.NCon; j++ {
-			b.vwgt[int(lv)*g.NCon+j] += g.Weight(v, j)
+		start[l+1]++
+		for j, w := range g.Weights(v) {
+			c.VWgt[int(l)*g.NCon+j] += w
 		}
-		adj := g.Neighbors(v)
-		wgt := g.EdgeWeights(v)
-		for i, u := range adj {
-			if int(u) > v { // each undirected edge once
-				if lu := label[u]; lu != lv {
-					b.AddEdge(int(lv), int(lu), wgt[i])
+	}
+	for l := 0; l < ngroups; l++ {
+		start[l+1] += start[l]
+	}
+	members := make([]int32, n)
+	pos := slices.Clone(start[:ngroups])
+	for v, l := range label {
+		members[pos[l]] = int32(v)
+		pos[l]++
+	}
+
+	// at[d] is where coarse neighbour d sits in the row being built,
+	// or -1 while it is absent; parallel edges add their weight there.
+	at := pos
+	for i := range at {
+		at[i] = -1
+	}
+	adj := make([]int32, 0, len(g.Adj))
+	wgt := make([]int32, 0, len(g.Adj))
+	for l := 0; l < ngroups; l++ {
+		row := len(adj)
+		for _, v := range members[start[l]:start[l+1]] {
+			ew := g.EdgeWeights(int(v))
+			for i, u := range g.Neighbors(int(v)) {
+				d := label[u]
+				if int(d) == l {
+					continue
 				}
+				if k := at[d]; k >= 0 {
+					wgt[k] += ew[i]
+					continue
+				}
+				at[d] = int32(len(adj))
+				adj = append(adj, d)
+				wgt = append(wgt, ew[i])
 			}
 		}
+		// Sort the row by neighbour id. The positions in at are no
+		// longer needed, so at carries each neighbour's weight across
+		// the sort and is reset to -1 as the weights are read back.
+		r := adj[row:]
+		for i, d := range r {
+			at[d] = wgt[row+i]
+		}
+		slices.Sort(r)
+		for i, d := range r {
+			wgt[row+i], at[d] = at[d], -1
+		}
+		c.Xadj[l+1] = int32(len(adj))
 	}
-	return b.Build()
+	c.Adj, c.AdjWgt = shrink(adj), shrink(wgt)
+	return c
 }

@@ -120,7 +120,7 @@ func BenchmarkCoarsen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		coarsen(context.Background(), g, 80, rng)
+		coarsen(context.Background(), g, 80, rng, newWorkspace(g.NV()))
 	}
 }
 

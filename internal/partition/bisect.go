@@ -11,9 +11,15 @@ import (
 
 // bisection holds the working state of a 2-way partition of a graph
 // with target side fractions frac[0] + frac[1] = 1.
+//
+// gain[v] is always the cut reduction of moving v to the other side
+// (external minus internal edge weight of v): assign and reset set it
+// from scratch and move keeps it current, so reading a gain is O(1)
+// instead of a rescan of v's row.
 type bisection struct {
 	g     *graph.Graph
 	where []int8
+	gain  []int64
 	side  [2][]int64 // per-side, per-constraint weight
 	total []int64
 	frac  [2]float64
@@ -29,28 +35,60 @@ type bisection struct {
 	slack []int64
 }
 
-func newBisection(g *graph.Graph, fracLeft, eps float64) *bisection {
+// newBisection returns an all-side-0 bisection of g whose gain array
+// has room for capNV vertices, so assign can later move it onto any
+// graph of up to capNV vertices without allocating.
+func newBisection(g *graph.Graph, fracLeft, eps float64, capNV int) *bisection {
 	b := &bisection{
-		g:     g,
-		where: make([]int8, g.NV()),
-		total: g.TotalWeights(),
+		gain:  make([]int64, 0, max(capNV, g.NV())),
+		total: make([]int64, g.NCon),
 		frac:  [2]float64{fracLeft, 1 - fracLeft},
 		eps:   eps,
+		slack: make([]int64, g.NCon),
 	}
 	b.side[0] = make([]int64, g.NCon)
 	b.side[1] = make([]int64, g.NCon)
-	copy(b.side[0], b.total)
-	b.nside[0] = g.NV()
-	b.slack = make([]int64, g.NCon)
-	for v := 0; v < g.NV(); v++ {
-		w := g.Weights(v)
-		for j, wj := range w {
+	b.assign(g, make([]int8, g.NV()))
+	return b
+}
+
+// assign points the bisection at graph g with sides where (which it
+// takes over) and recomputes totals, slack, side weights, cut and
+// gains from scratch.
+func (b *bisection) assign(g *graph.Graph, where []int8) {
+	n := g.NV()
+	b.g, b.where, b.gain = g, where, b.gain[:n]
+	clear(b.total)
+	clear(b.slack)
+	clear(b.side[0])
+	clear(b.side[1])
+	b.nside = [2]int{}
+	b.cut = 0
+	for v := 0; v < n; v++ {
+		s := where[v]
+		for j, wj := range g.Weights(v) {
+			b.total[j] += int64(wj)
+			b.side[s][j] += int64(wj)
 			if int64(wj) > b.slack[j] {
 				b.slack[j] = int64(wj)
 			}
 		}
+		b.nside[s]++
+		adj := g.Neighbors(v)
+		wgt := g.EdgeWeights(v)
+		var ext, in int64
+		for i, u := range adj {
+			if where[u] == s {
+				in += int64(wgt[i])
+			} else {
+				ext += int64(wgt[i])
+				if int(u) > v {
+					b.cut += int64(wgt[i])
+				}
+			}
+		}
+		b.gain[v] = ext - in
 	}
-	return b
 }
 
 // capOf returns the absolute feasibility cap of side s, constraint j.
@@ -60,15 +98,18 @@ func (b *bisection) capOf(s, j int) float64 {
 
 // reset puts every vertex back on side 0 with zero cut.
 func (b *bisection) reset() {
-	for v := range b.where {
-		b.where[v] = 0
-	}
+	clear(b.where)
 	copy(b.side[0], b.total)
-	for j := range b.side[1] {
-		b.side[1][j] = 0
-	}
+	clear(b.side[1])
 	b.nside[0], b.nside[1] = b.g.NV(), 0
 	b.cut = 0
+	for v := range b.gain {
+		var deg int64
+		for _, w := range b.g.EdgeWeights(v) {
+			deg += int64(w)
+		}
+		b.gain[v] = -deg
+	}
 }
 
 // load returns side s's load for constraint j relative to its target
@@ -133,23 +174,10 @@ func (b *bisection) feasibleAfterMove(v int) bool {
 	return true
 }
 
-// gain returns the cut reduction of moving v to the other side.
-func (b *bisection) gain(v int) int64 {
-	adj := b.g.Neighbors(v)
-	wgt := b.g.EdgeWeights(v)
-	var ext, in int64
-	s := b.where[v]
-	for i, u := range adj {
-		if b.where[u] == s {
-			in += int64(wgt[i])
-		} else {
-			ext += int64(wgt[i])
-		}
-	}
-	return ext - in
-}
-
-// move flips v to the other side, maintaining weights and cut.
+// move flips v to the other side, maintaining weights, cut and gains:
+// each edge to a neighbour u on v's old side becomes cut (u's gain
+// rises by twice its weight), each edge to the new side stops being
+// cut (u's gain falls by as much), and v's own gain changes sign.
 func (b *bisection) move(v int) {
 	s := b.where[v]
 	o := 1 - s
@@ -158,7 +186,16 @@ func (b *bisection) move(v int) {
 		b.side[s][j] -= int64(wj)
 		b.side[o][j] += int64(wj)
 	}
-	b.cut -= b.gain(v) // gain computed before flip equals cut delta
+	b.cut -= b.gain[v]
+	b.gain[v] = -b.gain[v]
+	wgt := b.g.EdgeWeights(v)
+	for i, u := range b.g.Neighbors(v) {
+		if b.where[u] == s {
+			b.gain[u] += 2 * int64(wgt[i])
+		} else {
+			b.gain[u] -= 2 * int64(wgt[i])
+		}
+	}
 	b.nside[s]--
 	b.nside[o]++
 	b.where[v] = o
@@ -206,21 +243,6 @@ func (b *bisection) maxLoadAfterMove(v int) float64 {
 	return worst
 }
 
-// computeCut recomputes the cut from scratch (used after projection).
-func (b *bisection) computeCut() {
-	var cut int64
-	for v := 0; v < b.g.NV(); v++ {
-		adj := b.g.Neighbors(v)
-		wgt := b.g.EdgeWeights(v)
-		for i, u := range adj {
-			if int(u) > v && b.where[u] != b.where[v] {
-				cut += int64(wgt[i])
-			}
-		}
-	}
-	b.cut = cut
-}
-
 // rbPhase starts the named multilevel phase of a bisection: an
 // obs.Phase under the task's rb_task span (nil below spanRBMinNV).
 func rbPhase(opt Options, span *obs.Span, name string) obs.Phase {
@@ -245,77 +267,62 @@ func endRBPhase(opt Options, ph obs.Phase, name string, depth int) {
 // error with its phases ended. The checks never alter the
 // result of a run that completes.
 func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Options, rng *rand.Rand, span *obs.Span, depth int) ([]int8, int64, error) {
-	if g.NV() == 0 {
+	n := g.NV()
+	if n == 0 {
 		return nil, 0, nil
 	}
+	ws := newWorkspace(n)
 	ph := rbPhase(opt, span, "rb_coarsen")
-	levels := coarsen(ctx, g, opt.CoarsenTo, rng)
+	levels := coarsen(ctx, g, opt.CoarsenTo, rng, ws)
 	coarsest := levels[len(levels)-1].g
 	endRBPhase(opt, ph, "rb_coarsen", depth)
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 
-	// Initial partition at the coarsest level: several GGG trials.
+	// Initial partition at the coarsest level: several GGG trials. The
+	// two side arrays of the projection ping-pong between bufs[0] and
+	// bufs[1]; the best trial is kept in bufs[1].
 	ph = rbPhase(opt, span, "rb_initcut")
-	best := newBisection(coarsest, fracLeft, eps)
-	bestScore := trialScore(best)
-	trial := newBisection(coarsest, fracLeft, eps)
+	bufs := [2][]int8{make([]int8, n), make([]int8, n)}
+	b := newBisection(coarsest, fracLeft, eps, n)
+	where := bufs[1][:coarsest.NV()]
+	bestScore := trialScore(b)
 	for t := 0; t < opt.InitTrials; t++ {
 		if err := ctx.Err(); err != nil {
 			endRBPhase(opt, ph, "rb_initcut", depth)
 			return nil, 0, err
 		}
-		trial.reset()
-		growBisection(trial, rng)
-		refineFM(trial, opt.RefineIters, rng)
-		if s := trialScore(trial); s.better(bestScore) {
+		b.reset()
+		growBisection(b, rng, ws)
+		refineFM(b, opt.RefineIters, rng, ws)
+		if s := trialScore(b); s.better(bestScore) {
 			bestScore = s
-			copy(best.where, trial.where)
-			copy(best.side[0], trial.side[0])
-			copy(best.side[1], trial.side[1])
-			best.cut = trial.cut
+			copy(where, b.where)
 		}
 	}
 	endRBPhase(opt, ph, "rb_initcut", depth)
 
 	// Project back through the hierarchy, refining at each level.
 	ph = rbPhase(opt, span, "rb_refine")
-	where := best.where
+	cut := bestScore.cut
 	for li := len(levels) - 2; li >= 0; li-- {
 		if err := ctx.Err(); err != nil {
 			endRBPhase(opt, ph, "rb_refine", depth)
 			return nil, 0, err
 		}
 		lv := levels[li]
-		fine := make([]int8, lv.g.NV())
+		fine := bufs[0][:lv.g.NV()]
 		for v := range fine {
 			fine[v] = where[lv.cmap[v]]
 		}
-		b := newBisection(lv.g, fracLeft, eps)
-		b.where = fine
-		for j := range b.side[0] {
-			b.side[0][j], b.side[1][j] = 0, 0
-		}
-		b.nside[0], b.nside[1] = 0, 0
-		for v := 0; v < lv.g.NV(); v++ {
-			w := lv.g.Weights(v)
-			for j, wj := range w {
-				b.side[fine[v]][j] += int64(wj)
-			}
-			b.nside[fine[v]]++
-		}
-		b.computeCut()
-		refineFM(b, opt.RefineIters, rng)
-		where = b.where
+		b.assign(lv.g, fine)
+		refineFM(b, opt.RefineIters, rng, ws)
+		where, cut = b.where, b.cut
+		bufs[0], bufs[1] = bufs[1], bufs[0]
 	}
 	endRBPhase(opt, ph, "rb_refine", depth)
-
-	// Recompute final cut on the original graph.
-	fb := newBisection(g, fracLeft, eps)
-	fb.where = where
-	fb.computeCut()
-	return where, fb.cut, nil
+	return where, cut, nil
 }
 
 // trialScore ranks candidate bisections: feasibility first, then

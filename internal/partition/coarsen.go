@@ -17,8 +17,9 @@ type level struct {
 // coarsenTo vertices using heavy-edge matching. The returned slice
 // starts with the original graph; the last entry is the coarsest.
 // Cancelling ctx stops the level loop early; the caller must check
-// ctx before using the (then incomplete) hierarchy.
-func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng *rand.Rand) []level {
+// ctx before using the (then incomplete) hierarchy. ws must have room
+// for g's vertices; coarsen uses its perm and match buffers.
+func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng *rand.Rand, ws *workspace) []level {
 	levels := []level{{g: g}}
 	// Cap on a coarse vertex's weight per constraint, to keep the
 	// coarsest graph partitionable: a handful of average coarse
@@ -34,7 +35,7 @@ func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng *rand.Rand)
 
 	cur := g
 	for cur.NV() > coarsenTo && ctx.Err() == nil {
-		match := heavyEdgeMatch(cur, maxW, rng)
+		match := heavyEdgeMatch(cur, maxW, rng, ws)
 		// Count coarse vertices and relabel.
 		ncoarse := 0
 		cmap := make([]int32, cur.NV())
@@ -66,15 +67,15 @@ func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng *rand.Rand)
 // heavyEdgeMatch computes a matching of the graph visiting vertices in
 // random order and pairing each unmatched vertex with its unmatched
 // neighbor of maximum edge weight, subject to the coarse-vertex weight
-// cap. match[v] = partner (or v itself when unmatched).
-func heavyEdgeMatch(g *graph.Graph, maxW []int64, rng *rand.Rand) []int32 {
+// cap. match[v] = partner (or v itself when unmatched). The result
+// lives in ws.match and is overwritten by the next call.
+func heavyEdgeMatch(g *graph.Graph, maxW []int64, rng *rand.Rand, ws *workspace) []int32 {
 	n := g.NV()
-	match := make([]int32, n)
+	match := ws.match[:n]
 	for v := range match {
 		match[v] = -1
 	}
-	order := rng.Perm(n)
-	for _, v := range order {
+	for _, v := range ws.permute(rng, n) {
 		if match[v] >= 0 {
 			continue
 		}

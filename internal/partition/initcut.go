@@ -12,14 +12,23 @@ import "math/rand"
 // picked. The bisection must be in the reset state (all side 0).
 //
 // The coarsest graph is small (Options.CoarsenTo), so the quadratic
-// scans here are deliberate — simplicity over asymptotics.
-func growBisection(b *bisection, rng *rand.Rand) {
+// scans here are deliberate — simplicity over asymptotics. The
+// frontier and constraint scratch live in ws.
+func growBisection(b *bisection, rng *rand.Rand, ws *workspace) {
 	n := b.g.NV()
 	if n == 0 {
 		return
 	}
-	inFrontier := make([]bool, n)
-	frontier := make([]int32, 0, n)
+	if len(ws.inFrontier) < n {
+		// A vertex enters the frontier at most once, so appends to
+		// frontier never outgrow this capacity.
+		ws.inFrontier = make([]bool, n)
+		ws.frontier = make([]int32, 0, n)
+		ws.deficient = make([]bool, b.g.NCon)
+	}
+	inFrontier := ws.inFrontier[:n]
+	clear(inFrontier)
+	frontier := ws.frontier[:0]
 
 	addNeighbors := func(v int) {
 		for _, u := range b.g.Neighbors(v) {
@@ -31,7 +40,7 @@ func growBisection(b *bisection, rng *rand.Rand) {
 	}
 
 	deficient := func() []bool {
-		d := make([]bool, b.g.NCon)
+		d := ws.deficient
 		for j := range d {
 			d[j] = b.total[j] > 0 && b.load(1, j) < 1
 		}
@@ -107,7 +116,7 @@ func growBisection(b *bisection, rng *rand.Rand) {
 		bestSafe, bestHelp, bestAny := -1, -1, -1
 		var bestSafeG, bestHelpG, bestAnyG int64
 		for _, v := range frontier {
-			g := b.gain(int(v))
+			g := b.gain[v]
 			if helps(int(v), d) {
 				if bestHelp < 0 || g > bestHelpG {
 					bestHelp, bestHelpG = int(v), g

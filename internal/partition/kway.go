@@ -164,8 +164,14 @@ func rb(ctx context.Context, grp *pool.Group, sub *graph.Graph, ids []int32, k, 
 		return bisErr
 	}
 
-	var leftIDs, rightIDs []int32
-	var leftLocal, rightLocal []int32
+	nLeft := 0
+	for _, s := range where {
+		if s == 0 {
+			nLeft++
+		}
+	}
+	leftIDs, rightIDs := make([]int32, 0, nLeft), make([]int32, 0, len(where)-nLeft)
+	leftLocal, rightLocal := make([]int32, 0, nLeft), make([]int32, 0, len(where)-nLeft)
 	for v, s := range where {
 		if s == 0 {
 			leftIDs = append(leftIDs, ids[v])

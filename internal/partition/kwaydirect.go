@@ -31,7 +31,7 @@ func PartitionDirect(ctx context.Context, g *graph.Graph, opt Options) ([]int32,
 	const coarsenPerPart = 30
 	target := maxInt(opt.CoarsenTo, coarsenPerPart*opt.K)
 	rng := rand.New(rand.NewSource(opt.Seed))
-	levels := coarsen(ctx, g, target, rng)
+	levels := coarsen(ctx, g, target, rng, newWorkspace(g.NV()))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -297,7 +297,7 @@ func TestLoadImbalancesKnown(t *testing.T) {
 func TestCoarsenPreservesTotals(t *testing.T) {
 	g := grid(25, 25, 2)
 	rng := rand.New(rand.NewSource(1))
-	levels := coarsen(context.Background(), g, 50, rng)
+	levels := coarsen(context.Background(), g, 50, rng, newWorkspace(g.NV()))
 	if len(levels) < 2 {
 		t.Fatal("no coarsening happened")
 	}
@@ -332,7 +332,7 @@ func TestInducedSubgraph(t *testing.T) {
 
 func TestBisectionStateMachine(t *testing.T) {
 	g := grid(6, 1, 1)
-	b := newBisection(g, 0.5, 0.05)
+	b := newBisection(g, 0.5, 0.05, g.NV())
 	if b.side[0][0] != 6 || b.side[1][0] != 0 {
 		t.Fatal("initial state wrong")
 	}
@@ -348,7 +348,7 @@ func TestBisectionStateMachine(t *testing.T) {
 	if !b.feasible() {
 		t.Error("perfect split not feasible")
 	}
-	if g := b.gain(3); g != -1+2 { // moving 3 back: edge to 2 external (1), edge to 4 internal (1) -> gain 0
+	if g := b.gain[3]; g != -1+2 { // moving 3 back: edge to 2 external (1), edge to 4 internal (1) -> gain 0
 		t.Logf("gain(3) = %d", g)
 	}
 }

@@ -387,6 +387,7 @@ type Job struct {
 	cancel     func()      // cancels the running payload (nil until running)
 	clientStop bool        // cancel() was requested by the client
 	done       chan struct{}
+	logged     chan struct{} // closed once Submit has logged the job
 
 	submitted time.Time
 	wallNS    int64 // queue + run wall clock, set at finish

@@ -263,11 +263,18 @@ func (s *Server) Submit(spec JobSpec, idemKey string) (JobView, error) {
 	// runs Unlock first. A slog write under the admission mutex would
 	// stall every submitter and every health probe behind one slow
 	// stderr pipe (the lockheld contract).
+	// A queued job's logged channel closes only after "submitted" is
+	// written, and the worker waits on it before logging "started", so
+	// the two events keep their order without a log under the mutex.
 	var logEv string
 	var logArgs []any
+	var queued *Job
 	defer func() {
 		if logEv != "" {
 			s.logEvent(logEv, logArgs...)
+		}
+		if queued != nil {
+			close(queued.logged)
 		}
 	}()
 	s.mu.Lock()
@@ -299,6 +306,7 @@ func (s *Server) Submit(spec JobSpec, idemKey string) (JobView, error) {
 		spec:      spec,
 		status:    StatusQueued,
 		done:      make(chan struct{}),
+		logged:    make(chan struct{}),
 		submitted: time.Now(),
 	}
 	job.id = fmt.Sprintf("job-%06d", job.seq)
@@ -332,6 +340,7 @@ func (s *Server) Submit(spec JobSpec, idemKey string) (JobView, error) {
 	s.acct.Accepted++
 	s.registerLocked(job)
 	logEv, logArgs = "submitted", []any{"job", job.id, "kind", string(spec.Kind), "hash", job.hash}
+	queued = job
 	return job.view(), nil
 }
 
@@ -528,6 +537,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for job := range s.queue {
+		<-job.logged // Submit has logged "submitted"
 		s.mu.Lock()
 		switch {
 		case job.status.terminal():
