@@ -5,12 +5,18 @@
 # workers, and the parallel recursive-bisection partitioner), and a
 # short fuzz smoke per native fuzz target.
 
-.PHONY: check vet lint lint-fixtures test race fuzz-smoke chaos serve bench trace obs loc
+.PHONY: check vet perfbench-vet lint lint-fixtures test race fuzz-smoke chaos serve bench trace obs loc
 
-check: vet lint lint-fixtures race chaos serve fuzz-smoke trace obs
+check: vet perfbench-vet lint lint-fixtures race chaos serve fuzz-smoke trace obs
 
 vet:
 	go vet ./...
+
+# perfbench/ is its own module, so `go vet ./...` above skips it. Vet
+# it in run.sh's offline environment, so an API change that breaks
+# its adapter fails the gate instead of the next benchmark run.
+perfbench-vet:
+	cd perfbench && GOPROXY=off GOTOOLCHAIN=local GOWORK=off GOFLAGS= go vet ./...
 
 # Repo-specific determinism/observability/serving contracts. `go run`
 # builds the driver fresh, so the gate always reflects the working
@@ -39,8 +45,11 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzBKMeansAssign -fuzztime=10s -fuzzminimizetime=2s ./internal/bkmeans
 	go test -run='^$$' -fuzz=FuzzBuilder -fuzztime=10s -fuzzminimizetime=2s ./internal/graph
 	go test -run='^$$' -fuzz=FuzzReadMetis -fuzztime=10s -fuzzminimizetime=2s ./internal/graph
+	go test -run='^$$' -fuzz=FuzzCollapse -fuzztime=10s -fuzzminimizetime=2s ./internal/graph
 	go test -run='^$$' -fuzz=FuzzReadMesh -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzReadText -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
+	go test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s -fuzzminimizetime=2s ./internal/harness
+	go test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=2s ./internal/server
 
 # Deterministic fault-injection suite under the race detector: the
 # chaos matrix (seeded fault schedules must leave engine results

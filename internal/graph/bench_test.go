@@ -52,6 +52,7 @@ func BenchmarkInduceHalf(b *testing.B) {
 	for v := 0; v < g.NV(); v += 2 {
 		vs = append(vs, int32(v))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Induce(vs)
@@ -60,6 +61,7 @@ func BenchmarkInduceHalf(b *testing.B) {
 
 func BenchmarkComponents(b *testing.B) {
 	g := benchGraph(50000, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Components()

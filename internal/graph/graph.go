@@ -3,15 +3,18 @@
 // with a vector of integer weights per vertex (the multi-constraint
 // formulation of Karypis & Kumar) and an integer weight per edge.
 //
-// Graphs are immutable once built; construction goes through Builder,
-// which deduplicates parallel edges (summing their weights), drops
-// self-loops and sorts every adjacency row by ascending neighbor id, in
-// time linear in the vertex and edge counts (a counting sort, not a
-// comparison sort of the edge list). Callers rely on the sorted rows:
-// traversal order fixes the partitioner's tie-breaking, and hence its
-// labels. The package also provides the quotient ("collapse")
-// operation used to build the coarse region graph G' of the paper, and
-// the coarsening contraction used by the multilevel partitioner.
+// Graphs are immutable once built; construction from an edge list goes
+// through Builder, which deduplicates parallel edges (summing their
+// weights), drops self-loops and sorts every adjacency row by ascending
+// neighbor id, in time linear in the vertex and edge counts (a counting
+// sort, not a comparison sort of the edge list). Callers rely on the
+// sorted rows: traversal order fixes the partitioner's tie-breaking,
+// and hence its labels. The package also provides the quotient
+// ("collapse") operation used to build the coarse region graph G' of
+// the paper and every coarsening level of the multilevel partitioner,
+// and induced subgraphs for recursive bisection. Both derive their CSR
+// arrays directly from the source graph's rows rather than through
+// Builder, and both return exactly the graph Builder would.
 package graph
 
 import (
@@ -100,12 +103,16 @@ func (g *Graph) Validate() error {
 	if g.Xadj[0] != 0 || int(g.Xadj[n]) != len(g.Adj) {
 		return fmt.Errorf("graph: Xadj bounds [%d,%d], want [0,%d]", g.Xadj[0], g.Xadj[n], len(g.Adj))
 	}
-	type key struct{ u, v int32 }
-	seen := make(map[key]int32, len(g.Adj))
+	// Monotone offsets between framed endpoints keep every row inside
+	// Adj; check them all before scanning any row.
 	for v := 0; v < n; v++ {
 		if g.Xadj[v] > g.Xadj[v+1] {
 			return fmt.Errorf("graph: Xadj not monotone at %d", v)
 		}
+	}
+	type key struct{ u, v int32 }
+	seen := make(map[key]int32, len(g.Adj))
+	for v := 0; v < n; v++ {
 		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
 			u := g.Adj[i]
 			if u < 0 || int(u) >= n {
@@ -240,12 +247,8 @@ func (b *Builder) Build() *Graph {
 		}
 		g.Xadj[v+1] = n
 	}
-	// Parallel edges leave slack behind the compacted rows; release it
-	// when it is a sizeable share of the arrays.
-	if int(n) < len(adj)*3/4 {
-		adj, wgt = slices.Clone(adj[:n]), slices.Clone(wgt[:n])
-	}
-	g.Adj, g.AdjWgt = adj[:n], wgt[:n]
+	// Parallel edges leave slack behind the compacted rows.
+	g.Adj, g.AdjWgt = shrink(adj[:n]), shrink(wgt[:n])
 	return g
 }
 
@@ -311,9 +314,10 @@ func (g *Graph) Induce(vs []int32) *Graph {
 }
 
 // shrink releases a row array's unused capacity when it is more than
-// half of the allocation. The bound is loose on purpose: contraction
-// typically fills about half of its degree-sum capacity, and copying
-// on every call would cost more allocation than the slack it frees.
+// half of the allocation. The bound is loose on purpose: a coarsening
+// contraction typically fills about half of its degree-sum capacity,
+// and copying on every call would cost more allocation than the slack
+// it frees.
 func shrink(s []int32) []int32 {
 	if len(s) < cap(s)/2 {
 		return slices.Clone(s)

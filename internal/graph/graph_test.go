@@ -249,6 +249,15 @@ func TestValidateCatchesAsymmetry(t *testing.T) {
 	}
 }
 
+// An offset in the middle of Xadj past the end of Adj, with framed
+// endpoints, is an error and not an out-of-range panic in the row scan.
+func TestValidateCatchesRowPastAdj(t *testing.T) {
+	g := &Graph{NCon: 1, Xadj: []int32{0, 10, 10, 10, 3}, Adj: []int32{1, 2, 3}, AdjWgt: []int32{1, 1, 1}, VWgt: make([]int32, 4)}
+	if err := g.Validate(); err == nil {
+		t.Error("Validate accepted a row running past Adj")
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	g := NewBuilder(0, 1).Build()
 	if g.NV() != 0 || g.NE() != 0 {

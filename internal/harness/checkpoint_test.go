@@ -7,9 +7,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/mesh"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // marshalResults renders results to canonical JSON so "byte-identical
@@ -239,4 +242,73 @@ func TestCheckpointObsCounters(t *testing.T) {
 			t.Errorf("checkpoint_writes = %d, want %d", c.Value, len(snaps))
 		}
 	}
+}
+
+// checkpointFuzzSeeds are the FuzzLoadCheckpoint seeds; tools/mkcorpus
+// writes the same bytes to the checked-in corpus. "@hash@" stands for
+// the fuzz workload's config hash (see FuzzLoadCheckpoint).
+var checkpointFuzzSeeds = []string{
+	`{"version":2,"config_hash":"@hash@","experiments":[` +
+		`{"cursor":1,"rows":[{"MCFEComm":10,"MCNTNodes":3,"MCNRemote":4,"MLFEComm":9,"MLM2MComm":2,"MLUpdComm":1,"MLNRemote":5}],` +
+		`"evals":[{"mc_ns":1000,"ml_ns":900,"repart":"full","migrated":7}],"imb_fe":1.02,"imb_contact":1.1},` +
+		`{"cursor":0,"rows":[],"evals":[],"imb_fe":0,"imb_contact":0}],` +
+		`"obs":{"phases":[{"name":"partition","count":1,"total_ns":5,"avg_ns":5,"max_ns":5}],` +
+		`"counters":[{"name":"checkpoint_writes","value":1}],"gauges":[{"name":"rb_workers","value":2}],` +
+		`"hists":[{"name":"metric_eval","count":2,"sum":30,"min":10,"max":20,"p50":10,"p90":20,"p99":20,` +
+		`"buckets":[{"i":3,"lo":8,"hi":16,"n":1},{"i":4,"lo":16,"hi":32,"n":1}]}]}}`,
+	`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":3,"rows":[],"evals":[]},{"cursor":0}]}`,
+	`{"version":1,"config_hash":"@hash@","experiments":[]}`,
+	`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":0},{"cursor":0}],"obs":{"hists":[{"name":"h","count":1,"buckets":[{"i":-1,"n":1}]}]}}`,
+	`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":0`,
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to LoadCheckpoint as the
+// checkpoint file of a fixed two-experiment, three-snapshot workload.
+// Every occurrence of "@hash@" in the input is replaced by that
+// workload's config hash, so inputs reach the checks past the hash
+// instead of stopping at a sha256 mismatch. A file it accepts must
+// keep every experiment's cursor within the snapshots with one row and
+// one eval per measured snapshot, and its saved report must merge into
+// a collector without panicking (an error is fine).
+func FuzzLoadCheckpoint(f *testing.F) {
+	for _, s := range checkpointFuzzSeeds {
+		f.Add([]byte(s))
+	}
+	m, err := mesh.ReadText(strings.NewReader("mesh 2\nnode 0 0\nnode 1 0\nnode 1 1\nelem tri3 0 1 2\n"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	snaps := []sim.Snapshot{{Mesh: m}, {Index: 1, Mesh: m}, {Index: 2, Mesh: m}}
+	cfgs := []Config{{K: 2, Seed: 1}, {K: 3, Seed: 1, Adaptive: true}}
+	hash := []byte(configHash(snaps, cfgs))
+	path := filepath.Join(f.TempDir(), "fuzz.ckpt")
+	write := func(data []byte) error {
+		return os.WriteFile(path, bytes.ReplaceAll(data, []byte("@hash@"), hash), 0o644)
+	}
+	// The first seed is a complete, valid checkpoint of this workload,
+	// so the corpus starts past every validation check.
+	if err := write([]byte(checkpointFuzzSeeds[0])); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path, snaps, cfgs); err != nil {
+		f.Fatalf("valid seed refused: %v", err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := write(data); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := LoadCheckpoint(path, snaps, cfgs)
+		if err != nil {
+			return
+		}
+		for i := range cfgs {
+			st := ck.state(i)
+			if st.Cursor < 0 || st.Cursor > len(snaps) || len(st.Rows) != st.Cursor || len(st.Evals) != st.Cursor {
+				t.Fatalf("experiment %d accepted with cursor %d, %d rows, %d evals", i, st.Cursor, len(st.Rows), len(st.Evals))
+			}
+		}
+		if rep := ck.SavedObs(); rep != nil {
+			_ = obs.New().Merge(*rep) // a malformed report may be refused, never panic
+		}
+	})
 }

@@ -1,7 +1,8 @@
 // Command mkcorpus regenerates the checked-in fuzz seed corpora under
 // internal/partition/testdata/fuzz, internal/dtree/testdata/fuzz,
 // internal/sfc/testdata/fuzz, internal/bkmeans/testdata/fuzz,
-// internal/graph/testdata/fuzz, and internal/mesh/testdata/fuzz.
+// internal/graph/testdata/fuzz, internal/mesh/testdata/fuzz,
+// internal/harness/testdata/fuzz, and internal/server/testdata/fuzz.
 // Run from the repo root: go run ./tools/mkcorpus
 package main
 
@@ -121,4 +122,43 @@ func main() {
 	write(meshDir, "seed-valid", buf.Bytes())
 	write(meshDir, "seed-truncated", buf.Bytes()[:buf.Len()/2])
 	write(meshDir, "seed-huge-count", binary.LittleEndian.AppendUint32([]byte("HSEM\x01\x03"), 1<<28))
+
+	// Mirrors graph.FuzzCollapse's f.Add seeds: vertex count,
+	// constraint and group selectors, one label byte per vertex, then
+	// (u, v, w) edge triples.
+	collapseDir := filepath.Join("internal", "graph", "testdata", "fuzz", "FuzzCollapse")
+	write(collapseDir, "seed-empty", []byte{0, 0, 1})
+	write(collapseDir, "seed-path", []byte{6, 1, 3, 0, 1, 2, 1, 2, 1, 2, 1, 3, 3, 4, 2, 0, 1, 1, 2, 0, 2})
+	write(collapseDir, "seed-parallel", []byte{9, 2, 5, 8, 0, 1, 0, 8, 4, 3, 4, 2, 7, 1, 1, 4, 0, 3, 2, 2, 4, 1, 0, 3})
+
+	// Checkpoint files for harness.FuzzLoadCheckpoint (mirroring its
+	// seeds; "@hash@" becomes the fuzz workload's config hash): a valid
+	// two-experiment checkpoint with a saved report, a cursor without
+	// rows, an old version, a histogram bucket out of range, and a
+	// truncated file.
+	ckptDir := filepath.Join("internal", "harness", "testdata", "fuzz", "FuzzLoadCheckpoint")
+	write(ckptDir, "seed-valid", []byte(`{"version":2,"config_hash":"@hash@","experiments":[`+
+		`{"cursor":1,"rows":[{"MCFEComm":10,"MCNTNodes":3,"MCNRemote":4,"MLFEComm":9,"MLM2MComm":2,"MLUpdComm":1,"MLNRemote":5}],`+
+		`"evals":[{"mc_ns":1000,"ml_ns":900,"repart":"full","migrated":7}],"imb_fe":1.02,"imb_contact":1.1},`+
+		`{"cursor":0,"rows":[],"evals":[],"imb_fe":0,"imb_contact":0}],`+
+		`"obs":{"phases":[{"name":"partition","count":1,"total_ns":5,"avg_ns":5,"max_ns":5}],`+
+		`"counters":[{"name":"checkpoint_writes","value":1}],"gauges":[{"name":"rb_workers","value":2}],`+
+		`"hists":[{"name":"metric_eval","count":2,"sum":30,"min":10,"max":20,"p50":10,"p90":20,"p99":20,`+
+		`"buckets":[{"i":3,"lo":8,"hi":16,"n":1},{"i":4,"lo":16,"hi":32,"n":1}]}]}}`))
+	write(ckptDir, "seed-cursor-without-rows", []byte(`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":3,"rows":[],"evals":[]},{"cursor":0}]}`))
+	write(ckptDir, "seed-old-version", []byte(`{"version":1,"config_hash":"@hash@","experiments":[]}`))
+	write(ckptDir, "seed-bad-bucket", []byte(`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":0},{"cursor":0}],"obs":{"hists":[{"name":"h","count":1,"buckets":[{"i":-1,"n":1}]}]}}`))
+	write(ckptDir, "seed-truncated", []byte(`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":0`))
+
+	// Job specs for server.FuzzJobSpec, mirroring its seeds: graph jobs
+	// (plain, weighted with coordinates, offsets running past adj),
+	// sweep jobs (plain, adaptive on a backend that cannot warm-start)
+	// and an unknown kind.
+	specDir := filepath.Join("internal", "server", "testdata", "fuzz", "FuzzJobSpec")
+	write(specDir, "seed-graph", []byte(`{"kind":"graph","graph":{"ncon":1,"xadj":[0,1,3,4],"adj":[1,0,2,1]},"k":2,"seed":7}`))
+	write(specDir, "seed-graph-coords", []byte(`{"kind":"graph","graph":{"ncon":2,"xadj":[0,1,2],"adj":[1,0],"adjwgt":[3,3],"vwgt":[1,0,1,1],"dim":2,"coords":[0,0,1,1]},"k":2,"backend":"rcb","imbalance":0.05}`))
+	write(specDir, "seed-graph-row-past-adj", []byte(`{"kind":"graph","graph":{"ncon":1,"xadj":[0,10,10,10,3],"adj":[1,2,3]},"k":2}`))
+	write(specDir, "seed-sweep", []byte(`{"kind":"sweep","sweep":{"snapshots":14,"ks":[2,3,4,6,8],"seed":11}}`))
+	write(specDir, "seed-sweep-adaptive", []byte(`{"kind":"sweep","sweep":{"snapshots":3,"ks":[4],"backend":"rcb","adaptive":true},"timeout_ms":500}`))
+	write(specDir, "seed-unknown-kind", []byte(`{"kind":"mesh","k":-1}`))
 }
