@@ -77,6 +77,7 @@ type workspace struct {
 	// this pass when moved[v] == epoch; bumping epoch clears both.
 	inHeap, moved []uint32
 	epoch         uint32
+	boundary      []bool // fmPass: v has a neighbour on the other side
 	perm          []int
 	match         []int32 // heavyEdgeMatch output
 	// Greedy-growing scratch (growBisection).
@@ -87,11 +88,12 @@ type workspace struct {
 
 func newWorkspace(n int) *workspace {
 	return &workspace{
-		heap:   make(gainHeap, 0, 256),
-		inHeap: make([]uint32, n),
-		moved:  make([]uint32, n),
-		perm:   make([]int, n),
-		match:  make([]int32, n),
+		heap:     make(gainHeap, 0, 256),
+		inHeap:   make([]uint32, n),
+		moved:    make([]uint32, n),
+		boundary: make([]bool, n),
+		perm:     make([]int, n),
+		match:    make([]int32, n),
 	}
 }
 
@@ -136,13 +138,23 @@ func fmPass(b *bisection, rng *rand.Rand, ws *workspace) bool {
 	}
 
 	// Seed with the boundary vertices (random order for tie diversity).
-	for _, v := range ws.permute(rng, n) {
-		adj := b.g.Neighbors(v)
-		for _, u := range adj {
-			if b.where[u] != b.where[v] {
-				push(v)
+	// They are found in vertex order first: scanning rows in the
+	// permutation's order would miss the cache on every row of a
+	// large graph.
+	boundary := ws.boundary[:n]
+	for v := range boundary {
+		boundary[v] = false
+		s := b.where[v]
+		for _, u := range b.g.Neighbors(v) {
+			if b.where[u] != s {
+				boundary[v] = true
 				break
 			}
+		}
+	}
+	for _, v := range ws.permute(rng, n) {
+		if boundary[v] {
+			push(v)
 		}
 	}
 	if !b.feasible() {
