@@ -260,16 +260,16 @@ func endRBPhase(opt Options, ph obs.Phase, name string, depth int) {
 
 // bisect computes a multilevel 2-way partition of g with left-side
 // fraction fracLeft and per-constraint tolerance eps, returning the
-// side of every vertex and the edge cut. span and depth only feed the
+// side of every vertex. span and depth only feed the
 // phase timers; they never influence the partition. ctx is checked at
 // every multilevel phase boundary (coarsening levels, initial-cut
 // trials, uncoarsening levels); a cancelled bisection returns ctx's
 // error with its phases ended. The checks never alter the
 // result of a run that completes.
-func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Options, rng *rand.Rand, span *obs.Span, depth int) ([]int8, int64, error) {
+func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Options, rng *rand.Rand, span *obs.Span, depth int) ([]int8, error) {
 	n := g.NV()
 	if n == 0 {
-		return nil, 0, nil
+		return nil, nil
 	}
 	ws := newWorkspace(n)
 	ph := rbPhase(opt, span, "rb_coarsen")
@@ -277,7 +277,7 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 	coarsest := levels[len(levels)-1].g
 	endRBPhase(opt, ph, "rb_coarsen", depth)
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
 	// Initial partition at the coarsest level: several GGG trials. The
@@ -291,7 +291,7 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 	for t := 0; t < opt.InitTrials; t++ {
 		if err := ctx.Err(); err != nil {
 			endRBPhase(opt, ph, "rb_initcut", depth)
-			return nil, 0, err
+			return nil, err
 		}
 		b.reset()
 		growBisection(b, rng, ws)
@@ -305,11 +305,10 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 
 	// Project back through the hierarchy, refining at each level.
 	ph = rbPhase(opt, span, "rb_refine")
-	cut := bestScore.cut
 	for li := len(levels) - 2; li >= 0; li-- {
 		if err := ctx.Err(); err != nil {
 			endRBPhase(opt, ph, "rb_refine", depth)
-			return nil, 0, err
+			return nil, err
 		}
 		lv := levels[li]
 		fine := bufs[0][:lv.g.NV()]
@@ -318,11 +317,11 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 		}
 		b.assign(lv.g, fine)
 		refineFM(b, opt.RefineIters, rng, ws)
-		where, cut = b.where, b.cut
+		where = fine
 		bufs[0], bufs[1] = bufs[1], bufs[0]
 	}
 	endRBPhase(opt, ph, "rb_refine", depth)
-	return where, cut, nil
+	return where, nil
 }
 
 // trialScore ranks candidate bisections: feasibility first, then

@@ -154,10 +154,10 @@ func rb(ctx context.Context, grp *pool.Group, sub *graph.Graph, ids []int32, k, 
 		// Pool-task-sized subtree: label the goroutine so CPU profiles
 		// break bisection time out by recursion depth.
 		pprof.Do(ctx, pprof.Labels("rb_depth", strconv.Itoa(depth)), func(ctx context.Context) {
-			where, _, bisErr = bisect(ctx, sub, fracL, eps, opt, rng, span, depth)
+			where, bisErr = bisect(ctx, sub, fracL, eps, opt, rng, span, depth)
 		})
 	} else {
-		where, _, bisErr = bisect(ctx, sub, fracL, eps, opt, rng, span, depth)
+		where, bisErr = bisect(ctx, sub, fracL, eps, opt, rng, span, depth)
 	}
 	if bisErr != nil {
 		span.End()
