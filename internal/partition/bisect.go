@@ -99,17 +99,7 @@ func (b *bisection) capOf(s, j int) float64 {
 // reset puts every vertex back on side 0 with zero cut.
 func (b *bisection) reset() {
 	clear(b.where)
-	copy(b.side[0], b.total)
-	clear(b.side[1])
-	b.nside[0], b.nside[1] = b.g.NV(), 0
-	b.cut = 0
-	for v := range b.gain {
-		var deg int64
-		for _, w := range b.g.EdgeWeights(v) {
-			deg += int64(w)
-		}
-		b.gain[v] = -deg
-	}
+	b.assign(b.g, b.where)
 }
 
 // load returns side s's load for constraint j relative to its target
