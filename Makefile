@@ -47,6 +47,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadMetis -fuzztime=10s -fuzzminimizetime=2s ./internal/graph
 	go test -run='^$$' -fuzz=FuzzCollapse -fuzztime=10s -fuzzminimizetime=2s ./internal/graph
 	go test -run='^$$' -fuzz=FuzzReadMesh -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
+	go test -run='^$$' -fuzz=FuzzBoundaryFacets -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzReadText -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s -fuzzminimizetime=2s ./internal/harness
 	go test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=2s ./internal/server

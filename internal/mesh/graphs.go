@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -119,32 +118,81 @@ func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
 	return g
 }
 
+// matchFacets enumerates the element facets in element order, facet f
+// being face f-first[e] of the element e with first[e] <= f < first[e+1],
+// and matches facets with equal node sets: rep[f] is the first facet
+// whose sorted node key equals f's.
+//
+// The keys are counting-sorted by smallest node, which keeps facet order
+// within a bucket. head[b] is the latest facet whose second-smallest
+// node is b, and link chains it to the earlier ones. The walk down that
+// chain stops at the first facet of an earlier bucket, so a facet is
+// compared only with facets sharing its two smallest nodes.
+func (m *Mesh) matchFacets() (first, rep []int32) {
+	ne := m.NumElems()
+	first = make([]int32, ne+1)
+	for e := 0; e < ne; e++ {
+		first[e+1] = first[e] + int32(len(m.Types[e].Faces()))
+	}
+	keys := make([][4]int32, first[ne]) // sorted node ids, -1 padded
+	start := make([]int32, m.NumNodes()+1)
+	for e := 0; e < ne; e++ {
+		nodes := m.ElemNodes(e)
+		for i, face := range m.Types[e].Faces() {
+			k := &keys[int(first[e])+i]
+			*k = [4]int32{-1, -1, -1, -1}
+			for j, li := range face {
+				k[j] = nodes[li]
+				for s := j; s > 0 && k[s] < k[s-1]; s-- {
+					k[s], k[s-1] = k[s-1], k[s]
+				}
+			}
+			start[k[0]+1]++
+		}
+	}
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	order := make([]int32, len(keys))
+	for f := range keys {
+		order[start[keys[f][0]]] = int32(f)
+		start[keys[f][0]]++
+	}
+
+	head := start
+	for i := range head {
+		head[i] = -1
+	}
+	rep, link := make([]int32, len(keys)), make([]int32, len(keys))
+	for _, f := range order {
+		k, r := &keys[f], f
+		for g := head[k[1]]; g >= 0 && keys[g][0] == k[0]; g = link[g] {
+			if keys[g] == *k {
+				r = rep[g]
+				break
+			}
+		}
+		link[f], head[k[1]], rep[f] = head[k[1]], f, r
+	}
+	return first, rep
+}
+
 // DualGraph builds the dual graph of the mesh: one vertex per element,
 // an edge between elements sharing a facet (an edge in 2D, a face in
-// 3D). All weights are 1.
+// 3D). All weights are 1. The occurrences of a facet pair up in element
+// order, the 1st with the 2nd, the 3rd with the 4th, and so on.
 func (m *Mesh) DualGraph() *graph.Graph {
+	first, rep := m.matchFacets()
+	open := make([]int32, len(rep)) // 1 + the element waiting on a facet, or 0
 	b := graph.NewBuilder(m.NumElems(), 1)
 	for e := 0; e < m.NumElems(); e++ {
 		b.SetWeight(e, 0, 1)
-	}
-	type faceKey [4]int32 // sorted node ids, -1 padded
-	owner := make(map[faceKey]int32, m.NumElems()*3)
-	var tmp [4]int32
-	for e := 0; e < m.NumElems(); e++ {
-		nodes := m.ElemNodes(e)
-		for _, face := range m.Types[e].Faces() {
-			k := faceKey{-1, -1, -1, -1}
-			for i, li := range face {
-				tmp[i] = nodes[li]
-			}
-			ns := tmp[:len(face)]
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-			copy(k[:], ns)
-			if prev, ok := owner[k]; ok {
-				b.AddEdge(int(prev), e, 1)
-				delete(owner, k) // a facet is shared by at most two elements
+		for f := first[e]; f < first[e+1]; f++ {
+			if r := rep[f]; open[r] > 0 {
+				b.AddEdge(int(open[r]-1), e, 1)
+				open[r] = 0
 			} else {
-				owner[k] = int32(e)
+				open[r] = int32(e) + 1
 			}
 		}
 	}
@@ -153,53 +201,35 @@ func (m *Mesh) DualGraph() *graph.Graph {
 
 // BoundaryFacets returns the facets that belong to exactly one element,
 // as SurfaceElem values (useful for designating contact surfaces on
-// generated meshes). The facet node order is the element-local order.
+// generated meshes), ordered by element and then by node tuple. The
+// facet node order is the element-local order. It returns nil when no
+// facet is on the boundary.
 func (m *Mesh) BoundaryFacets() []SurfaceElem {
-	type faceKey [4]int32
-	type rec struct {
-		elem  int32
-		nodes []int32
-		count int
+	first, rep := m.matchFacets()
+	nb := 0 // facets whose key occurs once
+	for f, r := range rep {
+		if int(r) == f {
+			nb++
+		} else if rep[r] == r {
+			rep[r], nb = -1, nb-1 // the key occurs again: its first occurrence is interior
+		}
 	}
-	recs := make(map[faceKey]*rec, m.NumElems()*3)
-	var tmp [4]int32
+	if nb == 0 {
+		return nil
+	}
+	out, buf := make([]SurfaceElem, 0, nb), make([]int32, 0, 4*nb) // facets have at most 4 nodes
 	for e := 0; e < m.NumElems(); e++ {
-		nodes := m.ElemNodes(e)
-		for _, face := range m.Types[e].Faces() {
-			orig := make([]int32, len(face))
-			for i, li := range face {
-				orig[i] = nodes[li]
-				tmp[i] = nodes[li]
-			}
-			ns := tmp[:len(face)]
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-			k := faceKey{-1, -1, -1, -1}
-			copy(k[:], ns)
-			if r, ok := recs[k]; ok {
-				r.count++
-			} else {
-				recs[k] = &rec{elem: int32(e), nodes: orig, count: 1}
+		nodes, lo := m.ElemNodes(e), len(out)
+		for i, face := range m.Types[e].Faces() {
+			if f := first[e] + int32(i); rep[f] == f {
+				n := len(buf)
+				for _, li := range face {
+					buf = append(buf, nodes[li])
+				}
+				out = append(out, SurfaceElem{Nodes: buf[n:len(buf):len(buf)], Elem: int32(e)})
 			}
 		}
+		slices.SortFunc(out[lo:], func(a, b SurfaceElem) int { return slices.Compare(a.Nodes, b.Nodes) })
 	}
-	var out []SurfaceElem
-	for _, r := range recs {
-		if r.count == 1 {
-			out = append(out, SurfaceElem{Nodes: r.nodes, Elem: r.elem})
-		}
-	}
-	// Deterministic order for reproducibility.
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Elem != b.Elem {
-			return a.Elem < b.Elem
-		}
-		for k := 0; k < len(a.Nodes) && k < len(b.Nodes); k++ {
-			if a.Nodes[k] != b.Nodes[k] {
-				return a.Nodes[k] < b.Nodes[k]
-			}
-		}
-		return len(a.Nodes) < len(b.Nodes)
-	})
 	return out
 }

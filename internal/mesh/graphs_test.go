@@ -1,15 +1,15 @@
-package mesh
+package mesh_test
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
+	. "repro/internal/mesh"
 )
 
 // refNodalGraph is the sort-based construction NodalGraph replaced: it
@@ -170,20 +170,5 @@ func TestNodalGraphMatchesReference(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-func TestValidateUnknownElemType(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mesh *Mesh
-	}{{"2d", unitQuadMesh()}, {"3d", unitHexMesh()}} {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.mesh.Types[0] = ElemType(7)
-			err := tc.mesh.Validate()
-			if err == nil || !strings.Contains(err.Error(), "unknown type") {
-				t.Fatalf("Validate = %v, want an unknown-type error", err)
-			}
-		})
 	}
 }

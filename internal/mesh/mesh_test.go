@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -396,5 +397,20 @@ func TestTriAreaSigned2D(t *testing.T) {
 	m.ENodes[1], m.ENodes[2] = m.ENodes[2], m.ENodes[1]
 	if v := m.ElemMeasure(0); v > -0.499 {
 		t.Errorf("CW tri area %v, want -0.5", v)
+	}
+}
+
+func TestValidateUnknownElemType(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mesh *Mesh
+	}{{"2d", unitQuadMesh()}, {"3d", unitHexMesh()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.mesh.Types[0] = ElemType(7)
+			err := tc.mesh.Validate()
+			if err == nil || !strings.Contains(err.Error(), "unknown type") {
+				t.Fatalf("Validate = %v, want an unknown-type error", err)
+			}
+		})
 	}
 }

@@ -1,10 +1,11 @@
-package mesh
+package mesh_test
 
 import (
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
+	. "repro/internal/mesh"
 )
 
 // blockMesh returns an nx x ny x nz structured block of hexahedra, or
@@ -58,3 +59,26 @@ func benchNodalGraph(b *testing.B, m *Mesh) {
 func BenchmarkNodalGraphTets(b *testing.B) { benchNodalGraph(b, blockMesh(30, 30, 8, true)) }
 
 func BenchmarkNodalGraphHexes(b *testing.B) { benchNodalGraph(b, blockMesh(30, 30, 8, false)) }
+
+var sinkFacets []SurfaceElem
+
+func benchBoundaryFacets(b *testing.B, m *Mesh) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFacets = m.BoundaryFacets()
+	}
+}
+
+func BenchmarkBoundaryFacetsTets(b *testing.B) { benchBoundaryFacets(b, blockMesh(30, 30, 8, true)) }
+
+func BenchmarkBoundaryFacetsHexes(b *testing.B) { benchBoundaryFacets(b, blockMesh(30, 30, 8, false)) }
+
+func BenchmarkDualGraphTets(b *testing.B) {
+	m := blockMesh(30, 30, 8, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkGraph = m.DualGraph()
+	}
+}

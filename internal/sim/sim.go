@@ -247,11 +247,19 @@ func (s *Sim) compact(alive []bool) {
 	for i := range newIdx {
 		newIdx[i] = -1
 	}
-	nm := &mesh.Mesh{Dim: old.Dim, EPtr: []int32{0}}
-	var nodeID []int64
-	var disp []geom.Point
-	var elemBody []meshgen.Body
-	for e := 0; e < old.NumElems(); e++ {
+	// Sized for the old mesh, which bounds the compacted one.
+	nn, ne := old.NumNodes(), old.NumElems()
+	nm := &mesh.Mesh{
+		Dim:    old.Dim,
+		Coords: make([]geom.Point, 0, nn),
+		Types:  make([]mesh.ElemType, 0, ne),
+		EPtr:   append(make([]int32, 0, ne+1), 0),
+		ENodes: make([]int32, 0, len(old.ENodes)),
+	}
+	nodeID := make([]int64, 0, nn)
+	disp := make([]geom.Point, 0, nn)
+	elemBody := make([]meshgen.Body, 0, ne)
+	for e := 0; e < ne; e++ {
 		if !alive[e] {
 			continue
 		}
