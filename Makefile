@@ -112,16 +112,12 @@ loc:
 			[ -n "$$files" ] && printf '%6d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
 		done | awk '{ print; sum += $$1 } END { printf "%6d  total\n", sum }'
 
-# Microbenchmarks plus the serial-vs-parallel KWay comparison and the
-# amortized adaptive-vs-scratch snapshot sweep; the latter two rewrite
-# BENCH_partition.json (checked in for provenance — numbers depend on
-# GOMAXPROCS, recorded in the file). The contactbench line rewrites
-# BENCH_backends.json, the 4-way partitioner-backend crossover table
-# (MCML+DT vs ML+RCB vs SFC vs BKMeans) on the paper-scale scene; the
-# partsrv line rewrites BENCH_serve.json, the serving throughput and
-# latency numbers from the daemon's self-benchmark.
+# The partitioner microbenchmarks, then the repository benchmark
+# (perfbench/, declared in BENCHMARK.json) once per workload.
+# BenchmarkKWayParallel fails if serial and parallel labels differ;
+# run it with -cpu 1,2 to see the speedup.
 bench:
-	go test -bench=. -benchmem ./internal/partition
-	go run ./cmd/partition -bench-json BENCH_partition.json -k 16 -bench-snapshots 8
-	go run ./cmd/contactbench -k 16 -snapshots 4 -backends-json BENCH_backends.json
-	go run ./cmd/partsrv -bench -bench-json BENCH_serve.json
+	go test -run '^$$' -bench=. -benchmem ./internal/partition
+	for w in table1_fixed adaptive_drift serve_open; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done

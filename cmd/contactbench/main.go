@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -77,8 +76,6 @@ func run() int {
 		chaosSeed  = flag.Int64("chaos", 0, "with -engine: inject deterministic first-attempt transport faults from this seed (0 = off)")
 
 		backendF     = flag.String("backend", "", "MCML+DT partitioning backend: multilevel (default), rcb, sfc, or bkmeans")
-		backendsJSON = flag.String("backends-json", "", "run the 4-way backend comparison (MCML+DT, ML+RCB, SFC, BKMeans) per k and write the crossover table to this JSON file")
-		backendsRuns = flag.Int("backends-runs", 3, "with -backends-json: timing passes per backend (best wins)")
 		adaptive     = flag.Bool("adaptive", false, "adaptive warm-start repartitioning: keep/diffuse/full per snapshot by drift policy")
 		repartEvery  = flag.Int("repart-every", 0, "repartition the MCML+DT side every N snapshots (0 = keep the snapshot-0 partition throughout)")
 		incremental  = flag.Bool("incremental", false, "with -repart-every: warm-start via diffusion instead of from scratch")
@@ -162,17 +159,6 @@ func run() int {
 	}
 
 	col := obs.New()
-	if *backendsJSON != "" {
-		if err := runBackendCompare(ctx, snaps, ks, *seed, *backendsRuns, *backendsJSON, col); err != nil {
-			log.Print(err)
-			return 1
-		}
-		if *phases {
-			fmt.Println("\nPer-phase timings and counters:")
-			col.Report().WriteTable(os.Stdout)
-		}
-		return 0
-	}
 	var tracer *obs.Tracer
 	var rootSpan *obs.Span
 	if *tracePath != "" {
@@ -399,59 +385,6 @@ func writeRepartSummary(w io.Writer, results []*harness.Result) {
 		fmt.Fprintf(w, "  %d-way: kept %d, diffused %d, full %d; %d nodes migrated\n",
 			k, c.kept, c.diffused, c.full, c.migrated)
 	}
-}
-
-// backendsReport is the BENCH_backends.json schema: one 4-way
-// comparison per k — the crossover table of cut, per-constraint
-// imbalance, NRemote, and ns/partition versus k.
-type backendsReport struct {
-	Nodes       int                          `json:"nodes"`
-	Snapshots   int                          `json:"snapshots"`
-	Seed        int64                        `json:"seed"`
-	Runs        int                          `json:"runs"`
-	Comparisons []*harness.BackendComparison `json:"comparisons"`
-}
-
-// runBackendCompare runs the 4-way backend comparison for every k,
-// prints the crossover table, and writes the JSON report.
-func runBackendCompare(ctx context.Context, snaps []sim.Snapshot, ks []int, seed int64, runs int, path string, col *obs.Collector) error {
-	rep := backendsReport{
-		Nodes:     snaps[0].Mesh.NumNodes(),
-		Snapshots: len(snaps),
-		Seed:      seed,
-		Runs:      runs,
-	}
-	fmt.Println("Backend comparison (averages over the snapshot sequence; partition time best-of-runs):")
-	for _, k := range ks {
-		t0 := time.Now()
-		cmp, err := harness.CompareBackends(ctx, snaps, harness.Config{K: k, Seed: seed, Obs: col}, runs)
-		if err != nil {
-			return err
-		}
-		rep.Comparisons = append(rep.Comparisons, cmp)
-		fmt.Printf("\n  k=%d [%.1fs]:\n", k, time.Since(t0).Seconds())
-		fmt.Printf("  %-10s %12s %8s %8s %10s %14s %10s\n",
-			"leg", "cut", "imbFE", "imbC", "NRemote", "partition_ns", "speedup")
-		base := cmp.Rows[0].PartitionNS
-		for _, row := range cmp.Rows {
-			speedup := 0.0
-			if row.PartitionNS > 0 {
-				speedup = float64(base) / float64(row.PartitionNS)
-			}
-			fmt.Printf("  %-10s %12.0f %8.3f %8.3f %10.0f %14d %9.1fx\n",
-				row.Leg, row.Cut, row.ImbalanceFE, row.ImbalanceContact,
-				row.NRemote, row.PartitionNS, speedup)
-		}
-	}
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
 }
 
 func parseKs(s string) ([]int, error) {

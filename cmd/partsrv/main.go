@@ -25,17 +25,12 @@
 //     latency/SLO accounting (-slo, -slo-window) surfaced in /metrics
 //     and /healthz. SIGQUIT dumps the flight recorder to stderr and
 //     keeps serving.
-//
-// -bench runs the self-contained serving benchmark instead (an
-// in-process server driven by concurrent HTTP clients) and writes the
-// result JSON to -bench-json.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -61,9 +56,6 @@ func run() int {
 		cache      = flag.Int("cache", 64, "result cache entries (LRU by spec hash)")
 		spool      = flag.String("spool", "", "sweep checkpoint directory (empty = no checkpointing)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight jobs to checkpoint and stop")
-		bench      = flag.Bool("bench", false, "run the serving benchmark instead of the daemon")
-		benchJSON  = flag.String("bench-json", "BENCH_serve.json", "benchmark output path (with -bench)")
-		benchJobs  = flag.Int("bench-jobs", 300, "jobs submitted by the benchmark (with -bench)")
 		traceRing  = flag.Int("trace-ring", 64, "completed-job traces retained for GET /api/v1/jobs/{id}/trace (0 = off)")
 		events     = flag.Int("events", 256, "flight-recorder ring capacity (GET /debug/events)")
 		slo        = flag.Duration("slo", 0, "per-job wall-clock latency objective; 0 disables SLO violation accounting")
@@ -95,17 +87,6 @@ func run() int {
 		WindowSlots:    6,
 		WindowSlot:     *sloWindow / 6,
 		SLOTarget:      *slo,
-	}
-
-	if *bench {
-		// The benchmark keeps the logging path hot but discards the
-		// lines: stderr stays readable for the bench summary.
-		opt.Log = obs.NewLogger(io.Discard, nil)
-		if err := runBench(opt, *benchJobs, *benchJSON); err != nil {
-			logger.Error("bench failed", "err", err)
-			return 1
-		}
-		return 0
 	}
 
 	srv := server.New(opt)

@@ -61,8 +61,9 @@ type Config struct {
 	// backends produce box-like subdomains by construction, so the
 	// reshape steps 3-4 are skipped for them (gated on the backend's
 	// Reshape capability, not its name); their edge cut and
-	// communication volume are worse than the multilevel partitioner's
-	// (see BENCH_backends.json for the measured crossover).
+	// communication volume are worse than the multilevel partitioner's,
+	// and only the multilevel one balances the contact constraint
+	// (TestClaimContactBalanceCrossover).
 	Backend string
 	// Parallel enables concurrent tree induction.
 	Parallel bool

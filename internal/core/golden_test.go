@@ -2,12 +2,13 @@ package core_test
 
 // The golden corpus: sha256 digests of every layer's observable output
 // on small fixed inputs — the nodal graph, Decompose labels and tree
-// bytes, the adaptive full rung, harness sweeps under each update
-// strategy and worker count, engine traffic, and the ML+RCB baseline's
-// labels. The digests live in one checked-in table,
-// testdata/golden.sha256, so a refactor that claims to preserve
-// behaviour proves it by leaving the table untouched. Update it only
-// for a deliberate behaviour change, and say so in the change log:
+// bytes, the sfc and bkmeans backends' labels, the adaptive full rung,
+// harness sweeps under each update strategy and worker count, engine
+// traffic, and the ML+RCB baseline's labels. The digests live in one
+// checked-in table, testdata/golden.sha256, so a refactor that claims
+// to preserve behaviour proves it by leaving the table untouched.
+// Update it only for a deliberate behaviour change, and say so in the
+// change log:
 //
 //	GOLDEN_UPDATE=1 go test ./internal/core -run Golden
 
@@ -211,6 +212,24 @@ func TestGoldenDecomposeLabels(t *testing.T) {
 			checkGolden(t, pre+"guide_tree", writerDigest(t, d.GuideTree))
 			checkGolden(t, pre+"descriptor", writerDigest(t, d.Descriptor))
 		})
+	}
+}
+
+// TestGoldenGeometricBackends pins the labels of the two geometric
+// backends that have no reshape step, so their determinism rests on
+// the table rather than on a rerun.
+func TestGoldenGeometricBackends(t *testing.T) {
+	m := goldenScene(t)
+	for _, be := range []string{"sfc", "bkmeans"} {
+		for _, k := range []int{4, 16} {
+			t.Run(fmt.Sprintf("%s/k=%d", be, k), func(t *testing.T) {
+				d, err := core.Decompose(m, core.Config{K: k, Seed: 1, Backend: be})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, fmt.Sprintf("decompose/%s/k=%d/labels", be, k), digest(d.Labels))
+			})
+		}
 	}
 }
 

@@ -35,20 +35,6 @@ func BenchmarkPartitionRB(b *testing.B) {
 	}
 }
 
-func BenchmarkPartitionDirect(b *testing.B) {
-	g := grid(100, 100, 2)
-	for _, k := range []int{8, 32} {
-		b.Run(kname(k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := PartitionDirect(context.Background(), g, Options{K: k, Seed: int64(i), Imbalance: 0.05}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkRefineKWay(b *testing.B) {
 	g := grid(100, 100, 2)
 	base, err := KWay(context.Background(), g, Options{K: 16, Seed: 1, Imbalance: 0.05})

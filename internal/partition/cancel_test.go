@@ -120,14 +120,3 @@ func TestKWayCtxUncancelledIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestPartitionDirectCancelled pins that the direct k-way scheme honours
-// a dead context instead of running to completion.
-func TestPartitionDirectCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	labels, err := PartitionDirect(ctx, grid(60, 60, 2), Options{K: 8, Seed: 1})
-	if !errors.Is(err, context.Canceled) || labels != nil {
-		t.Fatalf("PartitionDirect under a cancelled ctx: labels %v, err %v; want nil, context.Canceled", labels != nil, err)
-	}
-}

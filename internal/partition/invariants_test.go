@@ -197,20 +197,6 @@ func TestInvariantsRandomDisconnectedGraphs(t *testing.T) {
 	}
 }
 
-func TestInvariantsPartitionDirect(t *testing.T) {
-	r := rand.New(rand.NewSource(303))
-	for i := 0; i < 15; i++ {
-		g, k := randConnGraph(r)
-		labels, err := PartitionDirect(context.Background(), g, Options{K: k, Seed: int64(i), Imbalance: 0.1})
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if v := checkInvariants(t, g, labels, k, 0.1); len(v) > 0 {
-			t.Logf("run %d flagged: %v", i, v)
-		}
-	}
-}
-
 // TestInvariantsEmptyPartRepair pins the fillEmpty guarantee directly:
 // a labeling that leaves parts empty must come out of RefineKWay with
 // every part populated.

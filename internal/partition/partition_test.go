@@ -353,76 +353,6 @@ func TestBisectionStateMachine(t *testing.T) {
 	}
 }
 
-func TestPartitionDirectGrid(t *testing.T) {
-	g := grid(40, 40, 1)
-	for _, k := range []int{4, 16} {
-		labels, err := PartitionDirect(context.Background(), g, Options{K: k, Seed: 3, Imbalance: 0.05})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPartition(t, g, labels, k, 0.08)
-		cut := EdgeCut(g, labels)
-		if cut > 1400 {
-			t.Errorf("k=%d direct cut %d too high", k, cut)
-		}
-		t.Logf("direct k=%d cut=%d imb=%v", k, cut, LoadImbalances(g, labels, k))
-	}
-}
-
-func TestPartitionDirectMultiConstraint(t *testing.T) {
-	g := grid(40, 40, 2)
-	labels, err := PartitionDirect(context.Background(), g, Options{K: 8, Seed: 4, Imbalance: 0.08})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPartition(t, g, labels, 8, 0.12)
-}
-
-func TestPartitionDirectQualityComparableToRB(t *testing.T) {
-	g := grid(50, 50, 1)
-	k := 12
-	rb, err := KWay(context.Background(), g, Options{K: k, Seed: 5, Imbalance: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := PartitionDirect(context.Background(), g, Options{K: k, Seed: 5, Imbalance: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cutRB, cutD := EdgeCut(g, rb), EdgeCut(g, direct)
-	if cutD > 2*cutRB {
-		t.Errorf("direct cut %d vs RB cut %d: worse than 2x", cutD, cutRB)
-	}
-	t.Logf("RB cut=%d direct cut=%d", cutRB, cutD)
-}
-
-func TestPartitionDirectTrivial(t *testing.T) {
-	g := grid(4, 4, 1)
-	labels, err := PartitionDirect(context.Background(), g, Options{K: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range labels {
-		if l != 0 {
-			t.Fatal("K=1 wrong")
-		}
-	}
-	if _, err := PartitionDirect(context.Background(), g, Options{K: 0}); err == nil {
-		t.Error("accepted K=0")
-	}
-}
-
-func TestPartitionDirectDeterminism(t *testing.T) {
-	g := grid(30, 30, 2)
-	a, _ := PartitionDirect(context.Background(), g, Options{K: 6, Seed: 9})
-	b, _ := PartitionDirect(context.Background(), g, Options{K: 6, Seed: 9})
-	for v := range a {
-		if a[v] != b[v] {
-			t.Fatal("not deterministic")
-		}
-	}
-}
-
 // Property: Partition always returns valid labels with every partition
 // nonempty (when nv >= k) on random connected graphs.
 func TestQuickPartitionValidity(t *testing.T) {

@@ -161,6 +161,12 @@ func TestHTTPStatusCodes(t *testing.T) {
 	if code, _, _ := postJob(t, ts, JobSpec{Kind: "nope"}, ""); code != http.StatusBadRequest {
 		t.Fatalf("invalid spec: HTTP %d, want 400", code)
 	}
+	// A graph job's k is capped like a sweep's: KWay's cost grows with
+	// k even on a tiny graph, so a huge k would hold a worker.
+	hugeK := JobSpec{Kind: KindGraph, Graph: gridSpec(4, 4), K: 1 << 30}
+	if code, view, _ := postJob(t, ts, hugeK, ""); code != http.StatusBadRequest {
+		t.Fatalf("graph job with k=%d: HTTP %d (%s), want 400", hugeK.K, code, view.Error)
+	}
 
 	// 404: unknown job, every verb.
 	if code := getJSON(t, ts, "/api/v1/jobs/job-999999", nil); code != http.StatusNotFound {

@@ -206,6 +206,11 @@ type JobSpec struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+// maxK caps the partition count of both job kinds: KWay's cost grows
+// linearly in k even on a tiny graph, so an unbounded k would hold a
+// worker until the job's deadline.
+const maxK = 1024
+
 // validate rejects malformed specs in the submit path. maxVertices is
 // the server's graph-size cap.
 func (js *JobSpec) validate(maxVertices int) error {
@@ -217,8 +222,8 @@ func (js *JobSpec) validate(maxVertices int) error {
 		if js.Sweep != nil {
 			return fmt.Errorf("graph job with sweep fields")
 		}
-		if js.K < 1 {
-			return fmt.Errorf("graph job: k = %d, want >= 1", js.K)
+		if js.K < 1 || js.K > maxK {
+			return fmt.Errorf("graph job: k = %d, want 1..%d", js.K, maxK)
 		}
 		if js.Imbalance < 0 || js.Imbalance >= 1 {
 			return fmt.Errorf("graph job: imbalance %g, want [0,1)", js.Imbalance)
@@ -249,8 +254,8 @@ func (js *JobSpec) validate(maxVertices int) error {
 			return fmt.Errorf("sweep job: no ks")
 		}
 		for _, k := range s.Ks {
-			if k < 1 || k > 1024 {
-				return fmt.Errorf("sweep job: k = %d, want 1..1024", k)
+			if k < 1 || k > maxK {
+				return fmt.Errorf("sweep job: k = %d, want 1..%d", k, maxK)
 			}
 		}
 		be, err := backend.Lookup(s.Backend)

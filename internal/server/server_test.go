@@ -172,6 +172,7 @@ func TestServerValidationRejects(t *testing.T) {
 		{Kind: "nope"},
 		{Kind: KindGraph},                        // no graph
 		{Kind: KindGraph, Graph: gridSpec(4, 4)}, // k = 0
+		{Kind: KindGraph, Graph: gridSpec(4, 4), K: maxK + 1},
 		{Kind: KindGraph, Graph: gridSpec(4, 4), K: 2, Backend: "no-such"},
 		{Kind: KindGraph, Graph: gridSpec(4, 4), K: 2, Backend: "rcb"}, // needs coords
 		{Kind: KindGraph, Graph: &GraphSpec{NCon: 1, Xadj: []int32{0, 2}, Adj: []int32{1}}, K: 2},
@@ -179,6 +180,7 @@ func TestServerValidationRejects(t *testing.T) {
 		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1}}, // no ks
 		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 0, Ks: []int{2}}},
 		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Ks: []int{0}}},
+		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Ks: []int{maxK + 1}}},
 		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Ks: []int{2}}, Graph: gridSpec(2, 2)},
 	}
 	for i, spec := range bad {

@@ -151,13 +151,15 @@ func main() {
 	write(ckptDir, "seed-truncated", []byte(`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":0`))
 
 	// Job specs for server.FuzzJobSpec, mirroring its seeds: graph jobs
-	// (plain, weighted with coordinates, offsets running past adj),
+	// (plain, weighted with coordinates, offsets running past adj, k
+	// past the job cap),
 	// sweep jobs (plain, adaptive on a backend that cannot warm-start)
 	// and an unknown kind.
 	specDir := filepath.Join("internal", "server", "testdata", "fuzz", "FuzzJobSpec")
 	write(specDir, "seed-graph", []byte(`{"kind":"graph","graph":{"ncon":1,"xadj":[0,1,3,4],"adj":[1,0,2,1]},"k":2,"seed":7}`))
 	write(specDir, "seed-graph-coords", []byte(`{"kind":"graph","graph":{"ncon":2,"xadj":[0,1,2],"adj":[1,0],"adjwgt":[3,3],"vwgt":[1,0,1,1],"dim":2,"coords":[0,0,1,1]},"k":2,"backend":"rcb","imbalance":0.05}`))
 	write(specDir, "seed-graph-row-past-adj", []byte(`{"kind":"graph","graph":{"ncon":1,"xadj":[0,10,10,10,3],"adj":[1,2,3]},"k":2}`))
+	write(specDir, "seed-graph-huge-k", []byte(`{"kind":"graph","graph":{"ncon":1,"xadj":[0,1,3,4],"adj":[1,0,2,1]},"k":1073741824}`))
 	write(specDir, "seed-sweep", []byte(`{"kind":"sweep","sweep":{"snapshots":14,"ks":[2,3,4,6,8],"seed":11}}`))
 	write(specDir, "seed-sweep-adaptive", []byte(`{"kind":"sweep","sweep":{"snapshots":3,"ks":[4],"backend":"rcb","adaptive":true},"timeout_ms":500}`))
 	write(specDir, "seed-unknown-kind", []byte(`{"kind":"mesh","k":-1}`))
