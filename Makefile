@@ -48,6 +48,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzCollapse -fuzztime=10s -fuzzminimizetime=2s ./internal/graph
 	go test -run='^$$' -fuzz=FuzzReadMesh -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzBoundaryFacets -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
+	go test -run='^$$' -fuzz=FuzzNodalGraph -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzReadText -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s -fuzzminimizetime=2s ./internal/harness
 	go test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=2s ./internal/server
@@ -112,12 +113,13 @@ loc:
 			[ -n "$$files" ] && printf '%6d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
 		done | awk '{ print; sum += $$1 } END { printf "%6d  total\n", sum }'
 
-# The partitioner microbenchmarks, then the repository benchmark
-# (perfbench/, declared in BENCHMARK.json) once per workload.
+# The partitioner and nodal-graph microbenchmarks, then the repository
+# benchmark (perfbench/, declared in BENCHMARK.json) once per workload.
 # BenchmarkKWayParallel fails if serial and parallel labels differ;
 # run it with -cpu 1,2 to see the speedup.
 bench:
 	go test -run '^$$' -bench=. -benchmem ./internal/partition
+	go test -run '^$$' -bench NodalGraph -benchmem ./internal/mesh
 	for w in table1_fixed adaptive_drift serve_open; do \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
 	done

@@ -1,9 +1,11 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/mlrcb"
@@ -55,5 +57,50 @@ func TestClaimContactBalanceCrossover(t *testing.T) {
 					k, leg, contactImb[leg], mc)
 			}
 		}
+	}
+}
+
+// TestClaimPreSearchCommunication pins the paper's headline claim:
+// counting the communication before contact search, ML+RCB pays
+// FEComm + 2·M2MComm + UpdComm against MCML+DT's FEComm, and
+// MCML+DT's advantage shrinks as k grows (paper: ML+RCB pays +72% at
+// k=25 and +29% at k=100). The paper scene at Refine 1 (~17.7k nodes,
+// 10 snapshots over 400 steps) reproduces both: +65% and +26%. The
+// quick profile (contactbench -quick, ~10k nodes) reproduces only the
+// trend: there ML+RCB pays 7% and 15% less, so it asserts the shrink
+// alone.
+func TestClaimPreSearchCommunication(t *testing.T) {
+	quick := sim.DefaultConfig()
+	quick.Snapshots, quick.Steps = 10, 100
+	paper := sim.PaperConfig()
+	paper.Scene.Refine, paper.Snapshots = 1, 10
+	for _, tc := range []struct {
+		name     string
+		cfg      sim.Config
+		headline bool
+	}{{"quick", quick, false}, {"paper-refine1", paper, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			snaps, err := sim.Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := harness.RunSweep(context.Background(), snaps,
+				[]harness.Config{{K: 25, Seed: 1}, {K: 100, Seed: 1}}, harness.SweepOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ratio [2]float64 // ML+RCB over MCML+DT pre-search communication
+			for i, r := range res {
+				ml := r.Avg.MLFEComm + 2*r.Avg.MLM2MComm + r.Avg.MLUpdComm
+				ratio[i] = ml / r.Avg.MCFEComm
+				t.Logf("k=%d: ML+RCB %.0f vs MCML+DT %.0f (%+.1f%%)", r.K, ml, r.Avg.MCFEComm, 100*(ratio[i]-1))
+				if tc.headline && ratio[i] <= 1 {
+					t.Errorf("k=%d: MCML+DT does not win the pre-search communication", r.K)
+				}
+			}
+			if ratio[1] >= ratio[0] {
+				t.Errorf("ML+RCB's relative cost does not shrink with k: %.3f at k=25, %.3f at k=100", ratio[0], ratio[1])
+			}
+		})
 	}
 }

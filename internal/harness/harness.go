@@ -9,10 +9,11 @@
 // RunSweep is the one entry point. The pipeline is concurrent at two
 // levels, both on internal/pool: RunSweep fans independent experiment
 // configs (the k-sweep) out over a bounded worker pool, and within
-// each experiment the two per-snapshot measurement legs (MCML+DT and
-// ML+RCB) run in parallel. Both levels preserve the exact serial
-// results: legs write disjoint Row fields, snapshots stay ordered, and
-// RunSweep returns results in config order.
+// each experiment the MCML+DT and ML+RCB sides run in parallel: the
+// two decompositions, then each snapshot's two measurement legs. Both
+// levels preserve the exact serial results: legs write disjoint Row
+// fields, snapshots stay ordered, and RunSweep returns results in
+// config order.
 package harness
 
 import (
@@ -24,6 +25,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/mlrcb"
@@ -80,8 +82,10 @@ type Config struct {
 	// Drift tunes the adaptive policy's thresholds (zero value =
 	// partition.DriftThresholds defaults). Only read when Adaptive.
 	Drift partition.DriftThresholds
-	// SerialLegs disables the concurrent per-snapshot measurement legs
-	// (used by tests to verify the concurrent path is observationally
+	// SerialLegs runs the per-snapshot measurement legs, and the
+	// MCML+DT and ML+RCB decompositions at snapshot 0 and on full
+	// repartitions, one after the other instead of concurrently (used
+	// by tests to verify the concurrent path is observationally
 	// identical, and as an escape hatch on single-core hosts).
 	SerialLegs bool
 	// Obs, when non-nil, receives per-phase timings: "partition" and
@@ -212,6 +216,10 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		Span:        expSpan,
 	}
 	mlCfg := mlrcb.Config{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance}
+	legWorkers := 2
+	if cfg.SerialLegs {
+		legWorkers = 1
+	}
 
 	res := &Result{K: cfg.K, Snapshots: len(snaps)}
 
@@ -220,6 +228,10 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	prevRCB := map[int64]int32{}
 	var imbFE, imbContact float64
 	var baseCut int64 // adaptive drift baseline (cut after the last repair)
+	// g is the current snapshot's nodal graph when a decomposition
+	// built one. Its vertex weights (FE 1, contact 1) are the metric
+	// graph's; only the edge weights, which no metric reads, differ.
+	var g *graph.Graph
 
 	// start is the first snapshot still to be measured; everything
 	// before it is already in the checkpoint.
@@ -234,17 +246,22 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	prog.set(exp, start)
 
 	decompose := func(sn sim.Snapshot) error {
-		d, err := core.Decompose(sn.Mesh, coreCfg)
+		var d *core.Decomposition
+		var st *mlrcb.State
+		err := pool.Run(legWorkers, func() (err error) {
+			d, err = core.Decompose(sn.Mesh, coreCfg)
+			return err
+		}, func() (err error) {
+			st, err = mlrcb.Decompose(sn.Mesh, mlCfg)
+			return err
+		})
 		if err != nil {
 			return err
 		}
+		g = d.Graph
 		mcByID = labelMap(sn.NodeID, d.Labels)
 		if cfg.Adaptive {
 			baseCut = partition.EdgeCut(d.Graph, d.Labels)
-		}
-		st, err := mlrcb.Decompose(sn.Mesh, mlCfg)
-		if err != nil {
-			return err
 		}
 		mlState = st
 		mlByID = labelMap(sn.NodeID, st.MeshLabels)
@@ -255,6 +272,9 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	}
 
 	for t, sn := range snaps {
+		if t > 0 {
+			g = nil
+		}
 		// The carried MCML+DT partition state must advance on every
 		// snapshot — including checkpoint fast-forward (it is
 		// deterministic from the seed, so replaying it is exact); only
@@ -269,6 +289,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			}
 			baseCut = out.BaselineCut
 			if d != nil {
+				g = d.Graph
 				mcByID = labelMap(sn.NodeID, d.Labels)
 			}
 			repartEvent, repartMigrated = out.Decision.String(), int64(out.Migrated)
@@ -290,6 +311,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 				if err != nil {
 					return nil, err
 				}
+				g = d.Graph
 				mcByID = labelMap(sn.NodeID, d.Labels)
 				repartEvent, repartMigrated = "diffuse", int64(migrated)
 				if t >= start {
@@ -334,7 +356,9 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		mcLabels := lookupLabels(sn.NodeID, mcByID)
 		mlLabels := lookupLabels(sn.NodeID, mlByID)
 
-		g := m.NodalGraph(mesh.NodalGraphOptions{NCon: 2})
+		if g == nil {
+			g = m.NodalGraph(mesh.NodalGraphOptions{NCon: 2})
+		}
 		var row Row
 		ev := EvalTimes{Repart: repartEvent, Migrated: repartMigrated}
 		snapSpan := expSpan.Child("snapshot", obs.Int("t", int64(t)))
@@ -396,10 +420,6 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			row.MLM2MComm = int64(m2m)
 			row.MLNRemote = mlState.NRemote(m, cfg.SearchTol)
 			return nil
-		}
-		legWorkers := 2
-		if cfg.SerialLegs {
-			legWorkers = 1
 		}
 		err := pool.Run(legWorkers, mcLeg, mlLeg)
 		snapSpan.End()

@@ -232,8 +232,10 @@ func TestFacetsEdgeCases(t *testing.T) {
 
 // decodeMesh builds a small mesh from fuzz bytes: a dimension, a node
 // count, then element records of one type byte and that type's node
-// bytes (taken modulo the node count, so ids repeat freely). It returns
-// nil when the bytes run out before the first element.
+// bytes (taken modulo the node count, so ids repeat freely). Bit 0 of
+// the type byte picks the type; when bit 1 is set, facet byte>>2 of the
+// element (modulo its facet count) joins the contact surface. It
+// returns nil when the bytes hold no node count.
 func decodeMesh(data []byte) *Mesh {
 	if len(data) < 2 {
 		return nil
@@ -242,7 +244,8 @@ func decodeMesh(data []byte) *Mesh {
 	m.Coords = make([]geom.Point, 1+int(data[1]%24))
 	types := [2][2]ElemType{{Tri3, Quad4}, {Tet4, Hex8}}
 	for p := 2; p < len(data); {
-		t := types[m.Dim-2][data[p]&1]
+		tb := data[p]
+		t := types[m.Dim-2][tb&1]
 		p++
 		if p+t.NumNodes() > len(data) {
 			break
@@ -253,6 +256,14 @@ func decodeMesh(data []byte) *Mesh {
 		p += t.NumNodes()
 		m.Types = append(m.Types, t)
 		m.EPtr = append(m.EPtr, int32(len(m.ENodes)))
+		if tb&2 != 0 {
+			e := m.NumElems() - 1
+			s := SurfaceElem{Elem: int32(e)}
+			for _, li := range t.Faces()[int(tb>>2)%len(t.Faces())] {
+				s.Nodes = append(s.Nodes, m.ElemNodes(e)[li])
+			}
+			m.Surface = append(m.Surface, s)
+		}
 	}
 	return m
 }

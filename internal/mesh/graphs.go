@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/graph"
@@ -37,9 +38,13 @@ func DefaultNodalOptions() NodalGraphOptions {
 // neighbor id, as graph.Builder produces them.
 //
 // The construction is linear in the mesh size: a counting sort of
-// ENodes gives every node its incident elements, and row v gathers the
-// other endpoints of those elements' edges at v, with a stamp per node
-// dropping neighbors already seen through another element.
+// ENodes gives every node its incidences, each an element and v's local
+// slot in it packed as e<<3 | slot, and row v gathers the nodes that
+// edgeNbrs joins to those slots, with a stamp per node dropping
+// neighbors already seen through another element. The packing limits
+// the mesh to fewer than 2^28 elements, and NodalGraph panics beyond
+// that; ReadMesh's 2^28 bound on the node-list length keeps every mesh
+// it reads well below it.
 func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
 	if opt.NCon < 1 {
 		opt.NCon = 1
@@ -54,6 +59,9 @@ func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
 		opt.ContactEdgeWeight = 1
 	}
 	n := m.NumNodes()
+	if m.NumElems() >= 1<<28 {
+		panic(fmt.Sprintf("mesh: NodalGraph supports fewer than 2^28 elements, got %d", m.NumElems()))
+	}
 	first := make([]int32, n+1)
 	for _, v := range m.ENodes {
 		first[v+1]++
@@ -64,8 +72,8 @@ func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
 	inc := make([]int32, len(m.ENodes))
 	next := append([]int32(nil), first[:n]...)
 	for e := 0; e < m.NumElems(); e++ {
-		for _, v := range m.ElemNodes(e) {
-			inc[next[v]] = int32(e)
+		for i, v := range m.ElemNodes(e) {
+			inc[next[v]] = int32(e)<<3 | int32(i)
 			next[v]++
 		}
 	}
@@ -78,23 +86,17 @@ func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
 	adj := make([]int32, 0, len(m.ENodes))
 	for v := int32(0); v < int32(n); v++ {
 		stamp[v] = v // no self-loops from degenerate elements
-		for _, e := range inc[first[v]:first[v+1]] {
-			nodes := m.ElemNodes(int(e))
-			for _, pair := range m.Types[e].Edges() {
-				a, b := nodes[pair[0]], nodes[pair[1]]
-				if a != v {
-					if b != v {
-						continue
-					}
-					b = a
-				}
-				if stamp[b] != v {
-					stamp[b] = v
-					adj = append(adj, b)
+		for _, es := range inc[first[v]:first[v+1]] {
+			e := es >> 3
+			nodes := m.ENodes[m.EPtr[e]:m.EPtr[e+1]]
+			for _, j := range edgeNbrs[m.Types[e]][es&7] {
+				if u := nodes[j]; stamp[u] != v {
+					stamp[u] = v
+					adj = append(adj, u)
 				}
 			}
 		}
-		slices.Sort(adj[xadj[v]:])
+		sortRow(adj[xadj[v]:])
 		xadj[v+1] = int32(len(adj))
 	}
 
@@ -116,6 +118,32 @@ func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
 		}
 	}
 	return g
+}
+
+// edgeNbrs[t][i] lists the local nodes that an edge of element type t
+// joins to local node i, derived from edgeTable.
+var edgeNbrs = func() (nbrs [len(edgeTable)][8][]uint8) {
+	for t, edges := range edgeTable {
+		for _, p := range edges {
+			nbrs[t][p[0]] = append(nbrs[t][p[0]], uint8(p[1]))
+			nbrs[t][p[1]] = append(nbrs[t][p[1]], uint8(p[0]))
+		}
+	}
+	return nbrs
+}()
+
+// sortRow sorts an adjacency row: by insertion when it is short, as
+// nearly every row is (about 14 entries in a tetrahedral mesh).
+func sortRow(row []int32) {
+	if len(row) > 32 {
+		slices.Sort(row)
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		for j := i; j > 0 && row[j] < row[j-1]; j-- {
+			row[j], row[j-1] = row[j-1], row[j]
+		}
+	}
 }
 
 // matchFacets enumerates the element facets in element order, facet f

@@ -134,13 +134,16 @@ func scramble(r *rand.Rand, m *Mesh, repeats, surfaces int) {
 	}
 }
 
+// nodalOptions are the option sets NodalGraph is checked under: the
+// paper's, the defaults, one constraint, and three with odd weights.
+var nodalOptions = []NodalGraphOptions{
+	DefaultNodalOptions(),
+	{},
+	{NCon: 1},
+	{NCon: 3, ContactEdgeWeight: 2, FEWeight: 4, ContactWeight: 7},
+}
+
 func TestNodalGraphMatchesReference(t *testing.T) {
-	opts := []NodalGraphOptions{
-		DefaultNodalOptions(),
-		{},
-		{NCon: 1},
-		{NCon: 3, ContactEdgeWeight: 2, FEWeight: 4, ContactWeight: 7},
-	}
 	meshes := map[string]func() *Mesh{
 		"tri3":  func() *Mesh { return gridMesh(9, 7, true) },
 		"quad4": func() *Mesh { return gridMesh(9, 7, false) },
@@ -158,7 +161,7 @@ func TestNodalGraphMatchesReference(t *testing.T) {
 			if variant.name != "plain" {
 				scramble(r, m, variant.repeats, variant.surfaces)
 			}
-			for i, opt := range opts {
+			for i, opt := range nodalOptions {
 				t.Run(fmt.Sprintf("%s/%s/opt%d", name, variant.name, i), func(t *testing.T) {
 					got, want := m.NodalGraph(opt), refNodalGraph(m, opt)
 					if err := got.Validate(); err != nil {
@@ -171,4 +174,26 @@ func TestNodalGraphMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzNodalGraph checks NodalGraph against refNodalGraph on small
+// meshes with arbitrary connectivity (see decodeMesh): repeated node
+// ids within an element, edges shared by any number of elements,
+// isolated nodes, and contact facets anywhere.
+func FuzzNodalGraph(f *testing.F) {
+	f.Add([]byte{0, 4, 0, 0, 1, 2, 3, 1, 2, 3, 0, 3})
+	f.Add([]byte{0, 5, 2, 0, 0, 1, 7, 1, 2, 3, 4})
+	f.Add([]byte{1, 5, 6, 0, 1, 2, 3, 2, 1, 2, 3, 4, 0, 0, 0, 1, 2})
+	f.Add([]byte{1, 11, 15, 0, 1, 2, 3, 4, 5, 6, 7, 19, 4, 5, 6, 7, 8, 9, 10, 11, 2, 4, 5, 6, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := decodeMesh(data)
+		if m == nil || m.Validate() != nil {
+			return
+		}
+		for i, opt := range nodalOptions {
+			if got, want := m.NodalGraph(opt), refNodalGraph(m, opt); !reflect.DeepEqual(got, want) {
+				t.Fatalf("opt%d: NodalGraph differs from refNodalGraph:\n got %+v\nwant %+v", i, got, want)
+			}
+		}
+	})
 }

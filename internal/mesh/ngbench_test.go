@@ -6,6 +6,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	. "repro/internal/mesh"
+	"repro/internal/sim"
 )
 
 // blockMesh returns an nx x ny x nz structured block of hexahedra, or
@@ -59,6 +60,23 @@ func benchNodalGraph(b *testing.B, m *Mesh) {
 func BenchmarkNodalGraphTets(b *testing.B) { benchNodalGraph(b, blockMesh(30, 30, 8, true)) }
 
 func BenchmarkNodalGraphHexes(b *testing.B) { benchNodalGraph(b, blockMesh(30, 30, 8, false)) }
+
+// BenchmarkNodalGraphPaper times the graph on the first snapshot of
+// perfbench's table1_fixed window: the paper scene at Refine 1 after
+// 100 of 400 steps (~17.6k nodes, ~87k tetrahedra).
+func BenchmarkNodalGraphPaper(b *testing.B) {
+	cfg := sim.PaperConfig()
+	cfg.Scene.Refine = 1
+	cfg.Steps, cfg.Snapshots = 400, 100
+	s, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for t := 0; t < 100; t++ {
+		s.Step()
+	}
+	benchNodalGraph(b, s.Snapshot(0).Mesh)
+}
 
 var sinkFacets []SurfaceElem
 
