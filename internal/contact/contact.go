@@ -41,7 +41,7 @@ type BoxFilter struct {
 // PartsFor marks every subdomain whose box intersects b.
 func (f *BoxFilter) PartsFor(b geom.AABB, mark []bool) {
 	for p, box := range f.Boxes {
-		if !box.IsEmpty(f.Dim) && box.Intersects(b, f.Dim) {
+		if box.Intersects(b, f.Dim) && !box.IsEmpty(f.Dim) {
 			mark[p] = true
 		}
 	}

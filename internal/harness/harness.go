@@ -173,7 +173,7 @@ type Result struct {
 // run is the checkpoint-aware experiment loop. When ck is non-nil it
 // resumes experiment exp from the checkpointed cursor: the carried
 // partition state (repartitions, incremental RCB updates, the
-// previous-labels map) is fast-forwarded through the already-measured
+// previous-labels table) is fast-forwarded through the already-measured
 // snapshots — it is deterministic from the seed, so replaying it is
 // exact — while their rows and imbalance accumulators are taken from
 // the checkpoint, skipping the expensive metric legs. Each newly
@@ -223,9 +223,17 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 
 	res := &Result{K: cfg.K, Snapshots: len(snaps)}
 
-	var mcByID, mlByID map[int64]int32
+	// Label tables indexed by persistent node id, -1 where the id is
+	// absent. Ids only disappear along a snapshot sequence, so snapshot
+	// 0's largest id sizes them all.
+	nID := int64(0)
+	for _, id := range snaps[0].NodeID {
+		nID = max(nID, id+1)
+	}
+	mcByID, mlByID := make([]int32, nID), make([]int32, nID)
+	prevRCB, curRCB := make([]int32, nID), make([]int32, nID)
+	clearLabels(prevRCB)
 	var mlState *mlrcb.State
-	prevRCB := map[int64]int32{}
 	var imbFE, imbContact float64
 	var baseCut int64 // adaptive drift baseline (cut after the last repair)
 	// g is the current snapshot's nodal graph when a decomposition
@@ -259,12 +267,12 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			return err
 		}
 		g = d.Graph
-		mcByID = labelMap(sn.NodeID, d.Labels)
+		setLabels(mcByID, sn.NodeID, d.Labels)
 		if cfg.Adaptive {
 			baseCut = partition.EdgeCut(d.Graph, d.Labels)
 		}
 		mlState = st
-		mlByID = labelMap(sn.NodeID, st.MeshLabels)
+		setLabels(mlByID, sn.NodeID, st.MeshLabels)
 		return nil
 	}
 	if err := decompose(snaps[0]); err != nil {
@@ -290,7 +298,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			baseCut = out.BaselineCut
 			if d != nil {
 				g = d.Graph
-				mcByID = labelMap(sn.NodeID, d.Labels)
+				setLabels(mcByID, sn.NodeID, d.Labels)
 			}
 			repartEvent, repartMigrated = out.Decision.String(), int64(out.Migrated)
 			if t >= start {
@@ -312,7 +320,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 					return nil, err
 				}
 				g = d.Graph
-				mcByID = labelMap(sn.NodeID, d.Labels)
+				setLabels(mcByID, sn.NodeID, d.Labels)
 				repartEvent, repartMigrated = "diffuse", int64(migrated)
 				if t >= start {
 					cfg.Obs.Add("repartition_diffused", 1)
@@ -334,17 +342,17 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		if t < start {
 			// Fast-forward an already-checkpointed snapshot: replay only
 			// the state carried across snapshots (the incremental RCB
-			// update and the previous-labels map used for UpdComm); its
+			// update and the previous-labels table used for UpdComm); its
 			// row came from the checkpoint, so the metric legs are
 			// skipped entirely.
 			if t > 0 {
 				mlState.Update(sn.Mesh)
 			}
-			curRCB := make(map[int64]int32, len(mlState.ContactNodes))
+			clearLabels(curRCB)
 			for i, n := range mlState.ContactNodes {
 				curRCB[sn.NodeID[n]] = mlState.ContactLabels[i]
 			}
-			prevRCB = curRCB
+			prevRCB, curRCB = curRCB, prevRCB
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -400,17 +408,17 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 				mlState.Update(m)
 			}
 			moved := 0
-			curRCB := make(map[int64]int32, len(mlState.ContactNodes))
+			clearLabels(curRCB)
 			for i, n := range mlState.ContactNodes {
 				id := sn.NodeID[n]
 				curRCB[id] = mlState.ContactLabels[i]
 				if t > 0 {
-					if prev, ok := prevRCB[id]; ok && prev != mlState.ContactLabels[i] {
+					if prev := prevRCB[id]; prev >= 0 && prev != mlState.ContactLabels[i] {
 						moved++
 					}
 				}
 			}
-			prevRCB = curRCB
+			prevRCB, curRCB = curRCB, prevRCB
 			row.MLUpdComm = int64(moved)
 
 			m2m, err := mlState.M2MComm(mlLabels)
@@ -490,18 +498,25 @@ func RunSweep(ctx context.Context, snaps []sim.Snapshot, cfgs []Config, o SweepO
 	})
 }
 
-// labelMap builds a persistent-id -> label map.
-func labelMap(ids []int64, labels []int32) map[int64]int32 {
-	m := make(map[int64]int32, len(ids))
-	for v, id := range ids {
-		m[id] = labels[v]
+// clearLabels marks every id of the id-indexed label table byID absent.
+func clearLabels(byID []int32) {
+	for i := range byID {
+		byID[i] = -1
 	}
-	return m
 }
 
-// lookupLabels resolves the current mesh's labels from a persistent
-// map (nodes only ever disappear, so every id is present).
-func lookupLabels(ids []int64, byID map[int64]int32) []int32 {
+// setLabels refills byID with labels[v] under the persistent id of
+// each node v.
+func setLabels(byID []int32, ids []int64, labels []int32) {
+	clearLabels(byID)
+	for v, id := range ids {
+		byID[id] = labels[v]
+	}
+}
+
+// lookupLabels resolves the current mesh's labels from an id-indexed
+// table (nodes only ever disappear, so every id is present).
+func lookupLabels(ids []int64, byID []int32) []int32 {
 	out := make([]int32, len(ids))
 	for v, id := range ids {
 		out[v] = byID[id]

@@ -285,3 +285,49 @@ func FuzzBoundaryFacets(f *testing.F) {
 		checkFacets(t, m)
 	})
 }
+
+// removeElems returns m without the elements dead, listed in ascending
+// order. Its nodes stay, used or not.
+func removeElems(m *Mesh, dead []int32) *Mesh {
+	out := &Mesh{Dim: m.Dim, Coords: m.Coords, EPtr: []int32{0}}
+	for e := 0; e < m.NumElems(); e++ {
+		if len(dead) > 0 && int(dead[0]) == e {
+			dead = dead[1:]
+			continue
+		}
+		addElem(out, m.Types[e], m.ElemNodes(e)...)
+	}
+	return out
+}
+
+// FuzzFacetsErode erodes the facet counts of a decoded mesh through a
+// sequence of random alive masks, drawn from the seed, and requires the
+// kept boundary to equal refBoundaryFacets of what remains of the mesh
+// after every step.
+func FuzzFacetsErode(f *testing.F) {
+	f.Add([]byte{0, 4, 0, 0, 1, 2, 1, 1, 2, 3, 0, 3}, int64(1))
+	f.Add([]byte{0, 5, 0, 0, 1, 2, 0, 1, 0, 3, 0, 0, 4, 1, 0, 2, 3, 0}, int64(2))
+	f.Add([]byte{1, 11, 1, 0, 1, 2, 3, 4, 5, 6, 7, 1, 4, 5, 6, 7, 8, 9, 10, 11, 0, 4, 5, 6, 8}, int64(3))
+	f.Add([]byte{1, 9, 0, 0, 1, 2, 3, 0, 1, 2, 4, 0, 1, 3, 4, 0, 2, 3, 4, 0, 5, 6, 7, 8, 0, 1, 2, 3}, int64(4))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		m := decodeMesh(data)
+		if m == nil || m.Validate() != nil {
+			return
+		}
+		fc := m.CountFacets()
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; m.NumElems() > 0; step++ {
+			var dead []int32
+			for e := 0; e < m.NumElems(); e++ {
+				if rng.Intn(3) == 0 {
+					dead = append(dead, int32(e))
+				}
+			}
+			fc.Erode(m, dead)
+			m = removeElems(m, dead)
+			if got, want := fc.Boundary(m), refBoundaryFacets(m); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: kept boundary differs from refBoundaryFacets:\n got %v\nwant %v", step, head(got), head(want))
+			}
+		}
+	})
+}

@@ -232,32 +232,84 @@ func (m *Mesh) DualGraph() *graph.Graph {
 // generated meshes), ordered by element and then by node tuple. The
 // facet node order is the element-local order. It returns nil when no
 // facet is on the boundary.
-func (m *Mesh) BoundaryFacets() []SurfaceElem {
-	first, rep := m.matchFacets()
-	nb := 0 // facets whose key occurs once
-	for f, r := range rep {
-		if int(r) == f {
-			nb++
-		} else if rep[r] == r {
-			rep[r], nb = -1, nb-1 // the key occurs again: its first occurrence is interior
+func (m *Mesh) BoundaryFacets() []SurfaceElem { return m.CountFacets().Boundary(m) }
+
+// FacetCounts is the facet matching of a mesh whose elements are only
+// ever deleted: the key id of every facet, the facets enumerated in
+// element order as matchFacets enumerates them, and for each key id the
+// number of facets that share the key. A facet is on the boundary when
+// its key's count is 1. Erode keeps the counts current as elements go,
+// so a mesh that loses a few elements at a time is matched only once.
+type FacetCounts struct {
+	key   []int32 // key id of each facet
+	count []int32 // facets per key id
+	nb    int     // key ids whose count is 1
+}
+
+// CountFacets matches the facets of m.
+func (m *Mesh) CountFacets() *FacetCounts {
+	_, rep := m.matchFacets()
+	fc := &FacetCounts{key: rep, count: make([]int32, len(rep))}
+	for _, r := range rep {
+		switch fc.count[r]++; fc.count[r] {
+		case 1:
+			fc.nb++
+		case 2:
+			fc.nb--
 		}
 	}
-	if nb == 0 {
+	return fc
+}
+
+// Erode deletes from fc the facets of m's elements listed in dead, in
+// ascending order, where m is the mesh fc counts. Call it before those
+// elements leave m: afterwards fc counts the facets of m without them,
+// in the surviving elements' order.
+func (fc *FacetCounts) Erode(m *Mesh, dead []int32) {
+	f, w := 0, 0 // read and write facet positions
+	for e, t := range m.Types {
+		nf := len(t.Faces())
+		if len(dead) > 0 && int(dead[0]) == e {
+			dead = dead[1:]
+			for _, k := range fc.key[f : f+nf] {
+				switch fc.count[k]--; fc.count[k] {
+				case 1:
+					fc.nb++
+				case 0:
+					fc.nb--
+				}
+			}
+		} else {
+			w += copy(fc.key[w:], fc.key[f:f+nf])
+		}
+		f += nf
+	}
+	fc.key = fc.key[:w]
+}
+
+// Boundary returns the boundary facets of m, the mesh fc counts, as
+// BoundaryFacets does.
+func (fc *FacetCounts) Boundary(m *Mesh) []SurfaceElem {
+	if fc.nb == 0 {
 		return nil
 	}
-	out, buf := make([]SurfaceElem, 0, nb), make([]int32, 0, 4*nb) // facets have at most 4 nodes
+	out, buf := make([]SurfaceElem, 0, fc.nb), make([]int32, 0, 4*fc.nb) // facets have at most 4 nodes
+	f := 0
 	for e := 0; e < m.NumElems(); e++ {
 		nodes, lo := m.ElemNodes(e), len(out)
-		for i, face := range m.Types[e].Faces() {
-			if f := first[e] + int32(i); rep[f] == f {
+		for _, face := range m.Types[e].Faces() {
+			if fc.count[fc.key[f]] == 1 {
 				n := len(buf)
 				for _, li := range face {
 					buf = append(buf, nodes[li])
 				}
 				out = append(out, SurfaceElem{Nodes: buf[n:len(buf):len(buf)], Elem: int32(e)})
 			}
+			f++
 		}
-		slices.SortFunc(out[lo:], func(a, b SurfaceElem) int { return slices.Compare(a.Nodes, b.Nodes) })
+		if len(out)-lo > 1 {
+			slices.SortFunc(out[lo:], func(a, b SurfaceElem) int { return slices.Compare(a.Nodes, b.Nodes) })
+		}
 	}
 	return out
 }

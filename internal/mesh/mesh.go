@@ -233,12 +233,18 @@ func (m *Mesh) Clone() *Mesh {
 		EPtr:   append([]int32(nil), m.EPtr...),
 		ENodes: append([]int32(nil), m.ENodes...),
 	}
+	n := 0
+	for _, s := range m.Surface {
+		n += len(s.Nodes)
+	}
+	// One buffer holds every facet's nodes; capped sub-slices keep an
+	// append to one facet from running into the next.
+	buf := make([]int32, 0, n)
 	c.Surface = make([]SurfaceElem, len(m.Surface))
 	for i, s := range m.Surface {
-		c.Surface[i] = SurfaceElem{
-			Nodes: append([]int32(nil), s.Nodes...),
-			Elem:  s.Elem,
-		}
+		lo := len(buf)
+		buf = append(buf, s.Nodes...)
+		c.Surface[i] = SurfaceElem{Nodes: buf[lo:len(buf):len(buf)], Elem: s.Elem}
 	}
 	return c
 }

@@ -318,13 +318,19 @@ func TestReadMeshRejectsGarbage(t *testing.T) {
 
 func TestClone(t *testing.T) {
 	m := unitQuadMesh()
-	m.Surface = []SurfaceElem{{Nodes: []int32{0, 1}, Elem: 0}}
+	m.Surface = []SurfaceElem{{Nodes: []int32{0, 1}, Elem: 0}, {Nodes: []int32{1, 4}, Elem: 1}}
 	c := m.Clone()
 	c.Coords[0] = geom.P2(99, 99)
 	c.ENodes[0] = 5
 	c.Surface[0].Nodes[0] = 7
 	if m.Coords[0] == c.Coords[0] || m.ENodes[0] == c.ENodes[0] || m.Surface[0].Nodes[0] == 7 {
 		t.Error("Clone shares storage with original")
+	}
+	// The clone's facets share one node buffer; appending to one must
+	// not overwrite the next.
+	_ = append(c.Surface[0].Nodes, 9)
+	if c.Surface[1].Nodes[0] != 1 {
+		t.Error("appending to a cloned facet overwrote the next one")
 	}
 }
 

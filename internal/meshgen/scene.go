@@ -103,6 +103,9 @@ type SceneInfo struct {
 	Plate2Top float64
 	Plate2Bot float64
 	ProjTip   float64 // initial z of the projectile's lowest face
+	// Facets is the facet matching of the generated mesh. The simulator
+	// erodes it along with the mesh instead of matching every snapshot.
+	Facets *mesh.FacetCounts
 }
 
 // BodyOfElem returns which body element e belongs to. ok is false
@@ -205,31 +208,28 @@ func ProjectileScene(cfg SceneConfig) (*mesh.Mesh, *SceneInfo, error) {
 		si.Elems[b] = Range{Lo: eOff, Hi: eOff + int32(bodies[b].NumElems())}
 	}
 
-	DesignateContact(m, si)
+	si.Facets = m.CountFacets()
+	DesignateContactBy(m, si.Facets.Boundary(m), si.Axis, cfg.ContactRadius, cfg.FullFaces, func(e int32) bool {
+		b, ok := si.BodyOfElem(e)
+		return ok && b == Projectile
+	})
 	if err := m.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("meshgen: generated scene invalid: %w", err)
 	}
 	return m, si, nil
 }
 
-// DesignateContact recomputes the mesh's contact surface: the entire
-// boundary of the projectile plus every plate boundary facet whose
-// centroid lies within cfg.ContactRadius of the impact axis (in xy),
-// plus — when cfg.FullFaces is set — every horizontal plate facet.
-func DesignateContact(m *mesh.Mesh, si *SceneInfo) {
-	DesignateContactBy(m, si.Axis, si.Cfg.ContactRadius, si.Cfg.FullFaces, func(e int32) bool {
-		b, ok := si.BodyOfElem(e)
-		return ok && b == Projectile
-	})
-}
-
-// DesignateContactBy is the body-mapping-agnostic form of
-// DesignateContact, used by the simulator after element erosion has
-// invalidated the original SceneInfo element ranges. isProjectile
-// reports whether an element id belongs to the projectile.
-func DesignateContactBy(m *mesh.Mesh, axis geom.Point, radius float64, fullFaces bool, isProjectile func(e int32) bool) {
-	var surf []mesh.SurfaceElem
-	for _, f := range m.BoundaryFacets() {
+// DesignateContactBy designates the mesh's contact surface among its
+// boundary facets, as m.BoundaryFacets returns them: every projectile
+// facet, every plate facet whose centroid lies within radius of the
+// impact axis (in xy), and, when fullFaces is set, every horizontal
+// plate facet. The contact facets become m.Surface, which reuses
+// facets' storage. isProjectile reports whether an element id belongs
+// to the projectile; the simulator maps it through erosion, which
+// invalidates SceneInfo's element ranges.
+func DesignateContactBy(m *mesh.Mesh, facets []mesh.SurfaceElem, axis geom.Point, radius float64, fullFaces bool, isProjectile func(e int32) bool) {
+	surf := facets[:0]
+	for _, f := range facets {
 		if isProjectile(f.Elem) {
 			surf = append(surf, f)
 			continue

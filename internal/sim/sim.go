@@ -83,13 +83,29 @@ type Snapshot struct {
 
 // Sim is the running simulation state.
 type Sim struct {
-	cfg  Config
-	m    *mesh.Mesh
-	info *meshgen.SceneInfo
+	cfg    Config
+	m      *mesh.Mesh
+	info   *meshgen.SceneInfo
+	facets *mesh.FacetCounts // m's facet matching, kept through erosion
 
 	nodeID   []int64        // persistent ids parallel to m.Coords
-	elemBody []meshgen.Body // body of each current element
+	nodeBody []meshgen.Body // body of each current node
 	disp     []geom.Point   // cumulative plate-node displacement (capped)
+	elemBody []meshgen.Body // body of each current element
+	// erodible lists, in ascending order, the current elements that can
+	// still erode (see New).
+	erodible []int32
+
+	// compact's scratch: the eroded elements, the node renumbering, and
+	// the node arrays it gathers the survivors into before swapping them
+	// with the live ones.
+	dead       []int32
+	firstUse   bool // nodes are numbered in order of first use
+	newIdx     []int32
+	spareCoord []geom.Point
+	spareID    []int64
+	spareBody  []meshgen.Body
+	spareDisp  []geom.Point
 
 	step     int
 	speed    float64 // projectile z-advance per step
@@ -107,26 +123,49 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
+	nn := m.NumNodes()
 	s := &Sim{
-		cfg:      cfg,
-		m:        m,
-		info:     info,
-		nodeID:   make([]int64, m.NumNodes()),
-		elemBody: make([]meshgen.Body, m.NumElems()),
-		disp:     make([]geom.Point, m.NumNodes()),
-		tipZ:     info.ProjTip,
-		projHalf: float64(cfg.Scene.ProjN) * cfg.Scene.Cell / 2,
-		cell:     cfg.Scene.Cell / float64(cfg.Scene.Refine),
+		cfg:        cfg,
+		m:          m,
+		info:       info,
+		facets:     info.Facets,
+		nodeID:     make([]int64, nn),
+		nodeBody:   make([]meshgen.Body, nn),
+		disp:       make([]geom.Point, nn),
+		elemBody:   make([]meshgen.Body, m.NumElems()),
+		newIdx:     make([]int32, nn),
+		spareCoord: make([]geom.Point, 0, nn),
+		spareID:    make([]int64, 0, nn),
+		spareBody:  make([]meshgen.Body, 0, nn),
+		spareDisp:  make([]geom.Point, 0, nn),
+		tipZ:       info.ProjTip,
+		projHalf:   float64(cfg.Scene.ProjN) * cfg.Scene.Cell / 2,
+		cell:       cfg.Scene.Cell / float64(cfg.Scene.Refine),
 	}
 	for v := range s.nodeID {
 		s.nodeID[v] = int64(v)
 	}
+	for b := meshgen.Plate1; b <= meshgen.Projectile; b++ {
+		for v := info.Nodes[b].Lo; v < info.Nodes[b].Hi; v++ {
+			s.nodeBody[v] = b
+		}
+	}
+	// A plate element erodes when its centroid is within erodeHalf of
+	// the axis in x and in y. deformPlates caps every node's
+	// displacement at cell/2, so a centroid never moves farther than
+	// that along x or y: only elements starting within erodeHalf +
+	// cell/2 can erode, and another cell/2 absorbs rounding.
+	reach := s.erodeHalf() + s.cell
 	for e := range s.elemBody {
 		b, ok := info.BodyOfElem(int32(e))
 		if !ok {
 			return nil, fmt.Errorf("sim: element %d outside every scene body", e)
 		}
 		s.elemBody[e] = b
+		if c := s.centroid(e); b != meshgen.Projectile &&
+			math.Abs(c[0]-info.Axis[0]) <= reach && math.Abs(c[1]-info.Axis[1]) <= reach {
+			s.erodible = append(s.erodible, int32(e))
+		}
 	}
 	travel := (info.ProjTip - info.Plate2Bot) + cfg.ExitMargin
 	s.speed = travel / float64(cfg.Steps)
@@ -140,29 +179,13 @@ func (s *Sim) Step() {
 	dz := s.speed
 	s.tipZ -= dz
 	// Advance every projectile node.
-	for v := 0; v < s.m.NumNodes(); v++ {
-		if s.bodyOfNode(v) == meshgen.Projectile {
+	for v, b := range s.nodeBody {
+		if b == meshgen.Projectile {
 			s.m.Coords[v][2] -= dz
 		}
 	}
 	s.deformPlates()
 }
-
-// bodyOfNode returns the body a node belongs to. Persistent node ids
-// are exactly the node's original scene index, so the original scene
-// ranges remain valid even after erosion renumbers the mesh.
-func (s *Sim) bodyOfNode(v int) meshgen.Body {
-	for b := meshgen.Plate1; b <= meshgen.Projectile; b++ {
-		if s.info.Nodes[b].Contains(int32(s.nodeBodyKey(v))) {
-			return b
-		}
-	}
-	panic(fmt.Sprintf("sim: node %d outside all bodies", v))
-}
-
-// nodeBodyKey returns the original node id used against the scene
-// ranges (persistent ids are exactly the original indices).
-func (s *Sim) nodeBodyKey(v int) int64 { return s.nodeID[v] }
 
 // deformPlates applies the crater bump to plate nodes near the axis:
 // nodes within the decay radius of the channel are pushed radially
@@ -174,8 +197,8 @@ func (s *Sim) deformPlates() {
 	decay := s.cfg.CraterDecay * s.cfg.Scene.Cell
 	capd := s.cell / 2
 	ax, ay := s.info.Axis[0], s.info.Axis[1]
-	for v := 0; v < s.m.NumNodes(); v++ {
-		if s.bodyOfNode(v) == meshgen.Projectile {
+	for v, b := range s.nodeBody {
+		if b == meshgen.Projectile {
 			continue
 		}
 		p := s.m.Coords[v]
@@ -206,87 +229,116 @@ func (s *Sim) deformPlates() {
 	}
 }
 
-// erode removes plate elements swallowed by the penetration channel:
-// elements whose centroid lies inside the (slightly widened) square
-// channel and above the current tip depth.
-func (s *Sim) erode() {
-	half := s.projHalf + s.cfg.ErodeMargin*s.cell
-	ax, ay := s.info.Axis[0], s.info.Axis[1]
-	alive := make([]bool, s.m.NumElems())
-	removed := 0
-	for e := 0; e < s.m.NumElems(); e++ {
-		alive[e] = true
-		if s.elemBody[e] == meshgen.Projectile {
-			continue
-		}
-		nodes := s.m.ElemNodes(e)
-		var cx, cy, cz float64
-		for _, n := range nodes {
-			cx += s.m.Coords[n][0]
-			cy += s.m.Coords[n][1]
-			cz += s.m.Coords[n][2]
-		}
-		k := float64(len(nodes))
-		cx, cy, cz = cx/k, cy/k, cz/k
-		if math.Abs(cx-ax) <= half && math.Abs(cy-ay) <= half && cz >= s.tipZ {
-			alive[e] = false
-			removed++
-		}
+// erodeHalf is the half-width of the eroded channel.
+func (s *Sim) erodeHalf() float64 { return s.projHalf + s.cfg.ErodeMargin*s.cell }
+
+// centroid returns the centroid of element e.
+func (s *Sim) centroid(e int) geom.Point {
+	nodes := s.m.ElemNodes(e)
+	var cx, cy, cz float64
+	for _, n := range nodes {
+		cx += s.m.Coords[n][0]
+		cy += s.m.Coords[n][1]
+		cz += s.m.Coords[n][2]
 	}
-	if removed == 0 {
-		return
-	}
-	s.compact(alive)
+	k := float64(len(nodes))
+	return geom.P3(cx/k, cy/k, cz/k)
 }
 
-// compact rebuilds the mesh keeping only alive elements and the nodes
-// they reference, preserving persistent node ids.
-func (s *Sim) compact(alive []bool) {
-	old := s.m
-	newIdx := make([]int32, old.NumNodes())
+// inChannel reports whether element e is swallowed by the penetration
+// channel: its centroid lies inside the (slightly widened) square
+// channel and above the current tip depth.
+func (s *Sim) inChannel(e int) bool {
+	half, c := s.erodeHalf(), s.centroid(e)
+	return math.Abs(c[0]-s.info.Axis[0]) <= half && math.Abs(c[1]-s.info.Axis[1]) <= half && c[2] >= s.tipZ
+}
+
+// erode removes the plate elements in the channel. Only the erodible
+// elements are tested.
+func (s *Sim) erode() {
+	s.dead = s.dead[:0]
+	keep := s.erodible[:0]
+	for _, e := range s.erodible {
+		if s.inChannel(int(e)) {
+			s.dead = append(s.dead, e)
+		} else {
+			// Every eroded element is erodible, so the ones removed
+			// before e are exactly those found so far.
+			keep = append(keep, e-int32(len(s.dead)))
+		}
+	}
+	s.erodible = keep
+	if len(s.dead) == 0 {
+		return
+	}
+	s.facets.Erode(s.m, s.dead)
+	s.compact()
+}
+
+// compact removes the dead elements and the nodes that only they
+// referenced, in place. Surviving elements keep their order; surviving
+// nodes are renumbered in order of first use by them and keep their
+// persistent ids, bodies and displacements.
+func (s *Sim) compact() {
+	m := s.m
+	// Once compact has numbered the nodes in order of first use, the
+	// elements before the first dead one use exactly nodes 0..p-1,
+	// which keep their numbers: only the rest needs renumbering.
+	start, p := 0, 0
+	if s.firstUse {
+		start = int(s.dead[0])
+		for _, n := range m.ENodes[:m.EPtr[start]] {
+			p = max(p, int(n)+1)
+		}
+	}
+	newIdx := s.newIdx[:m.NumNodes()]
 	for i := range newIdx {
-		newIdx[i] = -1
+		if newIdx[i] = -1; i < p {
+			newIdx[i] = int32(i)
+		}
 	}
-	// Sized for the old mesh, which bounds the compacted one.
-	nn, ne := old.NumNodes(), old.NumElems()
-	nm := &mesh.Mesh{
-		Dim:    old.Dim,
-		Coords: make([]geom.Point, 0, nn),
-		Types:  make([]mesh.ElemType, 0, ne),
-		EPtr:   append(make([]int32, 0, ne+1), 0),
-		ENodes: make([]int32, 0, len(old.ENodes)),
-	}
-	nodeID := make([]int64, 0, nn)
-	disp := make([]geom.Point, 0, nn)
-	elemBody := make([]meshgen.Body, 0, ne)
-	for e := 0; e < ne; e++ {
-		if !alive[e] {
+	coords := append(s.spareCoord[:0], m.Coords[:p]...)
+	ids := append(s.spareID[:0], s.nodeID[:p]...)
+	bodies := append(s.spareBody[:0], s.nodeBody[:p]...)
+	disp := append(s.spareDisp[:0], s.disp[:p]...)
+	dead := s.dead
+	ne, w, nw := m.NumElems(), start, m.EPtr[start] // next element and node-list slot
+	for e := start; e < ne; e++ {
+		if len(dead) > 0 && int(dead[0]) == e {
+			dead = dead[1:]
 			continue
 		}
-		nm.Types = append(nm.Types, old.Types[e])
-		for _, n := range old.ElemNodes(e) {
+		// Writes trail reads (w <= e, nw <= EPtr[e]), so every entry is
+		// read before it is overwritten.
+		for _, n := range m.ENodes[m.EPtr[e]:m.EPtr[e+1]] {
 			if newIdx[n] < 0 {
-				newIdx[n] = int32(len(nm.Coords))
-				nm.Coords = append(nm.Coords, old.Coords[n])
-				nodeID = append(nodeID, s.nodeID[n])
+				newIdx[n] = int32(len(coords))
+				coords = append(coords, m.Coords[n])
+				ids = append(ids, s.nodeID[n])
+				bodies = append(bodies, s.nodeBody[n])
 				disp = append(disp, s.disp[n])
 			}
-			nm.ENodes = append(nm.ENodes, newIdx[n])
+			m.ENodes[nw] = newIdx[n]
+			nw++
 		}
-		nm.EPtr = append(nm.EPtr, int32(len(nm.ENodes)))
-		elemBody = append(elemBody, s.elemBody[e])
+		m.Types[w] = m.Types[e]
+		s.elemBody[w] = s.elemBody[e]
+		w++
+		m.EPtr[w] = nw
 	}
-	s.m = nm
-	s.nodeID = nodeID
-	s.disp = disp
-	s.elemBody = elemBody
+	m.Types, m.EPtr, m.ENodes, s.elemBody = m.Types[:w], m.EPtr[:w+1], m.ENodes[:nw], s.elemBody[:w]
+	m.Coords, s.spareCoord = coords, m.Coords
+	s.nodeID, s.spareID = ids, s.nodeID
+	s.nodeBody, s.spareBody = bodies, s.nodeBody
+	s.disp, s.spareDisp = disp, s.disp
+	s.firstUse = true
 }
 
 // Snapshot erodes, re-designates the contact surface, and returns a
 // deep copy of the current state.
 func (s *Sim) Snapshot(index int) Snapshot {
 	s.erode()
-	meshgen.DesignateContactBy(s.m, s.info.Axis, s.cfg.Scene.ContactRadius, s.cfg.Scene.FullFaces, func(e int32) bool {
+	meshgen.DesignateContactBy(s.m, s.facets.Boundary(s.m), s.info.Axis, s.cfg.Scene.ContactRadius, s.cfg.Scene.FullFaces, func(e int32) bool {
 		return s.elemBody[e] == meshgen.Projectile
 	})
 	return Snapshot{

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/meshgen"
@@ -130,7 +131,7 @@ func TestDeformationIsBounded(t *testing.T) {
 	sn := s.Snapshot(0)
 	cell := cfg.Scene.Cell / float64(cfg.Scene.Refine)
 	for v, id := range sn.NodeID {
-		if s.bodyOfNode(v) == meshgen.Projectile {
+		if s.nodeBody[v] == meshgen.Projectile {
 			continue
 		}
 		o := orig[id]
@@ -230,5 +231,84 @@ func TestErosionReducesTotalVolume(t *testing.T) {
 	}
 	if first, last := snaps[0].Mesh.TotalMeasure(), prev; last >= first {
 		t.Errorf("total volume %g -> %g: erosion removed nothing", first, last)
+	}
+}
+
+// TestSnapshotSurfaceMatchesFullRebuild checks the kept facet counts,
+// the erodible-element list and the in-place compaction against full
+// rebuilds on every snapshot: the surface must equal the one designated
+// over a fresh BoundaryFacets match of the snapshot mesh, every element
+// a scan of all elements would erode must be erodible, and the nodes
+// must be numbered as a compaction from scratch numbers them.
+func TestSnapshotSurfaceMatchesFullRebuild(t *testing.T) {
+	paper := PaperConfig()
+	paper.Scene.Refine = 1
+	paper.Steps, paper.Snapshots = 100, 25
+	hex := DefaultConfig()
+	hex.Scene.Tets = false
+	configs := map[string]Config{"default": DefaultConfig(), "paper-refine1": paper, "hex": hex}
+	if testing.Short() {
+		delete(configs, "paper-refine1")
+	}
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			interval := cfg.Steps / cfg.Snapshots
+			eroded := 0
+			for step := 1; step <= cfg.Steps; step++ {
+				s.Step()
+				if step%interval != 0 {
+					continue
+				}
+				erodible := map[int32]bool{}
+				for _, e := range s.erodible {
+					erodible[e] = true
+				}
+				want := 0
+				for e, b := range s.elemBody {
+					if b != meshgen.Projectile && s.inChannel(e) {
+						if !erodible[int32(e)] {
+							t.Fatalf("step %d: element %d erodes but is not erodible", step, e)
+						}
+						want++
+					}
+				}
+				ne := s.m.NumElems()
+				sn := s.Snapshot(step / interval)
+				if got := ne - sn.Mesh.NumElems(); got != want {
+					t.Fatalf("step %d: eroded %d elements, want %d", step, got, want)
+				}
+				eroded += want
+				if eroded > 0 {
+					// Compaction numbers the nodes in order of first use
+					// and drops the unused ones.
+					next := int32(0)
+					for _, n := range sn.Mesh.ENodes {
+						if n > next {
+							t.Fatalf("step %d: node %d used before node %d", step, n, next)
+						}
+						if n == next {
+							next++
+						}
+					}
+					if int(next) != sn.Mesh.NumNodes() {
+						t.Fatalf("step %d: %d of %d nodes used", step, next, sn.Mesh.NumNodes())
+					}
+				}
+				ref := sn.Mesh.Clone()
+				meshgen.DesignateContactBy(ref, ref.BoundaryFacets(), s.info.Axis, cfg.Scene.ContactRadius, cfg.Scene.FullFaces, func(e int32) bool {
+					return s.elemBody[e] == meshgen.Projectile
+				})
+				if !reflect.DeepEqual(sn.Mesh.Surface, ref.Surface) {
+					t.Fatalf("step %d: surface of %d facets differs from the full rebuild's %d", step, len(sn.Mesh.Surface), len(ref.Surface))
+				}
+			}
+			if eroded == 0 {
+				t.Fatal("no element eroded")
+			}
+		})
 	}
 }
