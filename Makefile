@@ -93,15 +93,17 @@ trace:
 # determinism, trace retention/retrieval over HTTP, and the chaos test
 # that scrapes /metrics, /debug/events, and a job trace mid-storm. The
 # contactbench line then proves a real sweep's exposition passes
-# promcheck end to end, required families included.
+# promcheck end to end, required families included; its incremental
+# repartitioning cadence puts the update path's rung and migration
+# counters in that exposition.
 PROM_OUT := $(if $(TMPDIR),$(TMPDIR),/tmp)/contactbench-metrics.prom
 obs:
 	go test -race -count=1 \
 		-run 'Prom|Window|Flight|Logger|Merge|Trace|Health|Events|Lifecycle|ChaosUnderLoad' \
 		./internal/obs ./internal/server
-	go run ./cmd/contactbench -quick -snapshots 2 -k 4 -prom $(PROM_OUT)
+	go run ./cmd/contactbench -quick -snapshots 2 -k 4 -repart-every 1 -incremental -prom $(PROM_OUT)
 	go run ./tools/promcheck \
-		-require partition,metric_eval,rb_coarsen,rb_refine,go_sched_goroutines_goroutines \
+		-require partition,metric_eval,rb_coarsen,rb_refine,go_sched_goroutines_goroutines,repartition_diffused_total,repartition_migrated_total \
 		$(PROM_OUT)
 
 

@@ -81,7 +81,7 @@ func run() int {
 		incremental  = flag.Bool("incremental", false, "with -repart-every: warm-start via diffusion instead of from scratch")
 		driftCut     = flag.Float64("drift-cut", 0, "with -adaptive: relative cut-drift that triggers a diffusion repair (0 = default)")
 		driftFullCut = flag.Float64("drift-full-cut", 0, "with -adaptive: relative cut-drift that forces a full repartition (0 = default)")
-		driftImb     = flag.Float64("drift-imb", 0, "with -adaptive: imbalance that forces a full repartition (0 = default)")
+		driftImb     = flag.Float64("drift-imb", 0, "with -adaptive or -incremental: imbalance that forces a full repartition (0 = default)")
 	)
 	flag.Parse()
 	if *resume && *ckptPath == "" {

@@ -15,8 +15,12 @@
 //     — the geometric subdomain descriptors used by global search.
 //
 // Between time steps the partition is kept and only step 5 re-runs
-// (the paper's default update strategy); Hybrid updates re-run the
-// whole pipeline every R steps.
+// (the paper's default update strategy); hybrid updates re-run
+// Decompose every R steps. The warm-started updates share one rung
+// path: AdaptiveDecompose lets the drift policy pick keep, diffusion
+// repair or a full partition per snapshot, and Redecompose forces the
+// diffusion rung; on both, a repair that leaves the imbalance above
+// Drift.FullImbalance escalates to a full partition.
 package core
 
 import (
@@ -72,8 +76,9 @@ type Config struct {
 	// of the paper's future-work section.
 	WideGaps bool
 	// Drift tunes the warm-start policy of AdaptiveDecompose (zero
-	// value selects the partition.DriftThresholds defaults). Ignored by
-	// Decompose and Redecompose.
+	// value selects the partition.DriftThresholds defaults).
+	// Redecompose reads only FullImbalance, the escalation bound of its
+	// diffusion repair; Decompose ignores it.
 	Drift partition.DriftThresholds
 	// Obs, when non-nil, receives per-phase wall-clock timings
 	// ("partition", "tree_induction", "drift_eval") for every pipeline
@@ -112,28 +117,6 @@ func (c Config) withDefaults(n int) Config {
 // paper's recommended [n/k^(exp+0.25), n/k^(exp-0.25)] ranges.
 func autoThreshold(n, k int, exp float64) int {
 	return int(float64(n) / math.Pow(float64(k), exp))
-}
-
-// warmstart validates the inputs of the warm-started update op and
-// resolves the configured backend, rejecting it when it lacks the
-// Warmstart capability: the warm-started update paths repair inherited
-// labels with the diffusion repartitioner, which only the multilevel
-// backend implements.
-func warmstart(m *mesh.Mesh, prevLabels []int32, cfg Config, op string) (backend.Partitioner, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("core: K = %d", cfg.K)
-	}
-	if len(prevLabels) != m.NumNodes() {
-		return nil, fmt.Errorf("core: %d previous labels for %d nodes", len(prevLabels), m.NumNodes())
-	}
-	be, err := backend.Lookup(cfg.Backend)
-	if err != nil {
-		return nil, err
-	}
-	if !be.Caps().Warmstart {
-		return nil, fmt.Errorf("core: %s requires a warm-start-capable backend, %q is not (Caps().Warmstart=false)", op, be.Name())
-	}
-	return be, nil
 }
 
 // Decomposition is the output of the MCML+DT pipeline.
@@ -211,37 +194,7 @@ func pipeline(m *mesh.Mesh, g *graph.Graph, cfg Config, be backend.Partitioner, 
 	return d, nil
 }
 
-// Redecompose adapts a previous decomposition to an updated mesh: the
-// multi-constraint *repartitioning* update of Section 4.3 ("the
-// updated multi-constraint partitioning will be computed using a
-// multi-constraint repartitioning algorithm [32]"). prevLabels maps
-// every node of m to its previous partition (the caller carries labels
-// across snapshots via persistent node ids). The repartitioner
-// restores balance with bounded migration; the boundary reshaping and
-// descriptor induction then run as in Decompose. Returns the new
-// decomposition and the number of nodes that migrated.
-func Redecompose(m *mesh.Mesh, prevLabels []int32, cfg Config) (*Decomposition, int, error) {
-	be, err := warmstart(m, prevLabels, cfg, "Redecompose")
-	if err != nil {
-		return nil, 0, err
-	}
-	cfg = cfg.withDefaults(m.NumNodes())
-	g := m.NodalGraph(cfg.Nodal)
-
-	var migrated int
-	d, err := pipeline(m, g, cfg, be, func(popt partition.Options) ([]int32, error) {
-		labels := append([]int32(nil), prevLabels...)
-		var err error
-		migrated, err = partition.Repartition(g, labels, partition.RepartitionOptions{Options: popt})
-		return labels, err
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return d, migrated, nil
-}
-
-// AdaptiveOutcome reports what the drift policy did for one snapshot.
+// AdaptiveOutcome reports what the update rung did for one snapshot.
 type AdaptiveOutcome struct {
 	// Decision is the ladder rung that actually ran (a diffuse that
 	// failed to repair the decay escalates and reports DriftFull).
@@ -272,10 +225,46 @@ type AdaptiveOutcome struct {
 // BaselineCut forward. Deterministic: equal inputs give equal outputs
 // for any worker count.
 func AdaptiveDecompose(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Config) (*Decomposition, AdaptiveOutcome, error) {
+	return update(m, prevLabels, baseCut, cfg, "AdaptiveDecompose", false)
+}
+
+// Redecompose adapts a previous decomposition to an updated mesh: the
+// multi-constraint *repartitioning* update of Section 4.3 ("the
+// updated multi-constraint partitioning will be computed using a
+// multi-constraint repartitioning algorithm [32]"). It is
+// AdaptiveDecompose forced onto the diffuse rung: prevLabels maps every
+// node of m to its previous partition (the caller carries labels
+// across snapshots via persistent node ids), the repartitioner
+// restores balance with bounded migration, and a repair that leaves
+// the imbalance above Drift.FullImbalance escalates to a full
+// partition. The boundary reshaping and descriptor induction then run
+// as in Decompose.
+func Redecompose(m *mesh.Mesh, prevLabels []int32, cfg Config) (*Decomposition, AdaptiveOutcome, error) {
+	return update(m, prevLabels, 0, cfg, "Redecompose", true)
+}
+
+// update is the one warm-started update path behind AdaptiveDecompose
+// and Redecompose. It measures the inherited labels on m's graph and,
+// unless diffuse forces the repair rung, lets the drift policy pick
+// the rung. Diffusion that leaves the imbalance above
+// Drift.FullImbalance escalates to a full partition: local moves
+// cannot always fix a labeling that has degraded structurally.
+func update(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Config, op string, diffuse bool) (*Decomposition, AdaptiveOutcome, error) {
 	var out AdaptiveOutcome
-	be, err := warmstart(m, prevLabels, cfg, "AdaptiveDecompose")
+	if cfg.K < 1 {
+		return nil, out, fmt.Errorf("core: K = %d", cfg.K)
+	}
+	if len(prevLabels) != m.NumNodes() {
+		return nil, out, fmt.Errorf("core: %d previous labels for %d nodes", len(prevLabels), m.NumNodes())
+	}
+	be, err := backend.Lookup(cfg.Backend)
 	if err != nil {
 		return nil, out, err
+	}
+	// Only the multilevel backend implements the diffusion
+	// repartitioner the repair rung runs.
+	if !be.Caps().Warmstart {
+		return nil, out, fmt.Errorf("core: %s requires a warm-start-capable backend, %q is not (Caps().Warmstart=false)", op, be.Name())
 	}
 	cfg = cfg.withDefaults(m.NumNodes())
 	g := m.NodalGraph(cfg.Nodal)
@@ -283,7 +272,10 @@ func AdaptiveDecompose(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Conf
 	ph := cfg.Obs.Phase(cfg.Span, "drift_eval")
 	cur := partition.MeasureDrift(g, prevLabels, cfg.K)
 	out.Cut, out.Imbalance = cur.Cut, cur.Imbalance
-	out.Decision = cfg.Drift.Decide(cur, baseCut, cfg.Imbalance)
+	out.Decision = partition.DriftDiffuse
+	if !diffuse {
+		out.Decision = cfg.Drift.Decide(cur, baseCut, cfg.Imbalance)
+	}
 	ph.End()
 
 	if out.Decision == partition.DriftKeep {
@@ -297,9 +289,6 @@ func AdaptiveDecompose(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Conf
 			if _, err := partition.Repartition(g, labels, partition.RepartitionOptions{Options: popt}); err != nil {
 				return nil, err
 			}
-			// Escalate when diffusion could not actually repair the
-			// decay: local moves cannot always fix a labeling that has
-			// degraded structurally.
 			post := partition.MeasureDrift(g, labels, cfg.K)
 			if th := cfg.Drift.WithDefaults(cfg.Imbalance); post.Imbalance <= th.FullImbalance {
 				return labels, nil

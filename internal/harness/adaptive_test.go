@@ -21,67 +21,91 @@ func tightDrift() partition.DriftThresholds {
 	return partition.DriftThresholds{CutDrift: 0.0001, FullCutDrift: 0.02, FullImbalance: 1.001}
 }
 
-// TestAdaptiveSweepRunsPolicy checks the adaptive warm-start path end
-// to end: the sweep completes, every snapshot after the first records
-// a drift decision in the series, and the decision counters add up to
-// the number of decided snapshots.
+// TestAdaptiveSweepRunsPolicy checks every update strategy's event
+// path end to end: the sweep completes with all metrics, each event is
+// recorded in the series exactly at the snapshots the strategy decides,
+// the rung counters add up to the number of events, and a keep
+// migrates nothing.
 func TestAdaptiveSweepRunsPolicy(t *testing.T) {
 	snaps := testSnaps(t, 5)
-	col := obs.New()
-	r, err := runOne(snaps, Config{K: 6, Seed: 1, Adaptive: true, Obs: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != len(snaps) {
-		t.Fatalf("%d rows for %d snapshots", len(r.Rows), len(snaps))
-	}
-	decided := 0
-	for t2, ev := range r.evals {
-		switch ev.Repart {
-		case "":
-			if t2 > 0 {
-				t.Errorf("snapshot %d: no drift decision recorded", t2)
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		events []int    // snapshots that must record an event
+		rungs  []string // rungs the strategy may record
+	}{
+		{"adaptive", Config{Adaptive: true}, []int{1, 2, 3, 4}, []string{"keep", "diffuse", "full"}},
+		// The configured Drift must reach the policy: under the
+		// defaults these snapshots diffuse and keep.
+		{"adaptive_tight", Config{Adaptive: true, Drift: tightDrift()}, []int{1, 2, 3, 4}, []string{"full"}},
+		{"every2", Config{RepartitionEvery: 2}, []int{2, 4}, []string{"full"}},
+		{"every2_incremental", Config{RepartitionEvery: 2, Incremental: true}, []int{2, 4}, []string{"diffuse", "full"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := obs.New()
+			cfg := tc.cfg
+			cfg.K, cfg.Seed, cfg.Obs = 6, 1, col
+			r, err := runOne(snaps, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case "keep", "diffuse", "full":
-			decided++
-			if ev.Repart == "keep" && ev.Migrated != 0 {
-				t.Errorf("snapshot %d: keep migrated %d nodes", t2, ev.Migrated)
+			if len(r.Rows) != len(snaps) {
+				t.Fatalf("%d rows for %d snapshots", len(r.Rows), len(snaps))
 			}
-		default:
-			t.Errorf("snapshot %d: unknown decision %q", t2, ev.Repart)
-		}
-	}
-	if decided != len(snaps)-1 {
-		t.Errorf("%d decisions for %d snapshots", decided, len(snaps))
-	}
+			if r.Avg.MCFEComm <= 0 || r.Avg.MCNTNodes <= 0 || r.Avg.MLFEComm <= 0 {
+				t.Errorf("run lost metrics: %+v", r.Avg)
+			}
+			var got []int
+			for t2, ev := range r.evals {
+				if ev.Repart == "" {
+					continue
+				}
+				got = append(got, t2)
+				if !slices.Contains(tc.rungs, ev.Repart) {
+					t.Errorf("snapshot %d: rung %q, want one of %v", t2, ev.Repart, tc.rungs)
+				}
+				if ev.Repart == "keep" && ev.Migrated != 0 {
+					t.Errorf("snapshot %d: keep migrated %d nodes", t2, ev.Migrated)
+				}
+			}
+			if !slices.Equal(got, tc.events) {
+				t.Errorf("events at snapshots %v, want %v", got, tc.events)
+			}
 
-	rep := col.Report()
-	var counted int64
-	for _, c := range rep.Counters {
-		switch c.Name {
-		case "repartition_kept", "repartition_diffused", "repartition_full":
-			counted += c.Value
-		}
-	}
-	if counted != int64(decided) {
-		t.Errorf("decision counters sum to %d, want %d (counters: %v)", counted, decided, rep.Counters)
-	}
-	sawDrift := false
-	for _, p := range rep.Phases {
-		if p.Name == "drift_eval" {
-			sawDrift = true
-		}
-	}
-	if !sawDrift {
-		t.Error("drift_eval timer missing from the report")
-	}
+			rep := col.Report()
+			var counted int64
+			for _, c := range rep.Counters {
+				switch c.Name {
+				case "repartition_kept", "repartition_diffused", "repartition_full":
+					counted += c.Value
+				}
+			}
+			if counted != int64(len(tc.events)) {
+				t.Errorf("rung counters sum to %d, want %d (counters: %v)", counted, len(tc.events), rep.Counters)
+			}
+			// Warm-started events grade the carried labels first; a
+			// from-scratch full partition has nothing to grade.
+			var graded int64
+			for _, p := range rep.Phases {
+				if p.Name == "drift_eval" {
+					graded = p.Count
+				}
+			}
+			wantGraded := int64(len(tc.events))
+			if !tc.cfg.Adaptive && !tc.cfg.Incremental {
+				wantGraded = 0
+			}
+			if graded != wantGraded {
+				t.Errorf("drift_eval ran %d times, want %d", graded, wantGraded)
+			}
 
-	// The series view must carry the decision and migration columns.
-	pts := Series([]*Result{r})
-	for _, p := range pts {
-		if p.Snapshot > 0 && p.MCRepart == "" {
-			t.Errorf("series snapshot %d: missing mc_repart", p.Snapshot)
-		}
+			// The series view must carry the decision column.
+			for _, p := range Series([]*Result{r}) {
+				if want := slices.Contains(tc.events, p.Snapshot); (p.MCRepart != "") != want {
+					t.Errorf("series snapshot %d: mc_repart %q", p.Snapshot, p.MCRepart)
+				}
+			}
+		})
 	}
 }
 

@@ -114,12 +114,18 @@ func configHash(snaps []sim.Snapshot, cfgs []Config) string {
 			// the selector keep byte-identical hash input.
 			fmt.Fprintf(h, " be=%s", c.Backend)
 		}
-		if c.Adaptive {
+		d := c.Drift.WithDefaults(c.Imbalance)
+		switch {
+		case c.Adaptive:
 			// Appended only for adaptive configs so every pre-existing
 			// checkpoint (necessarily non-adaptive) keeps its hash.
-			d := c.Drift.WithDefaults(c.Imbalance)
 			fmt.Fprintf(h, " ad=%t dc=%g dfc=%g dfi=%g",
 				c.Adaptive, d.CutDrift, d.FullCutDrift, d.FullImbalance)
+		case c.Incremental && c.RepartitionEvery > 0:
+			// The incremental cadence escalates past FullImbalance, so
+			// the bound is part of its workload; its checkpoints from
+			// before it escalated no longer match.
+			fmt.Fprintf(h, " dfi=%g", d.FullImbalance)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

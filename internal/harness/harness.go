@@ -67,9 +67,11 @@ type Config struct {
 	// many snapshots (the hybrid strategy of Section 4.3); 0 keeps the
 	// snapshot-0 partitions throughout (the paper's evaluated setting).
 	RepartitionEvery int
-	// Incremental makes the periodic MCML+DT recomputation use the
-	// multi-constraint repartitioner (bounded migration) instead of a
-	// fresh partition. Only meaningful with RepartitionEvery > 0.
+	// Incremental makes the periodic update the drift ladder's diffuse
+	// rung on the MCML+DT side (core.Redecompose: bounded-migration
+	// repair, escalating to a full partition past Drift.FullImbalance)
+	// instead of a fresh partition of both sides. Only meaningful with
+	// RepartitionEvery > 0.
 	Incremental bool
 	// Adaptive enables the warm-started drift policy for the MCML+DT
 	// side: every snapshot inherits the previous snapshot's labels via
@@ -80,7 +82,8 @@ type Config struct {
 	// paper's evaluated setting keeps the snapshot-0 partition.
 	Adaptive bool
 	// Drift tunes the adaptive policy's thresholds (zero value =
-	// partition.DriftThresholds defaults). Only read when Adaptive.
+	// partition.DriftThresholds defaults). Read when Adaptive; the
+	// Incremental cadence reads its FullImbalance escalation bound.
 	Drift partition.DriftThresholds
 	// SerialLegs runs the per-snapshot measurement legs, and the
 	// MCML+DT and ML+RCB decompositions at snapshot 0 and on full
@@ -211,6 +214,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		SkipReshape: cfg.SkipReshape,
 		Backend:     cfg.Backend,
 		WideGaps:    cfg.WideGaps,
+		Drift:       cfg.Drift,
 		Parallel:    true,
 		Obs:         cfg.Obs,
 		Span:        expSpan,
@@ -253,10 +257,12 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	}
 	prog.set(exp, start)
 
-	decompose := func(sn sim.Snapshot) error {
-		var d *core.Decomposition
+	// decompose partitions sn from scratch on both sides, at snapshot 0
+	// and on every full -repart-every event, and carries the ML+RCB
+	// state; the MCML+DT side's carry is the caller's.
+	decompose := func(sn sim.Snapshot) (d *core.Decomposition, err error) {
 		var st *mlrcb.State
-		err := pool.Run(legWorkers, func() (err error) {
+		err = pool.Run(legWorkers, func() (err error) {
 			d, err = core.Decompose(sn.Mesh, coreCfg)
 			return err
 		}, func() (err error) {
@@ -264,34 +270,72 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			return err
 		})
 		if err != nil {
-			return err
-		}
-		g = d.Graph
-		setLabels(mcByID, sn.NodeID, d.Labels)
-		if cfg.Adaptive {
-			baseCut = partition.EdgeCut(d.Graph, d.Labels)
+			return nil, err
 		}
 		mlState = st
 		setLabels(mlByID, sn.NodeID, st.MeshLabels)
-		return nil
+		return d, nil
 	}
-	if err := decompose(snaps[0]); err != nil {
+	d0, err := decompose(snaps[0])
+	if err != nil {
 		return nil, err
+	}
+	g = d0.Graph
+	setLabels(mcByID, snaps[0].NodeID, d0.Labels)
+	if cfg.Adaptive {
+		baseCut = partition.EdgeCut(g, d0.Labels)
+	}
+
+	// advanceRCB runs the incremental RCB update for snapshot t and
+	// carries the contact labels forward by persistent id. It returns
+	// UpdComm, the number of contact nodes whose subdomain changed (0
+	// at snapshot 0, where every previous label is absent).
+	advanceRCB := func(t int, sn sim.Snapshot) int64 {
+		if t > 0 {
+			mlState.Update(sn.Mesh)
+		}
+		moved := int64(0)
+		clearLabels(curRCB)
+		for i, n := range mlState.ContactNodes {
+			id, l := sn.NodeID[n], mlState.ContactLabels[i]
+			curRCB[id] = l
+			if prev := prevRCB[id]; prev >= 0 && prev != l {
+				moved++
+			}
+		}
+		prevRCB, curRCB = curRCB, prevRCB
+		return moved
 	}
 
 	for t, sn := range snaps {
 		if t > 0 {
 			g = nil
 		}
+		// Snapshot t's repartitioning event, decided here alone:
+		// Adaptive asks the drift policy at every snapshot after the
+		// first; RepartitionEvery repairs (Incremental) or recomputes
+		// every that many snapshots; otherwise the partition is carried.
 		// The carried MCML+DT partition state must advance on every
 		// snapshot — including checkpoint fast-forward (it is
 		// deterministic from the seed, so replaying it is exact); only
 		// the obs counters are gated on t >= start so a resume does not
 		// double-count replayed decisions.
-		repartEvent, repartMigrated := "", int64(0)
-		if cfg.Adaptive && t > 0 {
+		var ev EvalTimes
+		if every := cfg.RepartitionEvery > 0 && t%cfg.RepartitionEvery == 0; t > 0 && (cfg.Adaptive || every) {
 			prev := lookupLabels(sn.NodeID, mcByID)
-			d, out, err := core.AdaptiveDecompose(sn.Mesh, prev, baseCut, coreCfg)
+			var d *core.Decomposition
+			var out core.AdaptiveOutcome
+			switch {
+			case cfg.Adaptive:
+				d, out, err = core.AdaptiveDecompose(sn.Mesh, prev, baseCut, coreCfg)
+			case cfg.Incremental:
+				d, out, err = core.Redecompose(sn.Mesh, prev, coreCfg)
+			default:
+				if d, err = decompose(sn); err == nil {
+					out.Decision = partition.DriftFull
+					out.Migrated = len(prev) - partition.Overlap(prev, d.Labels)
+				}
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -300,7 +344,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 				g = d.Graph
 				setLabels(mcByID, sn.NodeID, d.Labels)
 			}
-			repartEvent, repartMigrated = out.Decision.String(), int64(out.Migrated)
+			ev.Repart, ev.Migrated = out.Decision.String(), int64(out.Migrated)
 			if t >= start {
 				switch out.Decision {
 				case partition.DriftKeep:
@@ -310,49 +354,14 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 				case partition.DriftFull:
 					cfg.Obs.Add("repartition_full", 1)
 				}
-				cfg.Obs.Add("repartition_migrated", repartMigrated)
-			}
-		} else if cfg.RepartitionEvery > 0 && t > 0 && t%cfg.RepartitionEvery == 0 {
-			if cfg.Incremental {
-				prev := lookupLabels(sn.NodeID, mcByID)
-				d, migrated, err := core.Redecompose(sn.Mesh, prev, coreCfg)
-				if err != nil {
-					return nil, err
-				}
-				g = d.Graph
-				setLabels(mcByID, sn.NodeID, d.Labels)
-				repartEvent, repartMigrated = "diffuse", int64(migrated)
-				if t >= start {
-					cfg.Obs.Add("repartition_diffused", 1)
-					cfg.Obs.Add("repartition_migrated", repartMigrated)
-				}
-			} else {
-				prev := lookupLabels(sn.NodeID, mcByID)
-				if err := decompose(sn); err != nil {
-					return nil, err
-				}
-				cur := lookupLabels(sn.NodeID, mcByID)
-				repartEvent, repartMigrated = "full", int64(len(cur)-partition.Overlap(prev, cur))
-				if t >= start {
-					cfg.Obs.Add("repartition_full", 1)
-					cfg.Obs.Add("repartition_migrated", repartMigrated)
-				}
+				cfg.Obs.Add("repartition_migrated", ev.Migrated)
 			}
 		}
 		if t < start {
-			// Fast-forward an already-checkpointed snapshot: replay only
-			// the state carried across snapshots (the incremental RCB
-			// update and the previous-labels table used for UpdComm); its
-			// row came from the checkpoint, so the metric legs are
-			// skipped entirely.
-			if t > 0 {
-				mlState.Update(sn.Mesh)
-			}
-			clearLabels(curRCB)
-			for i, n := range mlState.ContactNodes {
-				curRCB[sn.NodeID[n]] = mlState.ContactLabels[i]
-			}
-			prevRCB, curRCB = curRCB, prevRCB
+			// Fast-forward an already-checkpointed snapshot: its row came
+			// from the checkpoint, so only the RCB state carried across
+			// snapshots is replayed and the metric legs are skipped.
+			advanceRCB(t, sn)
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -368,7 +377,6 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			g = m.NodalGraph(mesh.NodalGraphOptions{NCon: 2})
 		}
 		var row Row
-		ev := EvalTimes{Repart: repartEvent, Migrated: repartMigrated}
 		snapSpan := expSpan.Child("snapshot", obs.Int("t", int64(t)))
 
 		// The two measurement legs are independent — the MC leg reads
@@ -404,23 +412,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			row.MLFEComm = metrics.CommVolume(g, mlLabels, cfg.K)
 
 			// ML+RCB: incremental RCB update, then the decoupling costs.
-			if t > 0 {
-				mlState.Update(m)
-			}
-			moved := 0
-			clearLabels(curRCB)
-			for i, n := range mlState.ContactNodes {
-				id := sn.NodeID[n]
-				curRCB[id] = mlState.ContactLabels[i]
-				if t > 0 {
-					if prev := prevRCB[id]; prev >= 0 && prev != mlState.ContactLabels[i] {
-						moved++
-					}
-				}
-			}
-			prevRCB, curRCB = curRCB, prevRCB
-			row.MLUpdComm = int64(moved)
-
+			row.MLUpdComm = advanceRCB(t, sn)
 			m2m, err := mlState.M2MComm(mlLabels)
 			if err != nil {
 				return err

@@ -101,17 +101,6 @@ func TestUpdCommZeroAtFirstSnapshot(t *testing.T) {
 	}
 }
 
-func TestRepartitionEveryRuns(t *testing.T) {
-	snaps := testSnaps(t, 4)
-	r, err := runOne(snaps, Config{K: 4, Seed: 4, RepartitionEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("%d rows", len(r.Rows))
-	}
-}
-
 func TestAblationFlagsChangeResults(t *testing.T) {
 	snaps := testSnaps(t, 2)
 	base, err := runOne(snaps, Config{K: 6, Seed: 5})
@@ -172,21 +161,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "4,0,") {
 		t.Errorf("row: %s", lines[1])
-	}
-}
-
-func TestIncrementalRepartitionPath(t *testing.T) {
-	snaps := testSnaps(t, 4)
-	r, err := runOne(snaps, Config{K: 4, Seed: 8, RepartitionEvery: 2, Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("%d rows", len(r.Rows))
-	}
-	// All metrics still produced.
-	if r.Avg.MCFEComm <= 0 || r.Avg.MCNTNodes <= 0 {
-		t.Errorf("incremental run lost metrics: %+v", r.Avg)
 	}
 }
 

@@ -89,8 +89,6 @@ type Options struct {
 	// per finished job, with p50/p99 via its histogram), counters, and
 	// every finished job's merged per-job report.
 	Obs *obs.Collector
-	// Tracer, when non-nil, records a root span per executed job.
-	Tracer *obs.Tracer
 	// Fault, when non-nil, injects deterministic chaos into job
 	// execution: a job's sequence number is its rank, so
 	// Fault.PanicRank / StallRank schedule panics and stalls inside
@@ -101,12 +99,8 @@ type Options struct {
 	// access logs, each carrying job id, spec hash, and cause. Build
 	// one with obs.NewLogger; nil disables logging entirely.
 	Log *slog.Logger
-	// Flight, when non-nil, replaces the server's own flight recorder
-	// (a bounded ring of admission/lifecycle events behind GET
-	// /debug/events). When nil the server creates one of FlightEvents
-	// capacity.
-	Flight *obs.FlightRecorder
-	// FlightEvents sizes the default flight recorder (0 = 256).
+	// FlightEvents sizes the flight recorder, the bounded ring of
+	// admission/lifecycle events behind GET /debug/events (0 = 256).
 	FlightEvents int
 	// FlightDump, when non-nil, receives a flight-recorder text dump
 	// whenever a job panics (cmd/partsrv passes stderr, so post-mortem
@@ -114,8 +108,7 @@ type Options struct {
 	FlightDump io.Writer
 	// TraceRing, when positive, runs every job under its own
 	// obs.Tracer and retains the last TraceRing completed jobs'
-	// traces for GET /api/v1/jobs/{id}/trace. 0 disables retention
-	// (jobs then share Options.Tracer, if any).
+	// traces for GET /api/v1/jobs/{id}/trace. 0 disables job tracing.
 	TraceRing int
 	// WindowSlot/WindowSlots configure the rolling latency window over
 	// serve_job_wall: WindowSlots sub-histograms of WindowSlot each
@@ -127,9 +120,6 @@ type Options struct {
 	// slower than it count against the error budget
 	// (serve_slo_violations_total). 0 disables violation tracking.
 	SLOTarget time.Duration
-	// Clock, when non-nil, replaces time.Now for the rolling window
-	// and the flight recorder (injectable for deterministic tests).
-	Clock func() time.Time
 }
 
 func (o Options) withDefaults() Options {
@@ -234,11 +224,8 @@ func New(opt Options) *Server {
 	if opt.CacheEntries > 0 {
 		s.cache = newResultCache(opt.CacheEntries)
 	}
-	s.window = obs.NewWindowedHist(opt.WindowSlot, opt.WindowSlots, int64(opt.SLOTarget), opt.Clock)
-	s.flight = opt.Flight
-	if s.flight == nil {
-		s.flight = obs.NewFlightRecorder(opt.FlightEvents, opt.Clock)
-	}
+	s.window = obs.NewWindowedHist(opt.WindowSlot, opt.WindowSlots, int64(opt.SLOTarget), nil)
+	s.flight = obs.NewFlightRecorder(opt.FlightEvents, nil)
 	if opt.TraceRing > 0 {
 		s.traces = newTraceRing(opt.TraceRing)
 	}
@@ -572,12 +559,10 @@ func (s *Server) runJob(ctx context.Context, job *Job) {
 	col := obs.New()
 	// With a trace ring, the job runs under its own tracer so its
 	// spans are retrievable per job id after it finishes; otherwise
-	// all jobs share Options.Tracer (possibly nil = disabled).
-	tracer := s.opt.Tracer
-	var ringTracer *obs.Tracer
+	// tracing is off (a nil tracer).
+	var tracer *obs.Tracer
 	if s.traces != nil {
-		ringTracer = obs.NewTracer()
-		tracer = ringTracer
+		tracer = obs.NewTracer()
 	}
 	span := tracer.Root("job", obs.Str("id", job.id), obs.Str("kind", string(job.spec.Kind)))
 
@@ -606,10 +591,10 @@ func (s *Server) runJob(ctx context.Context, job *Job) {
 		}
 	}()
 	span.End()
-	if ringTracer != nil {
+	if tracer != nil {
 		// Retain before the terminal transition: once a waiter sees the
 		// job finished, its trace must already be retrievable.
-		s.traces.put(job.id, ringTracer)
+		s.traces.put(job.id, tracer)
 	}
 
 	s.mu.Lock()
