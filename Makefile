@@ -40,6 +40,7 @@ race:
 # input from eating the whole budget in the silent minimizer.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzKWay -fuzztime=10s -fuzzminimizetime=2s ./internal/partition
+	go test -run='^$$' -fuzz=FuzzRepartition -fuzztime=10s -fuzzminimizetime=2s ./internal/partition
 	go test -run='^$$' -fuzz=FuzzTreeDeserialize -fuzztime=10s -fuzzminimizetime=2s ./internal/dtree
 	go test -run='^$$' -fuzz=FuzzHilbertKey -fuzztime=10s -fuzzminimizetime=2s ./internal/sfc
 	go test -run='^$$' -fuzz=FuzzBKMeansAssign -fuzztime=10s -fuzzminimizetime=2s ./internal/bkmeans

@@ -286,7 +286,7 @@ func update(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Config, op stri
 	d, err := pipeline(m, g, cfg, be, func(popt partition.Options) ([]int32, error) {
 		if out.Decision == partition.DriftDiffuse {
 			labels := append([]int32(nil), prevLabels...)
-			if _, err := partition.Repartition(g, labels, partition.RepartitionOptions{Options: popt}); err != nil {
+			if err := partition.Repartition(g, labels, popt); err != nil {
 				return nil, err
 			}
 			post := partition.MeasureDrift(g, labels, cfg.K)

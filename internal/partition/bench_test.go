@@ -65,7 +65,7 @@ func BenchmarkRepartition(b *testing.B) {
 				labels[v] = 3
 			}
 		}
-		if _, err := Repartition(g, labels, RepartitionOptions{Options: Options{K: 16, Seed: int64(i), Imbalance: 0.05}}); err != nil {
+		if err := Repartition(g, labels, Options{K: 16, Seed: int64(i), Imbalance: 0.05}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,14 +77,13 @@ func BenchmarkRepartition(b *testing.B) {
 // the parallel leg measures pure pool overhead, which must stay small.
 func BenchmarkKWayParallel(b *testing.B) {
 	g := grid(150, 150, 2)
-	serialOpt := Options{K: 16, Seed: 1, Imbalance: 0.05, ParallelCutoff: -1}
-	parOpt := Options{K: 16, Seed: 1, Imbalance: 0.05}
+	opt := Options{K: 16, Seed: 1, Imbalance: 0.05}
 
-	serial, err := KWay(context.Background(), g, serialOpt)
+	serial, err := kwayAt(context.Background(), g, opt, serialCutoff)
 	if err != nil {
 		b.Fatal(err)
 	}
-	par, err := KWay(context.Background(), g, parOpt)
+	par, err := KWay(context.Background(), g, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func BenchmarkKWayParallel(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := KWay(context.Background(), g, serialOpt); err != nil {
+			if _, err := kwayAt(context.Background(), g, opt, serialCutoff); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -105,7 +104,7 @@ func BenchmarkKWayParallel(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := KWay(context.Background(), g, parOpt); err != nil {
+			if _, err := KWay(context.Background(), g, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -139,8 +138,8 @@ func BenchmarkKWayScaling(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				col := obs.New()
-				opt := Options{K: 16, Seed: 1, Imbalance: 0.05, ParallelCutoff: -1, Obs: col}
-				if _, err := KWay(context.Background(), g, opt); err != nil {
+				opt := Options{K: 16, Seed: 1, Imbalance: 0.05, Obs: col}
+				if _, err := kwayAt(context.Background(), g, opt, serialCutoff); err != nil {
 					b.Fatal(err)
 				}
 				for _, p := range col.Report().Phases {

@@ -263,7 +263,7 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 	}
 	ws := newWorkspace(n)
 	ph := rbPhase(opt, span, "rb_coarsen")
-	levels := coarsen(ctx, g, opt.CoarsenTo, rng, ws)
+	levels := coarsen(ctx, g, coarsenTo, rng, ws)
 	coarsest := levels[len(levels)-1].g
 	endRBPhase(opt, ph, "rb_coarsen", depth)
 	if err := ctx.Err(); err != nil {
@@ -278,14 +278,14 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 	b := newBisection(coarsest, fracLeft, eps, n)
 	where := bufs[1][:coarsest.NV()]
 	bestScore := trialScore(b)
-	for t := 0; t < opt.InitTrials; t++ {
+	for t := 0; t < initTrials; t++ {
 		if err := ctx.Err(); err != nil {
 			endRBPhase(opt, ph, "rb_initcut", depth)
 			return nil, err
 		}
 		b.reset()
 		growBisection(b, rng, ws)
-		refineFM(b, opt.RefineIters, rng, ws)
+		refineFM(b, refineIters, rng, ws)
 		if s := trialScore(b); s.better(bestScore) {
 			bestScore = s
 			copy(where, b.where)
@@ -306,7 +306,7 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 			fine[v] = where[lv.cmap[v]]
 		}
 		b.assign(lv.g, fine)
-		refineFM(b, opt.RefineIters, rng, ws)
+		refineFM(b, refineIters, rng, ws)
 		where = fine
 		bufs[0], bufs[1] = bufs[1], bufs[0]
 	}

@@ -22,11 +22,11 @@ import (
 // leaving room for slow CI.
 const cancelBound = 5 * time.Second
 
-// cancelTestSetup returns the options used with the 400x400
-// two-constraint grid: big enough at k=32 that the uncancelled
-// partition takes well over cancelBound.
-func cancelTestSetup() Options {
-	return Options{K: 32, Seed: 7, Imbalance: 0.05, Workers: 2, ParallelCutoff: 4096}
+// cancelTestSetup returns the options and parallel cutoff used with
+// the 400x400 two-constraint grid: big enough at k=32 that the
+// uncancelled partition takes well over cancelBound.
+func cancelTestSetup() (Options, int) {
+	return Options{K: 32, Seed: 7, Imbalance: 0.05, Workers: 2}, 4096
 }
 
 // waitGoroutines polls until the goroutine count settles back to at
@@ -52,7 +52,7 @@ func waitGoroutines(t *testing.T, base int) {
 
 func TestKWayCtxCancelStopsPromptly(t *testing.T) {
 	g := grid(400, 400, 2)
-	opt := cancelTestSetup()
+	opt, cutoff := cancelTestSetup()
 	base := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -61,7 +61,7 @@ func TestKWayCtxCancelStopsPromptly(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now() //lint:ignore detrand test promptness bound; never feeds a partition
-	labels, err := KWay(ctx, g, opt)
+	labels, err := kwayAt(ctx, g, opt, cutoff)
 	elapsed := time.Since(t0) //lint:ignore detrand test promptness bound; never feeds a partition
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("KWay after cancel: err = %v, want context.Canceled", err)
@@ -77,13 +77,13 @@ func TestKWayCtxCancelStopsPromptly(t *testing.T) {
 
 func TestKWayCtxDeadlineStopsPromptly(t *testing.T) {
 	g := grid(400, 400, 2)
-	opt := cancelTestSetup()
+	opt, cutoff := cancelTestSetup()
 	base := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	t0 := time.Now() //lint:ignore detrand test promptness bound; never feeds a partition
-	_, err := KWay(ctx, g, opt)
+	_, err := kwayAt(ctx, g, opt, cutoff)
 	elapsed := time.Since(t0) //lint:ignore detrand test promptness bound; never feeds a partition
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("KWay after deadline: err = %v, want context.DeadlineExceeded", err)
@@ -103,13 +103,13 @@ func TestKWayCtxUncancelledIdentical(t *testing.T) {
 	g := grid(120, 120, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, cutoff := range []int{-1, 2048} {
-		opt := Options{K: 8, Seed: 3, Imbalance: 0.05, Workers: 2, ParallelCutoff: cutoff}
-		want, err := KWay(nil, g, opt)
+	opt := Options{K: 8, Seed: 3, Imbalance: 0.05, Workers: 2}
+	for _, cutoff := range []int{serialCutoff, 2048} {
+		want, err := kwayAt(nil, g, opt, cutoff)
 		if err != nil {
 			t.Fatalf("KWay(nil ctx): %v", err)
 		}
-		got, err := KWay(ctx, g, opt)
+		got, err := kwayAt(ctx, g, opt, cutoff)
 		if err != nil {
 			t.Fatalf("KWay(live ctx): %v", err)
 		}

@@ -27,7 +27,7 @@ func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng *rand.Rand,
 	total := g.TotalWeights()
 	maxW := make([]int64, g.NCon)
 	for j := range maxW {
-		maxW[j] = total[j] / int64(maxInt(coarsenTo, 1)) * 3
+		maxW[j] = total[j] / int64(max(coarsenTo, 1)) * 3
 		if maxW[j] < 1 {
 			maxW[j] = 1
 		}
@@ -110,11 +110,4 @@ func fitsCap(g *graph.Graph, v, u int, maxW []int64) bool {
 		}
 	}
 	return true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -136,9 +136,7 @@ func TestRepartitionPropertiesGrid(t *testing.T) {
 		g2 := erode(g, r)
 
 		labels := append([]int32(nil), prev...)
-		if _, err := Repartition(g2, labels, RepartitionOptions{
-			Options: Options{K: k, Seed: int64(trial), Imbalance: eps},
-		}); err != nil {
+		if err := Repartition(g2, labels, Options{K: k, Seed: int64(trial), Imbalance: eps}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -178,9 +176,7 @@ func TestRepartitionPropertiesRandom(t *testing.T) {
 		g2 := erode(g, r)
 
 		labels := append([]int32(nil), prev...)
-		if _, err := Repartition(g2, labels, RepartitionOptions{
-			Options: Options{K: k, Seed: int64(trial), Imbalance: eps},
-		}); err != nil {
+		if err := Repartition(g2, labels, Options{K: k, Seed: int64(trial), Imbalance: eps}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -219,9 +215,7 @@ func TestRepartitionDeterministicAcrossEvalPaths(t *testing.T) {
 		defer func(old int) { parallelEvalCutoff = old }(parallelEvalCutoff)
 		parallelEvalCutoff = cutoff
 		labels := append([]int32(nil), prev...)
-		if _, err := Repartition(g2, labels, RepartitionOptions{
-			Options: Options{K: 6, Seed: 5, Imbalance: 0.05},
-		}); err != nil {
+		if err := Repartition(g2, labels, Options{K: 6, Seed: 5, Imbalance: 0.05}); err != nil {
 			t.Fatal(err)
 		}
 		return labels

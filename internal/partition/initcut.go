@@ -11,9 +11,9 @@ import "math/rand"
 // constraint (disconnected graphs, exhausted regions), a fresh seed is
 // picked. The bisection must be in the reset state (all side 0).
 //
-// The coarsest graph is small (Options.CoarsenTo), so the quadratic
-// scans here are deliberate — simplicity over asymptotics. The
-// frontier and constraint scratch live in ws.
+// The coarsest graph is small (about coarsenTo vertices), so the
+// quadratic scans here are deliberate — simplicity over asymptotics.
+// The frontier and constraint scratch live in ws.
 func growBisection(b *bisection, rng *rand.Rand, ws *workspace) {
 	n := b.g.NV()
 	if n == 0 {

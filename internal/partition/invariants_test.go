@@ -83,29 +83,39 @@ func checkInvariants(t testing.TB, g *graph.Graph, labels []int32, k int, eps fl
 
 	var flagged []string
 	total := g.TotalWeights()
-	maxvw := maxVertexWeight(g)
+	caps := flagCaps(g, k, eps)
 	pw, _ := accumPartitionWeights(g, labels, k)
 	for j := 0; j < g.NCon; j++ {
 		if total[j] == 0 {
 			continue
 		}
-		avg := float64(total[j]) / float64(k)
-		// The balancer's own target plus one vertex of granularity:
-		// caps mirror newKwayState (pigeonhole floor included).
-		cap := (1 + eps) * avg
-		if ceil := float64((total[j] + int64(k) - 1) / int64(k)); cap < ceil {
-			cap = ceil
-		}
-		cap += float64(maxvw[j])
 		for p := 0; p < k; p++ {
-			if float64(pw[p][j]) > cap {
+			if float64(pw[p][j]) > caps[j] {
 				flagged = append(flagged, fmt.Sprintf(
 					"constraint %d partition %d: weight %d > cap %.1f (avg %.1f, eps %.2f)",
-					j, p, pw[p][j], cap, avg, eps))
+					j, p, pw[p][j], caps[j], float64(total[j])/float64(k), eps))
 			}
 		}
 	}
 	return flagged
+}
+
+// flagCaps returns invariant 4's per-constraint cap: the balancer's own
+// target plus one vertex of granularity. The targets mirror
+// newKwayState (pigeonhole floor included), so every part the balancer
+// adds weight to stays strictly below its flag cap.
+func flagCaps(g *graph.Graph, k int, eps float64) []float64 {
+	total := g.TotalWeights()
+	maxvw := maxVertexWeight(g)
+	caps := make([]float64, g.NCon)
+	for j := range caps {
+		caps[j] = (1 + eps) * float64(total[j]) / float64(k)
+		if ceil := float64((total[j] + int64(k) - 1) / int64(k)); caps[j] < ceil {
+			caps[j] = ceil
+		}
+		caps[j] += float64(maxvw[j])
+	}
+	return caps
 }
 
 // randConnGraph builds a random connected graph: spanning chain with
@@ -217,7 +227,7 @@ func TestInvariantsEmptyPartRepair(t *testing.T) {
 
 // TestKWaySerialParallelIdentical is the determinism regression test:
 // for 3 seeds and k in {2,4,8,16}, on graphs both below and above the
-// parallel cutoff, the strictly serial recursion (ParallelCutoff < 0)
+// parallel cutoff, the strictly serial recursion (serialCutoff)
 // and the fully parallel one (every split forked, plus a 1-worker
 // pool as a third leg) must produce byte-identical labels.
 func TestKWaySerialParallelIdentical(t *testing.T) {
@@ -235,23 +245,20 @@ func TestKWaySerialParallelIdentical(t *testing.T) {
 			for _, k := range []int{2, 4, 8, 16} {
 				base := Options{K: k, Seed: seed, Imbalance: 0.05}
 
-				serialOpt := base
-				serialOpt.ParallelCutoff = -1
-				serial, err := KWay(context.Background(), g, serialOpt)
+				serial, err := kwayAt(context.Background(), g, base, serialCutoff)
 				if err != nil {
 					t.Fatal(err)
 				}
 
-				parOpt := base
-				parOpt.ParallelCutoff = 32 // forks deep into the tree
-				par, err := KWay(context.Background(), g, parOpt)
+				// A cutoff of 32 forks deep into the tree.
+				par, err := kwayAt(context.Background(), g, base, 32)
 				if err != nil {
 					t.Fatal(err)
 				}
 
-				oneOpt := parOpt
+				oneOpt := base
 				oneOpt.Workers = 1
-				one, err := KWay(context.Background(), g, oneOpt)
+				one, err := kwayAt(context.Background(), g, oneOpt, 32)
 				if err != nil {
 					t.Fatal(err)
 				}

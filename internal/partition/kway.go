@@ -66,7 +66,7 @@ func KWay(ctx context.Context, g *graph.Graph, opt Options) ([]int32, error) {
 		epsBis = 0.015
 	}
 
-	cutoff := rbCutoff(opt)
+	cutoff := parallelRBCutoff
 	if g.NV() < cutoff {
 		// The whole tree is below the cutoff: plain serial recursion,
 		// no workers spawned at all.
@@ -98,25 +98,12 @@ func KWay(ctx context.Context, g *graph.Graph, opt Options) ([]int32, error) {
 	return labels, nil
 }
 
-// parallelRBCutoff is the default subgraph size above which the two
-// recursive bisection branches run as concurrent pool tasks. It is a
-// variable (not a const) so tests can force the serial path on large
-// graphs — or the concurrent path on small ones — and assert that
-// both return identical labels. Options.ParallelCutoff overrides it
-// per call.
+// parallelRBCutoff is the subgraph size above which the two recursive
+// bisection branches run as concurrent pool tasks. It is a variable
+// (not a const) so tests can force the serial path on large graphs —
+// or the concurrent path on small ones — and assert that both return
+// identical labels.
 var parallelRBCutoff = 1 << 14
-
-// rbCutoff resolves the effective parallel cutoff for opt.
-func rbCutoff(opt Options) int {
-	switch {
-	case opt.ParallelCutoff > 0:
-		return opt.ParallelCutoff
-	case opt.ParallelCutoff < 0:
-		return int(^uint(0) >> 1) // never parallel
-	default:
-		return parallelRBCutoff
-	}
-}
 
 // rb recursively bisects the subgraph sub (whose vertex i is original
 // vertex ids[i]) into k parts labeled base..base+k-1, forking the left

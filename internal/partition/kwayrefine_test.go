@@ -41,7 +41,7 @@ func TestBalanceTeleportMovesLightestVertex(t *testing.T) {
 			t.Fatalf("labels = %v, want %v (teleport must move the lightest fitting vertex, not the first by index)", labels, want)
 		}
 	}
-	if p, j := s.overloaded(); p >= 0 {
+	if p, j := s.overloaded(nil); p >= 0 {
 		t.Fatalf("still overloaded after balance: partition %d constraint %d", p, j)
 	}
 }
@@ -143,7 +143,7 @@ func TestBalanceNoRNGWhenBalanced(t *testing.T) {
 		}
 	}
 	s := newKwayState(g, labels, 2, 0.05)
-	if p, _ := s.overloaded(); p >= 0 {
+	if p, _ := s.overloaded(nil); p >= 0 {
 		t.Fatalf("test setup: expected a balanced split, partition %d overloaded", p)
 	}
 	rng := rand.New(rand.NewSource(7))

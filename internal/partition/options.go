@@ -19,7 +19,20 @@ import (
 	"repro/internal/obs"
 )
 
-// Options configures Partition and RefineKWay.
+// The multilevel scheme's fixed parameters.
+const (
+	// coarsenTo stops multilevel coarsening once the graph has at most
+	// this many vertices.
+	coarsenTo = 80
+	// initTrials is the number of greedy-graph-growing initial
+	// bisections tried at the coarsest level.
+	initTrials = 8
+	// refineIters bounds the FM passes per uncoarsening level and the
+	// k-way refinement passes of RefineKWay and Repartition.
+	refineIters = 8
+)
+
+// Options configures KWay, RefineKWay and Repartition.
 type Options struct {
 	// K is the number of partitions.
 	K int
@@ -28,25 +41,11 @@ type Options struct {
 	Imbalance float64
 	// Seed makes runs deterministic; equal seeds give equal partitions.
 	Seed int64
-	// CoarsenTo stops multilevel coarsening when the graph has at most
-	// this many vertices (default 80).
-	CoarsenTo int
-	// InitTrials is the number of greedy-graph-growing initial
-	// bisections tried at the coarsest level (default 8).
-	InitTrials int
-	// RefineIters bounds the FM passes per uncoarsening level
-	// (default 8).
-	RefineIters int
 	// Workers bounds the worker pool the recursive-bisection tree runs
 	// on (0 = GOMAXPROCS). The labels are bit-identical for every
 	// worker count: parallelism is only across independent subtrees,
 	// each seeded by its position in the tree, never inside FM.
 	Workers int
-	// ParallelCutoff overrides the subgraph size above which the two
-	// children of a bisection are scheduled as concurrent pool tasks.
-	// 0 selects the package default (1<<14); negative forces the
-	// strictly serial recursion.
-	ParallelCutoff int
 	// Obs, when non-nil, receives per-phase wall-clock timings of the
 	// multilevel bisections (rb_coarsen, rb_initcut, rb_refine — each
 	// also broken out per recursion depth as <name>_d<depth>) plus the
@@ -60,19 +59,10 @@ type Options struct {
 	Obs *obs.Collector
 }
 
-// withDefaults returns opt with zero fields replaced by defaults.
+// withDefaults returns opt with Imbalance clamped to at least 0.01.
 func (opt Options) withDefaults() Options {
 	if opt.Imbalance < 0.01 {
 		opt.Imbalance = 0.01
-	}
-	if opt.CoarsenTo <= 0 {
-		opt.CoarsenTo = 80
-	}
-	if opt.InitTrials <= 0 {
-		opt.InitTrials = 8
-	}
-	if opt.RefineIters <= 0 {
-		opt.RefineIters = 8
 	}
 	return opt
 }

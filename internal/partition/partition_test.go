@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,19 @@ func grid(nx, ny, ncon int) *graph.Graph {
 		}
 	}
 	return b.Build()
+}
+
+// serialCutoff, as kwayAt's cutoff, keeps every bisection on the
+// calling goroutine: the strictly serial recursion.
+const serialCutoff = math.MaxInt
+
+// kwayAt runs KWay with parallelRBCutoff set to cutoff and restores
+// the package default before it returns.
+func kwayAt(ctx context.Context, g *graph.Graph, opt Options, cutoff int) ([]int32, error) {
+	saved := parallelRBCutoff
+	parallelRBCutoff = cutoff
+	defer func() { parallelRBCutoff = saved }()
+	return KWay(ctx, g, opt)
 }
 
 func checkPartition(t *testing.T, g *graph.Graph, labels []int32, k int, eps float64) {
@@ -78,10 +92,7 @@ func TestPartitionDeterministicAcrossRBCutoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	saved := parallelRBCutoff
-	parallelRBCutoff = g.NV() + 1 // force every branch serial
-	serial, err := KWay(context.Background(), g, opt)
-	parallelRBCutoff = saved
+	serial, err := kwayAt(context.Background(), g, opt, serialCutoff)
 	if err != nil {
 		t.Fatal(err)
 	}

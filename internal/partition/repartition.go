@@ -6,15 +6,10 @@ import (
 	"repro/internal/graph"
 )
 
-// RepartitionOptions configures Repartition.
-type RepartitionOptions struct {
-	Options
-	// ITR is the relative cost of migrating one unit of vertex weight
-	// versus one unit of edge cut (the ParMETIS "itr" knob). Higher
-	// values make the repartitioner keep more vertices in place.
-	// Default 1000.
-	ITR float64
-}
+// itr is the relative cost of migrating one unit of vertex weight
+// versus one unit of edge cut (the ParMETIS "itr" ratio): the higher
+// it is, the more vertices the repartitioner keeps in place.
+const itr = 1000
 
 // Repartition adapts an existing k-way partitioning to a (possibly
 // rebalanced or re-weighted) graph, the multi-constraint repartitioning
@@ -26,21 +21,21 @@ type RepartitionOptions struct {
 // Kumar [32, 33]: start from the old labels, drain overweight
 // partitions along partition-adjacency paths choosing the moves with
 // the best (cut-damage, migration) cost, then run cut refinement whose
-// moves pay a migration penalty of weight/ITR so that low-gain churn
-// is suppressed. labels is modified in place; the returned count is
-// the number of vertices that changed partition.
-func Repartition(g *graph.Graph, labels []int32, opt RepartitionOptions) (migrated int, err error) {
+// moves pay a migration penalty of weight/itr so that low-gain churn
+// is suppressed. labels is modified in place; Overlap against a copy
+// of the old labels counts the vertices that kept their partition.
+func Repartition(g *graph.Graph, labels []int32, opt Options) error {
 	if err := opt.validate(); err != nil {
-		return 0, err
+		return err
 	}
-	o := opt.Options.withDefaults()
-	if o.K <= 1 || g.NV() == 0 {
-		return 0, nil
+	opt = opt.withDefaults()
+	if opt.K <= 1 || g.NV() == 0 {
+		return nil
 	}
 	old := append([]int32(nil), labels...)
 
-	s := newKwayState(g, labels, o.K, o.Imbalance)
-	rng := rand.New(rand.NewSource(o.Seed + 104729))
+	s := newKwayState(g, labels, opt.K, opt.Imbalance)
+	rng := rand.New(rand.NewSource(opt.Seed + 104729))
 
 	// Phase 1: balance restoration (diffusion). The kwayState balancer
 	// already picks minimum-cut-damage drains from the most overloaded
@@ -50,37 +45,21 @@ func Repartition(g *graph.Graph, labels []int32, opt RepartitionOptions) (migrat
 	// Phase 2: migration-aware refinement. Like greedyPass, but a move
 	// away from the vertex's *original* partition must overcome the
 	// migration penalty, and a move back home gets it as a bonus.
-	penalty := migrationPenalty(g, opt.ITR)
-	for it := 0; it < o.RefineIters; it++ {
+	penalty := migrationPenalty(g)
+	for it := 0; it < refineIters; it++ {
 		if s.migrationAwarePass(rng, old, penalty) == 0 {
 			break
 		}
 	}
 	s.balance(rng)
-
-	for v := range labels {
-		if labels[v] != old[v] {
-			migrated++
-		}
-	}
-	return migrated, nil
+	return nil
 }
 
-// defaultITR is the migration-cost knob's default: the ParMETIS-style
-// "time saved per unit of edge cut over time to migrate a unit of
-// vertex weight" ratio. The penalty derivation below divides by it, so
-// defaulting and derivation live side by side and cannot drift apart.
-const defaultITR = 1000
-
-// migrationPenalty converts an ITR value (<= 0 selects defaultITR)
-// into the integer edge-weight penalty charged to moves that leave a
-// vertex's original partition: average edge weight divided by ITR, at
-// least 1 so migration is never entirely free.
-func migrationPenalty(g *graph.Graph, itr float64) int64 {
-	if itr <= 0 {
-		itr = defaultITR
-	}
-	avg := float64(g.TotalEdgeWeight()) / float64(maxInt(g.NE(), 1))
+// migrationPenalty is the integer edge-weight penalty charged to moves
+// that leave a vertex's original partition: average edge weight
+// divided by itr, at least 1 so migration is never entirely free.
+func migrationPenalty(g *graph.Graph) int64 {
+	avg := float64(g.TotalEdgeWeight()) / float64(max(g.NE(), 1))
 	return int64(avg/itr + 1)
 }
 
@@ -88,27 +67,14 @@ func migrationPenalty(g *graph.Graph, itr float64) int64 {
 // a partition other than old[v] costs extra, moving it home refunds.
 func (s *kwayState) migrationAwarePass(rng *rand.Rand, old []int32, penalty int64) int {
 	moves := 0
-	conn, touched := s.conn, s.touched
+	conn := s.conn
 	for _, v := range rng.Perm(s.g.NV()) {
-		adj := s.g.Neighbors(v)
-		wgt := s.g.EdgeWeights(v)
-		own := s.labels[v]
-		boundary := false
-		for i, u := range adj {
-			p := s.labels[u]
-			if conn[p] == 0 {
-				touched = append(touched, p)
-			}
-			conn[p] += int64(wgt[i])
-			if p != own {
-				boundary = true
-			}
-		}
-		if boundary {
+		if s.gather(v) {
+			own := s.labels[v]
 			ownConn := conn[own]
 			bestP := -1
 			var bestScore int64
-			for _, p := range touched {
+			for _, p := range s.touched {
 				if p == own {
 					continue
 				}
@@ -128,12 +94,8 @@ func (s *kwayState) migrationAwarePass(rng *rand.Rand, old []int32, penalty int6
 				moves++
 			}
 		}
-		for _, p := range touched {
-			conn[p] = 0
-		}
-		touched = touched[:0]
+		s.release()
 	}
-	s.touched = touched[:0]
 	return moves
 }
 

@@ -15,12 +15,11 @@ func TestRepartitionNoopWhenBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := append([]int32(nil), labels...)
-	migrated, err := Repartition(g, labels, RepartitionOptions{Options: Options{K: 4, Seed: 1, Imbalance: 0.05}})
-	if err != nil {
+	if err := Repartition(g, labels, Options{K: 4, Seed: 1, Imbalance: 0.05}); err != nil {
 		t.Fatal(err)
 	}
 	// A balanced good partition should barely move.
-	if migrated > g.NV()/10 {
+	if migrated := g.NV() - Overlap(before, labels); migrated > g.NV()/10 {
 		t.Errorf("repartition moved %d of %d vertices of an already-good partition", migrated, g.NV())
 	}
 	if cutAfter, cutBefore := EdgeCut(g, labels), EdgeCut(g, before); cutAfter > cutBefore+cutBefore/5 {
@@ -38,10 +37,11 @@ func TestRepartitionRestoresBalance(t *testing.T) {
 			labels[v] = int32(1 + v%3)
 		}
 	}
-	migrated, err := Repartition(g, labels, RepartitionOptions{Options: Options{K: k, Seed: 2, Imbalance: 0.05}})
-	if err != nil {
+	before := append([]int32(nil), labels...)
+	if err := Repartition(g, labels, Options{K: k, Seed: 2, Imbalance: 0.05}); err != nil {
 		t.Fatal(err)
 	}
+	migrated := g.NV() - Overlap(before, labels)
 	imb := LoadImbalances(g, labels, k)
 	if imb[0] > 1.10 {
 		t.Errorf("imbalance %v after repartition", imb)
@@ -69,8 +69,7 @@ func TestRepartitionMultiConstraint(t *testing.T) {
 			labels[v] = 0
 		}
 	}
-	_, err = Repartition(g, labels, RepartitionOptions{Options: Options{K: k, Seed: 3, Imbalance: 0.08}})
-	if err != nil {
+	if err := Repartition(g, labels, Options{K: k, Seed: 3, Imbalance: 0.08}); err != nil {
 		t.Fatal(err)
 	}
 	imb := LoadImbalances(g, labels, k)
@@ -81,53 +80,64 @@ func TestRepartitionMultiConstraint(t *testing.T) {
 	}
 }
 
-func TestRepartitionMigrationVsITR(t *testing.T) {
-	// Higher ITR (cheaper migration) should never migrate less than a
-	// very low ITR (expensive migration)... we check the weaker,
-	// robust property: both restore balance, and the expensive-
-	// migration run keeps at least as many vertices home.
+// TestRepartitionMigrationPenalty checks the migration economics of
+// Repartition's refinement phase: from the same balanced state and
+// RNG, passes charging a prohibitive migration penalty never move a
+// vertex away from its original partition and keep at least as many
+// vertices home as passes charging none, and both keep the balance.
+func TestRepartitionMigrationPenalty(t *testing.T) {
 	g := grid(30, 30, 1)
 	k := 5
-	mk := func() []int32 {
-		labels := make([]int32, g.NV())
-		r := rand.New(rand.NewSource(4))
-		for v := range labels {
-			labels[v] = int32(r.Intn(2)) // only partitions 0,1 used
+	old := make([]int32, g.NV())
+	r := rand.New(rand.NewSource(4))
+	for v := range old {
+		old[v] = int32(r.Intn(2)) // only partitions 0,1 used
+	}
+	refine := func(penalty int64) (balanced, refined []int32) {
+		labels := append([]int32(nil), old...)
+		s := newKwayState(g, labels, k, 0.05)
+		rng := rand.New(rand.NewSource(4))
+		s.balance(rng)
+		balanced = append([]int32(nil), labels...)
+		for it := 0; it < refineIters; it++ {
+			if s.migrationAwarePass(rng, old, penalty) == 0 {
+				break
+			}
 		}
-		return labels
+		return balanced, labels
 	}
-	cheap := mk()
-	mCheap, err := Repartition(g, cheap, RepartitionOptions{Options: Options{K: k, Seed: 4}, ITR: 1e9})
-	if err != nil {
-		t.Fatal(err)
+	balanced, costly := refine(1 << 40)
+	_, free := refine(0)
+	for v := range old {
+		if balanced[v] == old[v] && costly[v] != old[v] {
+			t.Fatalf("vertex %d left its original partition %d under a prohibitive penalty", v, old[v])
+		}
 	}
-	costly := mk()
-	mCostly, err := Repartition(g, costly, RepartitionOptions{Options: Options{K: k, Seed: 4}, ITR: 0.001})
-	if err != nil {
-		t.Fatal(err)
+	if hc, hf := Overlap(old, costly), Overlap(old, free); hc < hf {
+		t.Errorf("prohibitive penalty kept %d vertices home, no penalty %d", hc, hf)
 	}
-	if imb := LoadImbalances(g, cheap, k); imb[0] > 1.15 {
-		t.Errorf("cheap-migration imbalance %v", imb)
+	for name, labels := range map[string][]int32{"costly": costly, "free": free} {
+		if imb := LoadImbalances(g, labels, k); imb[0] > 1.15 {
+			t.Errorf("%s-migration imbalance %v", name, imb)
+		}
 	}
-	if imb := LoadImbalances(g, costly, k); imb[0] > 1.15 {
-		t.Errorf("costly-migration imbalance %v", imb)
+	if p := migrationPenalty(g); p != 1 {
+		t.Errorf("unit-weight grid migration penalty = %d, want 1", p)
 	}
-	t.Logf("migrated: cheap(ITR=1e9)=%d costly(ITR=0.001)=%d", mCheap, mCostly)
 }
 
 func TestRepartitionK1(t *testing.T) {
 	g := grid(5, 5, 1)
 	labels := make([]int32, g.NV())
-	migrated, err := Repartition(g, labels, RepartitionOptions{Options: Options{K: 1}})
-	if err != nil || migrated != 0 {
-		t.Errorf("K=1: migrated=%d err=%v", migrated, err)
+	if err := Repartition(g, labels, Options{K: 1}); err != nil || Overlap(labels, make([]int32, g.NV())) != g.NV() {
+		t.Errorf("K=1: labels %v, err=%v", labels, err)
 	}
 }
 
 func TestRepartitionValidates(t *testing.T) {
 	g := grid(5, 5, 1)
 	labels := make([]int32, g.NV())
-	if _, err := Repartition(g, labels, RepartitionOptions{Options: Options{K: 0}}); err == nil {
+	if err := Repartition(g, labels, Options{K: 0}); err == nil {
 		t.Error("accepted K=0")
 	}
 }
@@ -161,13 +171,13 @@ func TestRepartitionAfterTopologyChange(t *testing.T) {
 		carried = append(carried, labels[v])
 	}
 	sub := g.Induce(keep)
-	migrated, err := Repartition(sub, carried, RepartitionOptions{Options: Options{K: k, Seed: 5, Imbalance: 0.05}})
-	if err != nil {
+	before := append([]int32(nil), carried...)
+	if err := Repartition(sub, carried, Options{K: k, Seed: 5, Imbalance: 0.05}); err != nil {
 		t.Fatal(err)
 	}
 	imb := LoadImbalances(sub, carried, k)
 	if imb[0] > 1.12 {
-		t.Errorf("post-erosion imbalance %v (migrated %d)", imb, migrated)
+		t.Errorf("post-erosion imbalance %v (migrated %d)", imb, sub.NV()-Overlap(before, carried))
 	}
 }
 
@@ -178,7 +188,7 @@ func TestRepartitionPreservesLabelRange(t *testing.T) {
 	for v := range labels {
 		labels[v] = int32(r.Intn(6))
 	}
-	if _, err := Repartition(g, labels, RepartitionOptions{Options: Options{K: 6, Seed: 6}}); err != nil {
+	if err := Repartition(g, labels, Options{K: 6, Seed: 6}); err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range labels {
