@@ -105,3 +105,16 @@ func (s *srv) suppressed() {
 	//lint:ignore lockheld fixture: deliberate send under lock
 	s.ch <- 3
 }
+
+// noteLocked is a "...Locked" helper: its caller holds s.mu, so the
+// whole body is a held region even though it never calls Lock.
+func (s *srv) noteLocked() {
+	s.log.Info("note")
+	s.ch <- 5
+	go func() { s.ch <- 6 }() // runs elsewhere, after the lock is gone
+}
+
+// countLocked only computes and assigns under the caller's lock.
+func (s *srv) countLocked() int {
+	return len(s.ch)
+}

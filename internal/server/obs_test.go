@@ -380,7 +380,8 @@ func TestServerLogsShedDedupCacheHit(t *testing.T) {
 
 	first := mustSubmit(t, s, graphJob(0))
 	waitForStatus(t, s, first.ID, StatusRunning)
-	if _, err := s.Submit(graphJob(1), "key-a"); err != nil {
+	second, err := s.Submit(graphJob(1), "key-a")
+	if err != nil {
 		t.Fatalf("second submit: %v", err)
 	}
 	if _, err := s.Submit(graphJob(2), ""); err != ErrQueueFull {
@@ -393,6 +394,9 @@ func TestServerLogsShedDedupCacheHit(t *testing.T) {
 	if _, err := s.Submit(graphJob(0), ""); err != nil { // cache hit
 		t.Fatalf("cached submit: %v", err)
 	}
+	// The worker logs job 1's events into buf; read it only once job 1
+	// is finished, whose terminal line is written before Wait returns.
+	wait(t, s, second.ID)
 
 	logs := buf.String()
 	for _, want := range []string{`"msg":"shed"`, `"msg":"deduped"`, `"msg":"cache_hit"`, `"key":"key-a"`} {

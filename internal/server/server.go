@@ -378,6 +378,8 @@ func (s *Server) Jobs() []JobView {
 // when the payload unwinds (its Done channel closes then). Cancelling
 // a terminal job is a no-op returning its final view.
 func (s *Server) Cancel(id string) (JobView, error) {
+	announce := func() {}
+	defer func() { announce() }() // after the Unlock below: defers unwind LIFO
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job, ok := s.jobs[id]
@@ -392,7 +394,7 @@ func (s *Server) Cancel(id string) (JobView, error) {
 	case StatusQueued:
 		// The worker that eventually pops it sees the terminal status
 		// and skips it.
-		s.finishLocked(job, StatusCanceled, "canceled before start", nil, nil)
+		announce = s.finishLocked(job, StatusCanceled, "canceled before start", nil, nil)
 	case StatusRunning:
 		job.cancel()
 	}
@@ -429,10 +431,6 @@ func (s *Server) RetryAfter() time.Duration { return s.opt.RetryAfter }
 // Flight returns the server's flight recorder (never nil), so the
 // daemon can dump it on SIGQUIT.
 func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
-
-// Window snapshots the rolling serve_job_wall latency window and the
-// SLO ledger.
-func (s *Server) Window() obs.WindowStat { return s.window.Snapshot() }
 
 // Health is the /healthz readiness body. Status and the HTTP code are
 // redundant on purpose: probes branch on the code, dashboards read
@@ -532,8 +530,9 @@ func (s *Server) worker() {
 			s.mu.Unlock()
 			continue
 		case s.draining:
-			s.finishLocked(job, StatusDrainedQueued, "server drained before the job started", nil, nil)
+			announce := s.finishLocked(job, StatusDrainedQueued, "server drained before the job started", nil, nil)
 			s.mu.Unlock()
+			announce()
 			continue
 		}
 		ctx, cancel := context.WithTimeout(s.baseCtx, job.spec.timeout(s.opt.DefaultTimeout, s.opt.MaxTimeout))
@@ -597,32 +596,35 @@ func (s *Server) runJob(ctx context.Context, job *Job) {
 		s.traces.put(job.id, tracer)
 	}
 
+	// Attribute a failure: client cancel beats drain beats deadline.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err == nil {
-		s.cache.put(job.hash, result)
-		s.finishLocked(job, StatusDone, "", result, col)
-		return
-	}
-	// Attribute the failure: client cancel beats drain beats deadline.
+	var announce func()
 	switch {
+	case err == nil:
+		s.cache.put(job.hash, result)
+		announce = s.finishLocked(job, StatusDone, "", result, col)
 	case job.clientStop && errors.Is(err, context.Canceled):
-		s.finishLocked(job, StatusCanceled, "canceled by client", nil, col)
+		announce = s.finishLocked(job, StatusCanceled, "canceled by client", nil, col)
 	case s.draining && errors.Is(err, context.Canceled):
 		s.flight.Record("drained", job.id, "interrupted in flight")
-		s.finishLocked(job, StatusDrained, "interrupted by server drain; progress checkpointed", nil, col)
+		announce = s.finishLocked(job, StatusDrained, "interrupted by server drain; progress checkpointed", nil, col)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.flight.Record("deadline", job.id, "deadline exceeded")
-		s.finishLocked(job, StatusFailed, "deadline exceeded", nil, col)
+		announce = s.finishLocked(job, StatusFailed, "deadline exceeded", nil, col)
 	default:
-		s.finishLocked(job, StatusFailed, err.Error(), nil, col)
+		announce = s.finishLocked(job, StatusFailed, err.Error(), nil, col)
 	}
+	s.mu.Unlock()
+	announce()
 }
 
 // finishLocked moves a job to a terminal status, stamps its wall
-// clock and observability report, bumps the ledger, and wakes
-// waiters. Caller holds s.mu.
-func (s *Server) finishLocked(job *Job, status Status, errMsg string, result []byte, col *obs.Collector) {
+// clock and observability report, and bumps the ledger. Caller holds
+// s.mu and must call the returned announce once it has released it:
+// announce writes the terminal log line, which must not happen under
+// the mutex (the lockheld contract), and only then wakes waiters, so
+// a waiter never sees a finished job whose line is not yet written.
+func (s *Server) finishLocked(job *Job, status Status, errMsg string, result []byte, col *obs.Collector) (announce func()) {
 	if job.status == StatusRunning {
 		s.inflight--
 	}
@@ -657,9 +659,11 @@ func (s *Server) finishLocked(job *Job, status Status, errMsg string, result []b
 		s.acct.DrainedQueued++
 		s.flight.Record("drained_queued", job.id, "drained before start")
 	}
-	s.logEvent(string(status), "job", job.id, "hash", job.hash,
-		"cause", errMsg, "wall_ms", job.wallNS/int64(time.Millisecond))
-	close(job.done)
+	wallMS := job.wallNS / int64(time.Millisecond)
+	return func() {
+		s.logEvent(string(status), "job", job.id, "hash", job.hash, "cause", errMsg, "wall_ms", wallMS)
+		close(job.done)
+	}
 }
 
 // runGraphJob partitions the submitted graph with the requested
