@@ -41,6 +41,7 @@ race:
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzKWay -fuzztime=10s -fuzzminimizetime=2s ./internal/partition
 	go test -run='^$$' -fuzz=FuzzRepartition -fuzztime=10s -fuzzminimizetime=2s ./internal/partition
+	go test -run='^$$' -fuzz=FuzzRCBSelect -fuzztime=10s -fuzzminimizetime=2s ./internal/rcb
 	go test -run='^$$' -fuzz=FuzzTreeDeserialize -fuzztime=10s -fuzzminimizetime=2s ./internal/dtree
 	go test -run='^$$' -fuzz=FuzzHilbertKey -fuzztime=10s -fuzzminimizetime=2s ./internal/sfc
 	go test -run='^$$' -fuzz=FuzzBKMeansAssign -fuzztime=10s -fuzzminimizetime=2s ./internal/bkmeans
@@ -50,7 +51,8 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadMesh -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzBoundaryFacets -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzFacetsErode -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
-	go test -run='^$$' -fuzz=FuzzNodalGraph -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
+	go test -run='^$$' -fuzz='^FuzzNodalGraph$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
+	go test -run='^$$' -fuzz=FuzzNodalGraphFrom -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzReadText -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s -fuzzminimizetime=2s ./internal/harness
 	go test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=2s ./internal/server

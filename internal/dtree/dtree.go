@@ -25,9 +25,10 @@
 package dtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -158,12 +159,11 @@ func Build(pts []geom.Point, labels []int32, dim, k int, opt Options) (*Tree, er
 		for i := range ord {
 			ord[i] = int32(i)
 		}
-		sort.Slice(ord, func(a, c int) bool {
-			pa, pc := pts[ord[a]][d], pts[ord[c]][d]
-			if pa != pc {
-				return pa < pc
+		slices.SortFunc(ord, func(a, c int32) int {
+			if pa, pc := pts[a][d], pts[c][d]; pa != pc {
+				return cmp.Compare(pa, pc)
 			}
-			return ord[a] < ord[c]
+			return cmp.Compare(a, c)
 		})
 		b.order[d] = ord
 	}

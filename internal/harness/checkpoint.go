@@ -74,7 +74,9 @@ type checkpointFile struct {
 
 // Checkpointer persists sweep progress. It is shared by the
 // concurrently running experiments of a RunSweep; every update rewrites
-// the file atomically under a mutex.
+// the file atomically. An update changes and marshals the state under
+// one mutex and writes the file under another, so experiments record
+// and read progress while a write is in flight.
 type Checkpointer struct {
 	// Obs, when non-nil, records the "checkpoint_write" phase timer
 	// and the "checkpoint_writes" counter.
@@ -86,8 +88,13 @@ type Checkpointer struct {
 	AfterFlush func(exp, cursor int)
 
 	path string
-	mu   sync.Mutex
+
+	mu   sync.Mutex // guards file and gen
 	file checkpointFile
+	gen  uint64 // generation of the latest marshalled file
+
+	wmu     sync.Mutex // serializes the file writes
+	durable uint64     // generation of the file on disk, under wmu
 }
 
 // configHash binds a checkpoint to its workload: every Config field
@@ -200,7 +207,9 @@ func (c *Checkpointer) SavedObs() *obs.Report {
 // record appends one completed snapshot to an experiment and flushes
 // the whole checkpoint atomically, together with the collector's
 // current cumulative report (when Obs is set). span is the parent of
-// the "checkpoint_write" phase's span.
+// the "checkpoint_write" phase's span. When record returns nil, the
+// file on disk holds this snapshot: written by this call, or by a
+// concurrent one whose later state includes it.
 func (c *Checkpointer) record(span *obs.Span, exp, cursor int, row Row, ev EvalTimes, imbFE, imbContact float64) error {
 	ph := c.Obs.Phase(span, "checkpoint_write")
 	var rep *obs.Report
@@ -218,8 +227,13 @@ func (c *Checkpointer) record(span *obs.Span, exp, cursor int, row Row, ev EvalT
 	if rep != nil {
 		c.file.Obs = rep
 	}
-	err := c.flushLocked()
+	data, err := json.MarshalIndent(&c.file, "", " ")
+	c.gen++
+	gen := c.gen
 	c.mu.Unlock()
+	if err == nil {
+		err = c.flush(gen, data)
+	}
 	ph.End()
 	c.Obs.Add("checkpoint_writes", 1)
 	if err == nil && c.AfterFlush != nil {
@@ -228,21 +242,31 @@ func (c *Checkpointer) record(span *obs.Span, exp, cursor int, row Row, ev EvalT
 	return err
 }
 
-// flushLocked writes the checkpoint atomically and durably: marshal,
-// write to a temp file in the same directory, fsync, rename over the
-// target, then fsync the parent directory. A crash mid-write leaves
-// either the old complete file or the new complete file, never a torn
-// one — and the directory fsync makes the rename itself survive a
-// power cut, not just a process kill (without it the directory entry
-// may still point at the old file, or at nothing, after the machine
-// comes back).
-func (c *Checkpointer) flushLocked() error {
-	data, err := json.MarshalIndent(&c.file, "", " ")
-	if err != nil {
+// flush makes data, the file of generation gen, durable unless a later
+// generation already is. Writes are serialized, so the file on disk
+// only moves forward.
+func (c *Checkpointer) flush(gen uint64, data []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.durable >= gen {
+		return nil
+	}
+	if err := c.write(data); err != nil {
 		return err
 	}
+	c.durable = gen
+	return nil
+}
+
+// write writes the checkpoint atomically and durably: write to a temp
+// file in the same directory, fsync, rename over the target, then
+// fsync the parent directory. A crash mid-write leaves either the old
+// complete file or the new complete file, never a torn one — and the
+// directory fsync makes the rename itself survive a power cut, not
+// just a process kill (without it the directory entry may still point
+// at the old file, or at nothing, after the machine comes back).
+func (c *Checkpointer) write(data []byte) error {
 	tmp := c.path + ".tmp"
-	//lint:ignore lockheld c.mu serializes the durable writes themselves; no admission path waits on it
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -258,7 +282,6 @@ func (c *Checkpointer) flushLocked() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	//lint:ignore lockheld c.mu serializes the durable writes themselves; no admission path waits on it
 	if err := os.Rename(tmp, c.path); err != nil {
 		return err
 	}

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mesh"
@@ -241,6 +243,87 @@ func TestCheckpointObsCounters(t *testing.T) {
 		if c.Name == "checkpoint_writes" && c.Value != int64(len(snaps)) {
 			t.Errorf("checkpoint_writes = %d, want %d", c.Value, len(snaps))
 		}
+	}
+}
+
+// TestCheckpointConcurrentRecords: experiments that record at the same
+// time leave the file a serial run of the same records leaves, and
+// every record's AfterFlush already finds its snapshot on disk, whether
+// its own write or a later one put it there.
+func TestCheckpointConcurrentRecords(t *testing.T) {
+	const exps, steps = 8, 12
+	m, err := mesh.ReadText(strings.NewReader("mesh 2\nnode 0 0\nnode 1 0\nnode 1 1\nelem tri3 0 1 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := []sim.Snapshot{{Mesh: m}}
+	cfgs := make([]Config, exps)
+	for i := range cfgs {
+		cfgs[i] = Config{K: 2 + i, Seed: 1}
+	}
+	rec := func(ck *Checkpointer, exp, cursor int) error {
+		row := Row{MCFEComm: int64(100*exp + cursor), MLNRemote: int64(cursor)}
+		ev := EvalTimes{MCNS: int64(cursor), MLNS: int64(exp)}
+		return ck.record(nil, exp, cursor, row, ev, float64(cursor), float64(exp))
+	}
+
+	dir := t.TempDir()
+	serial := NewCheckpointer(filepath.Join(dir, "serial.ckpt"), snaps, cfgs)
+	for exp := 0; exp < exps; exp++ {
+		for cursor := 1; cursor <= steps; cursor++ {
+			if err := rec(serial, exp, cursor); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	path := filepath.Join(dir, "concurrent.ckpt")
+	ck := NewCheckpointer(path, snaps, cfgs)
+	var mu sync.Mutex
+	var stale []string
+	ck.AfterFlush = func(exp, cursor int) {
+		data, err := os.ReadFile(path)
+		var file checkpointFile
+		if err == nil {
+			err = json.Unmarshal(data, &file)
+		}
+		if err == nil && file.Experiments[exp].Cursor < cursor {
+			err = fmt.Errorf("file cursor %d", file.Experiments[exp].Cursor)
+		}
+		if err != nil {
+			mu.Lock()
+			stale = append(stale, fmt.Sprintf("experiment %d cursor %d: %v", exp, cursor, err))
+			mu.Unlock()
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, exps)
+	for exp := 0; exp < exps; exp++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for cursor := 1; cursor <= steps && errs[exp] == nil; cursor++ {
+				errs[exp] = rec(ck, exp, cursor)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stale {
+		t.Error("AfterFlush before the snapshot was durable: " + s)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "serial.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("concurrent checkpoint differs from the serial one:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -240,10 +240,13 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	var mlState *mlrcb.State
 	var imbFE, imbContact float64
 	var baseCut int64 // adaptive drift baseline (cut after the last repair)
-	// g is the current snapshot's nodal graph when a decomposition
-	// built one. Its vertex weights (FE 1, contact 1) are the metric
-	// graph's; only the edge weights, which no metric reads, differ.
-	var g *graph.Graph
+	// g is the current snapshot's metric graph, when a decomposition
+	// built one or once the snapshot is measured. A decomposition's
+	// graph has the metric graph's vertex weights (FE 1, contact 1);
+	// only the edge weights, which no metric reads, differ. next is the
+	// following snapshot's graph when it was derived beside this
+	// snapshot's legs.
+	var g, next *graph.Graph
 
 	// start is the first snapshot still to be measured; everything
 	// before it is already in the checkpoint.
@@ -286,6 +289,39 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		baseCut = partition.EdgeCut(g, d0.Labels)
 	}
 
+	// metricGraph returns snapshot t's metric graph, derived from prev,
+	// snapshot t-1's graph, when there is one and the derivation takes
+	// it, else built from scratch. The node map comes from the
+	// id-indexed table of snapshot t-1's node indices. Calls must not
+	// overlap: they share ws, idx and old, and each result is valid
+	// until the second later call.
+	var ws mesh.NodalWorkspace
+	idx, old := make([]int32, nID), []int32(nil)
+	metricGraph := func(span *obs.Span, t int, prev *graph.Graph) *graph.Graph {
+		ph := cfg.Obs.Phase(span, "metric_graph", obs.Int("t", int64(t)))
+		defer ph.End()
+		opt, m := mesh.NodalGraphOptions{NCon: 2}, snaps[t].Mesh
+		if prev != nil {
+			setIndices(idx, snaps[t-1].NodeID)
+			old = old[:0]
+			for _, id := range snaps[t].NodeID {
+				old = append(old, idx[id])
+			}
+			if g, ok := m.NodalGraphFrom(snaps[t-1].Mesh, prev, old, opt, &ws); ok {
+				return g
+			}
+		}
+		cfg.Obs.Add("metric_graph_rebuilds", 1)
+		return m.NodalGraph(opt)
+	}
+	// event reports whether snapshot t has a repartitioning event:
+	// Adaptive asks the drift policy at every snapshot after the first;
+	// RepartitionEvery repairs (Incremental) or recomputes every that
+	// many snapshots; otherwise the partition is carried.
+	event := func(t int) bool {
+		return t > 0 && (cfg.Adaptive || cfg.RepartitionEvery > 0 && t%cfg.RepartitionEvery == 0)
+	}
+
 	// advanceRCB runs the incremental RCB update for snapshot t and
 	// carries the contact labels forward by persistent id. It returns
 	// UpdComm, the number of contact nodes whose subdomain changed (0
@@ -308,20 +344,18 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	}
 
 	for t, sn := range snaps {
+		prevG := g // snapshot t-1's graph, if it was built
 		if t > 0 {
-			g = nil
+			g, next = next, nil
 		}
-		// Snapshot t's repartitioning event, decided here alone:
-		// Adaptive asks the drift policy at every snapshot after the
-		// first; RepartitionEvery repairs (Incremental) or recomputes
-		// every that many snapshots; otherwise the partition is carried.
-		// The carried MCML+DT partition state must advance on every
+		// Snapshot t's repartitioning event, decided here alone. The
+		// carried MCML+DT partition state must advance on every
 		// snapshot — including checkpoint fast-forward (it is
 		// deterministic from the seed, so replaying it is exact); only
 		// the obs counters are gated on t >= start so a resume does not
 		// double-count replayed decisions.
 		var ev EvalTimes
-		if every := cfg.RepartitionEvery > 0 && t%cfg.RepartitionEvery == 0; t > 0 && (cfg.Adaptive || every) {
+		if event(t) {
 			prev := lookupLabels(sn.NodeID, mcByID)
 			var d *core.Decomposition
 			var out core.AdaptiveOutcome
@@ -373,11 +407,11 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		mcLabels := lookupLabels(sn.NodeID, mcByID)
 		mlLabels := lookupLabels(sn.NodeID, mlByID)
 
-		if g == nil {
-			g = m.NodalGraph(mesh.NodalGraphOptions{NCon: 2})
-		}
 		var row Row
 		snapSpan := expSpan.Child("snapshot", obs.Int("t", int64(t)))
+		if g == nil {
+			g = metricGraph(snapSpan, t, prevG)
+		}
 
 		// The two measurement legs are independent — the MC leg reads
 		// only MCML+DT state and writes only the MC* fields of row
@@ -421,7 +455,18 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			row.MLNRemote = mlState.NRemote(m, cfg.SearchTol)
 			return nil
 		}
-		err := pool.Run(legWorkers, mcLeg, mlLeg)
+		// When the next snapshot has no repartitioning event, its metric
+		// graph is derived from this one's as a third task beside the
+		// legs, off the next snapshot's critical path.
+		tasks := []func() error{mcLeg, mlLeg}
+		if u := t + 1; u < len(snaps) && !event(u) {
+			cur := g
+			tasks = append(tasks, func() error {
+				next = metricGraph(snapSpan, u, cur)
+				return nil
+			})
+		}
+		err := pool.Run(legWorkers, tasks...)
 		snapSpan.End()
 		if err != nil {
 			return nil, err
@@ -503,6 +548,15 @@ func setLabels(byID []int32, ids []int64, labels []int32) {
 	clearLabels(byID)
 	for v, id := range ids {
 		byID[id] = labels[v]
+	}
+}
+
+// setIndices refills byID with each node's index under its persistent
+// id.
+func setIndices(byID []int32, ids []int64) {
+	clearLabels(byID)
+	for v, id := range ids {
+		byID[id] = int32(v)
 	}
 }
 

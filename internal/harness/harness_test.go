@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -334,6 +335,87 @@ func TestRunRecordsObsPhases(t *testing.T) {
 	// metric_eval runs once per leg per snapshot.
 	if got["metric_eval"].Count != int64(2*len(snaps)) {
 		t.Errorf("metric_eval count %d, want %d", got["metric_eval"].Count, 2*len(snaps))
+	}
+}
+
+// metricGraphStats returns a report's count of metric_graph phases and
+// its metric_graph_rebuilds counter.
+func metricGraphStats(rep obs.Report) (phases, rebuilds int64) {
+	for _, p := range rep.Phases {
+		if p.Name == "metric_graph" {
+			phases = p.Count
+		}
+	}
+	for _, c := range rep.Counters {
+		if c.Name == "metric_graph_rebuilds" {
+			rebuilds = c.Value
+		}
+	}
+	return phases, rebuilds
+}
+
+// TestMetricGraphDerived: an uninterrupted sweep derives every metric
+// graph that no decomposition built from the previous snapshot's graph
+// and rebuilds none, under every update strategy and with serial legs.
+// A sweep resumed at cursor c >= 2 has no graph of snapshot c-1, so it
+// rebuilds exactly one; resumed at cursor 1 it derives from snapshot
+// 0's decomposition graph.
+func TestMetricGraphDerived(t *testing.T) {
+	snaps := testSnaps(t, 4)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		derived int64 // snapshots whose graph no decomposition built
+	}{
+		{"fixed", Config{}, 3},
+		{"fixed_serial", Config{SerialLegs: true}, 3},
+		{"every2", Config{RepartitionEvery: 2}, 2},
+		{"every2_incremental", Config{RepartitionEvery: 2, Incremental: true}, 2},
+		{"adaptive", Config{Adaptive: true, Drift: tightDrift()}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.K, cfg.Seed, cfg.Obs = 4, 1, obs.New()
+			if _, err := runOne(snaps, cfg); err != nil {
+				t.Fatal(err)
+			}
+			phases, rebuilds := metricGraphStats(cfg.Obs.Report())
+			if rebuilds != 0 || tc.derived >= 0 && phases != tc.derived {
+				t.Errorf("metric_graph %d times with %d rebuilds, want %d and 0", phases, rebuilds, tc.derived)
+			}
+		})
+	}
+
+	cfgs := []Config{{K: 4, Seed: 1}}
+	for killAt := 1; killAt < len(snaps); killAt++ {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		ctx, cancel := context.WithCancel(context.Background())
+		ck := NewCheckpointer(path, snaps, cfgs)
+		ck.AfterFlush = func(_, cursor int) {
+			if cursor == killAt {
+				cancel()
+			}
+		}
+		if _, err := RunSweep(ctx, snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck}); err == nil {
+			t.Fatalf("killAt=%d: interrupted sweep reported success", killAt)
+		}
+		cancel()
+		ck2, err := LoadCheckpoint(path, snaps, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed := cfgs[0]
+		resumed.Obs = obs.New()
+		if _, err := RunSweep(context.Background(), snaps, []Config{resumed}, SweepOptions{Workers: 1, Checkpoint: ck2}); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(1)
+		if killAt == 1 {
+			want = 0
+		}
+		if _, rebuilds := metricGraphStats(resumed.Obs.Report()); rebuilds != want {
+			t.Errorf("resumed at %d: %d rebuilds, want %d", killAt, rebuilds, want)
+		}
 	}
 }
 

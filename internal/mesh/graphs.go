@@ -46,18 +46,7 @@ func DefaultNodalOptions() NodalGraphOptions {
 // that; ReadMesh's 2^28 bound on the node-list length keeps every mesh
 // it reads well below it.
 func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
-	if opt.NCon < 1 {
-		opt.NCon = 1
-	}
-	if opt.FEWeight <= 0 {
-		opt.FEWeight = 1
-	}
-	if opt.ContactWeight <= 0 {
-		opt.ContactWeight = 1
-	}
-	if opt.ContactEdgeWeight <= 0 {
-		opt.ContactEdgeWeight = 1
-	}
+	opt = opt.withDefaults()
 	n := m.NumNodes()
 	if m.NumElems() >= 1<<28 {
 		panic(fmt.Sprintf("mesh: NodalGraph supports fewer than 2^28 elements, got %d", m.NumElems()))
@@ -100,24 +89,53 @@ func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
 		xadj[v+1] = int32(len(adj))
 	}
 
-	contact := m.ContactMask()
 	g := &graph.Graph{NCon: opt.NCon, Xadj: xadj, Adj: adj, AdjWgt: make([]int32, len(adj))}
 	if n > 0 { // nil for an empty mesh, as graph.Builder leaves it
 		g.VWgt = make([]int32, n*opt.NCon)
 	}
-	for v := 0; v < n; v++ {
+	weigh(g, m.ContactMask(), opt)
+	return g
+}
+
+// withDefaults replaces the options' unset or invalid fields by their
+// defaults: one constraint and unit weights.
+func (opt NodalGraphOptions) withDefaults() NodalGraphOptions {
+	if opt.NCon < 1 {
+		opt.NCon = 1
+	}
+	if opt.FEWeight <= 0 {
+		opt.FEWeight = 1
+	}
+	if opt.ContactWeight <= 0 {
+		opt.ContactWeight = 1
+	}
+	if opt.ContactEdgeWeight <= 0 {
+		opt.ContactEdgeWeight = 1
+	}
+	return opt
+}
+
+// weigh sets the vertex and edge weights of a nodal graph whose
+// topology and weight slices are in place, from the contact mask.
+func weigh(g *graph.Graph, contact []bool, opt NodalGraphOptions) {
+	clear(g.VWgt)
+	for i := range g.AdjWgt {
+		g.AdjWgt[i] = 1
+	}
+	for v := range g.NV() {
 		g.VWgt[v*opt.NCon] = opt.FEWeight
-		if opt.NCon >= 2 && contact[v] {
+		if !contact[v] {
+			continue
+		}
+		if opt.NCon >= 2 {
 			g.VWgt[v*opt.NCon+1] = opt.ContactWeight
 		}
-		for i := xadj[v]; i < xadj[v+1]; i++ {
-			g.AdjWgt[i] = 1
-			if contact[v] && contact[adj[i]] {
+		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
+			if contact[g.Adj[i]] {
 				g.AdjWgt[i] = opt.ContactEdgeWeight
 			}
 		}
 	}
-	return g
 }
 
 // edgeNbrs[t][i] lists the local nodes that an edge of element type t

@@ -78,6 +78,48 @@ func BenchmarkNodalGraphPaper(b *testing.B) {
 	benchNodalGraph(b, s.Snapshot(0).Mesh)
 }
 
+// BenchmarkNodalGraphFrom derives the graph of the table1_fixed
+// window's second snapshot from the first one's, in steady state: the
+// workspace's buffers have grown before the timer starts.
+func BenchmarkNodalGraphFrom(b *testing.B) {
+	cfg := sim.PaperConfig()
+	cfg.Scene.Refine = 1
+	cfg.Steps, cfg.Snapshots = 400, 100
+	s, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for t := 0; t < 100; t++ {
+		s.Step()
+	}
+	prev := s.Snapshot(0)
+	for t := 0; t < 4; t++ {
+		s.Step()
+	}
+	cur := s.Snapshot(1)
+	idx := map[int64]int32{}
+	for v, id := range prev.NodeID {
+		idx[id] = int32(v)
+	}
+	old := make([]int32, len(cur.NodeID))
+	for v, id := range cur.NodeID {
+		old[v] = idx[id]
+	}
+	opt := NodalGraphOptions{NCon: 2, ContactEdgeWeight: 5}
+	pg := prev.Mesh.NodalGraph(opt)
+	var ws NodalWorkspace
+	for i := 0; i < 2; i++ {
+		if _, ok := cur.Mesh.NodalGraphFrom(prev.Mesh, pg, old, opt, &ws); !ok {
+			b.Fatal("derivation refused")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkGraph, _ = cur.Mesh.NodalGraphFrom(prev.Mesh, pg, old, opt, &ws)
+	}
+}
+
 var sinkFacets []SurfaceElem
 
 func benchBoundaryFacets(b *testing.B, m *Mesh) {

@@ -10,9 +10,11 @@
 package rcb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/pool"
@@ -88,10 +90,7 @@ func build(grp *pool.Group, pts []geom.Point, idx []int32, labels []int32, dim, 
 	nL := len(idx) * kL / k
 
 	d := splitDim(pts, idx, dim)
-	sortAlong(pts, idx, d)
-
-	cut := cutBetween(pts, idx, d, nL)
-	n := &node{dim: d, cut: cut, kLeft: kL}
+	n := &node{dim: d, cut: splitAlong(pts, idx, d, nL), kLeft: kL}
 	left := idx[:nL]
 	if err := grp.Fork(len(idx), parallelBuildCutoff, func(ctx context.Context) error {
 		n.left = build(grp, pts, left, labels, dim, base, kL)
@@ -118,15 +117,21 @@ func splitDim(pts []geom.Point, idx []int32, dim int) int {
 	return b.LongestDim(dim)
 }
 
+// less is the strict order of sortAlong: by coordinate d, ties broken
+// by point index.
+func less(pts []geom.Point, a, b int32, d int) bool {
+	pa, pb := pts[a][d], pts[b][d]
+	return pa < pb || pa == pb && a < b
+}
+
 // sortAlong orders idx by coordinate d, breaking ties by point index so
 // results are deterministic.
 func sortAlong(pts []geom.Point, idx []int32, d int) {
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := pts[idx[a]][d], pts[idx[b]][d]
-		if pa != pb {
-			return pa < pb
+	slices.SortFunc(idx, func(a, b int32) int {
+		if pa, pb := pts[a][d], pts[b][d]; pa != pb {
+			return cmp.Compare(pa, pb)
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a, b)
 	})
 }
 
@@ -144,6 +149,87 @@ func cutBetween(pts []geom.Point, idx []int32, d, nL int) float64 {
 	}
 	lo, hi := pts[idx[nL-1]][d], pts[idx[nL]][d]
 	return (lo + hi) / 2
+}
+
+// splitAlong moves the first nL points of idx in sortAlong's order to
+// idx[:nL] and the rest to idx[nL:], and returns the cut cutBetween
+// would return on the sorted idx. The order within each side is
+// unspecified: because the order is strict, a selection yields the two
+// sides of the sort as sets, at a fraction of its cost.
+func splitAlong(pts []geom.Point, idx []int32, d, nL int) float64 {
+	if len(idx) == 0 {
+		return 0
+	}
+	// extreme returns the last point of s in the order, or the first.
+	extreme := func(s []int32, last bool) int32 {
+		x := s[0]
+		for _, i := range s[1:] {
+			if less(pts, x, i, d) == last {
+				x = i
+			}
+		}
+		return x
+	}
+	switch {
+	case nL <= 0:
+		return pts[extreme(idx, false)][d]
+	case nL >= len(idx):
+		return pts[extreme(idx, true)][d]
+	}
+	selectAlong(pts, idx, d, nL)
+	// selectAlong leaves idx[nL] in its sorted place.
+	lo, hi := pts[extreme(idx[:nL], true)][d], pts[idx[nL]][d]
+	return (lo + hi) / 2
+}
+
+// selectAlong reorders idx so that idx[k] is the point sortAlong would
+// put there and idx[:k] holds the points before it: a quickselect with
+// median-of-three pivots, which sorts what is left once the range is
+// short or partitioning stops shrinking it fast.
+func selectAlong(pts []geom.Point, idx []int32, d, k int) {
+	lo, hi := 0, len(idx)-1
+	for budget := 2 * bits.Len(uint(len(idx))); lo < hi; budget-- {
+		if hi-lo < 16 || budget == 0 {
+			sortAlong(pts, idx[lo:hi+1], d)
+			return
+		}
+		mid := int(uint(lo+hi) >> 1)
+		if less(pts, idx[mid], idx[lo], d) {
+			idx[mid], idx[lo] = idx[lo], idx[mid]
+		}
+		if less(pts, idx[hi], idx[lo], d) {
+			idx[hi], idx[lo] = idx[lo], idx[hi]
+		}
+		if less(pts, idx[hi], idx[mid], d) {
+			idx[hi], idx[mid] = idx[mid], idx[hi]
+		}
+		// Hoare partition around the median of three, which idx[lo]
+		// and idx[hi] bracket, so the scans stop inside the range.
+		p, i, j := idx[mid], lo, hi
+		for i <= j {
+			for less(pts, idx[i], p, d) {
+				i++
+			}
+			for less(pts, p, idx[j], d) {
+				j--
+			}
+			if i <= j {
+				idx[i], idx[j] = idx[j], idx[i]
+				i++
+				j--
+			}
+		}
+		// idx[lo..j] precede p, idx[i..hi] follow it, and a position
+		// between them holds p itself.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Update re-fits the tree's cut positions to a new point set (same k,
@@ -168,8 +254,7 @@ func update(n *node, pts []geom.Point, idx []int32, labels []int32, k int) {
 		return
 	}
 	nL := len(idx) * n.kLeft / k
-	sortAlong(pts, idx, n.dim)
-	n.cut = cutBetween(pts, idx, n.dim, nL)
+	n.cut = splitAlong(pts, idx, n.dim, nL)
 	update(n.left, pts, idx[:nL], labels, n.kLeft)
 	update(n.right, pts, idx[nL:], labels, k-n.kLeft)
 }
