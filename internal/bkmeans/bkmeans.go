@@ -182,10 +182,10 @@ func initCentroids(pts []geom.Point, w []int64, k int, seed int64) []geom.Point 
 	return cents
 }
 
-// assignChunk is the fixed chunk size of the parallel distance sweep.
-// Chunks are pure per-point computations into disjoint slices, so the
-// worker count cannot influence any value.
-const assignChunk = 1 << 13
+// assignCutoff is the point count below which the distance sweep runs
+// on the calling goroutine. Ranges are pure per-point computations
+// into disjoint slices, so the worker count cannot influence any value.
+const assignCutoff = 1 << 13
 
 // assign is the capacity-constrained assignment step: points are
 // processed most-constrained-first (largest gap between their nearest
@@ -199,7 +199,10 @@ func assign(pts []geom.Point, w []int64, cents []geom.Point, caps []int64, worke
 	// gap[i] = d2(second nearest) - d2(nearest): how much point i loses
 	// if its first choice is full.
 	gap := make([]float64, n)
-	sweep := func(lo, hi int) {
+	if n < assignCutoff {
+		workers = 1
+	}
+	pool.Ranges(workers, n, func(lo, hi int) struct{} {
 		for i := lo; i < hi; i++ {
 			best, second := -1.0, -1.0
 			for _, c := range cents {
@@ -213,21 +216,8 @@ func assign(pts []geom.Point, w []int64, cents []geom.Point, caps []int64, worke
 			}
 			gap[i] = second - best
 		}
-	}
-	if n < assignChunk || pool.Workers(workers) <= 1 {
-		sweep(0, n)
-	} else {
-		var fns []func() error
-		for lo := 0; lo < n; lo += assignChunk {
-			lo, hi := lo, lo+assignChunk
-			if hi > n {
-				hi = n
-			}
-			fns = append(fns, func() error { sweep(lo, hi); return nil })
-		}
-		// The closures cannot fail; pool.Run only surfaces panics.
-		_ = pool.Run(workers, fns...)
-	}
+		return struct{}{}
+	})
 
 	order := make([]int32, n)
 	for i := range order {

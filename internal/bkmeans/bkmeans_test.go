@@ -92,7 +92,7 @@ func TestPartitionCompactness(t *testing.T) {
 // worker count and for the forced chunked assignment path.
 func TestPartitionWorkerDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	pts, wgts := randPoints(r, 9000, 2) // > assignChunk to exercise pool.Run
+	pts, wgts := randPoints(r, 9000, 2) // > assignCutoff to exercise the ranged sweep
 	base, err := Partition(pts, wgts, 2, 3, 10, Options{Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -16,12 +16,10 @@
 package contact
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/dtree"
 	"repro/internal/geom"
 	"repro/internal/mesh"
+	"repro/internal/pool"
 )
 
 // Filter marks, for a query box, every partition whose descriptor
@@ -133,45 +131,25 @@ func MaxFacetDiameter(m *mesh.Mesh) float64 {
 // The sweep over elements runs on all cores.
 func NRemote(boxes []geom.AABB, owners []int32, f Filter) int64 {
 	k := f.K()
-	nw := runtime.GOMAXPROCS(0)
-	if nw > len(boxes) {
-		nw = 1
-	}
 	var total int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	chunk := (len(boxes) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(boxes) {
-			hi = len(boxes)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mark := make([]bool, k)
-			var local int64
-			for i := lo; i < hi; i++ {
-				f.PartsFor(boxes[i], mark)
-				for p := 0; p < k; p++ {
-					if mark[p] {
-						if int32(p) != owners[i] {
-							local++
-						}
-						mark[p] = false
+	for _, n := range pool.Ranges(0, len(boxes), func(lo, hi int) int64 {
+		mark := make([]bool, k)
+		var local int64
+		for i := lo; i < hi; i++ {
+			f.PartsFor(boxes[i], mark)
+			for p := 0; p < k; p++ {
+				if mark[p] {
+					if int32(p) != owners[i] {
+						local++
 					}
+					mark[p] = false
 				}
 			}
-			mu.Lock()
-			total += local
-			mu.Unlock()
-		}(lo, hi)
+		}
+		return local
+	}) {
+		total += n
 	}
-	wg.Wait()
 	return total
 }
 

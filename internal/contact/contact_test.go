@@ -8,6 +8,7 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/geom"
 	"repro/internal/mesh"
+	"repro/internal/pool"
 )
 
 func TestBoxFilter(t *testing.T) {
@@ -203,6 +204,36 @@ func TestNRemoteParallelDeterministic(t *testing.T) {
 	if a != b {
 		t.Errorf("NRemote not deterministic: %d vs %d", a, b)
 	}
+}
+
+// panicFilter panics on the query box whose lower x equals at.
+type panicFilter struct{ at float64 }
+
+func (panicFilter) K() int { return 2 }
+
+func (f panicFilter) PartsFor(b geom.AABB, mark []bool) {
+	if b.Min[0] == f.at {
+		panic("filter exploded")
+	}
+	mark[0] = true
+}
+
+// TestNRemoteFilterPanicReachesCaller: a panic in the parallel sweep's
+// last range reaches the caller's recover as a *pool.PanicError, the
+// way a serial loop's panic would, instead of killing the process.
+func TestNRemoteFilterPanicReachesCaller(t *testing.T) {
+	boxes := make([]geom.AABB, 64)
+	for i := range boxes {
+		boxes[i] = geom.AABB{Min: geom.P2(float64(i), 0), Max: geom.P2(float64(i)+1, 1)}
+	}
+	defer func() {
+		r := recover()
+		if pe, ok := r.(*pool.PanicError); !ok || pe.Value != "filter exploded" {
+			t.Fatalf("recovered %v, want the filter's panic as a *pool.PanicError", r)
+		}
+	}()
+	NRemote(boxes, make([]int32, len(boxes)), panicFilter{at: 63})
+	t.Fatal("NRemote returned despite the panicking filter")
 }
 
 func TestNRemoteEmptyInputs(t *testing.T) {

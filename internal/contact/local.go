@@ -1,12 +1,11 @@
 package contact
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/mesh"
+	"repro/internal/pool"
 )
 
 // This file implements the full serial contact-detection pipeline:
@@ -51,44 +50,25 @@ func DetectContacts(m *mesh.Mesh, tol float64) []Pair {
 		return false
 	}
 
-	nw := runtime.GOMAXPROCS(0)
-	if nw > ne {
-		nw = 1
-	}
-	var mu sync.Mutex
 	var out []Pair
-	var wg sync.WaitGroup
-	chunk := (ne + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > ne {
-			hi = ne
+	for _, local := range pool.Ranges(0, ne, func(lo, hi int) []Pair {
+		var local []Pair
+		for i := lo; i < hi; i++ {
+			fi := facet(int32(i))
+			bvh.Query(boxes, boxes[i], func(j int32) {
+				if j <= int32(i) || shareNode(int32(i), j) {
+					return
+				}
+				d := geom.FacetDist(fi, facet(j))
+				if d <= tol {
+					local = append(local, Pair{A: int32(i), B: j, Dist: d})
+				}
+			})
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var local []Pair
-			for i := lo; i < hi; i++ {
-				fi := facet(int32(i))
-				bvh.Query(boxes, boxes[i], func(j int32) {
-					if j <= int32(i) || shareNode(int32(i), j) {
-						return
-					}
-					d := geom.FacetDist(fi, facet(j))
-					if d <= tol {
-						local = append(local, Pair{A: int32(i), B: j, Dist: d})
-					}
-				})
-			}
-			mu.Lock()
-			out = append(out, local...)
-			mu.Unlock()
-		}(lo, hi)
+		return local
+	}) {
+		out = append(out, local...)
 	}
-	wg.Wait()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].A != out[j].A {
 			return out[i].A < out[j].A

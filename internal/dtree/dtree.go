@@ -29,9 +29,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/geom"
+	"repro/internal/pool"
 )
 
 // Mode selects the termination policy.
@@ -289,14 +289,13 @@ func (b *builder) build(lo, hi int, s *scratch) *bnode {
 	nd := &bnode{splitDim: int8(dim), cut: cut, pure: pure, part: major}
 	mid := lo + nL
 	if b.opt.Parallel && n >= parallelCutoff {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nd.left = b.build(lo, mid, newScratch(b.k))
-		}()
-		nd.right = b.build(mid, hi, s)
-		wg.Wait()
+		sub := pool.Ranges(2, 2, func(i, _ int) *bnode {
+			if i == 0 {
+				return b.build(lo, mid, newScratch(b.k))
+			}
+			return b.build(mid, hi, s)
+		})
+		nd.left, nd.right = sub[0], sub[1]
 	} else {
 		nd.left = b.build(lo, mid, s)
 		nd.right = b.build(mid, hi, s)

@@ -16,8 +16,8 @@ package lint
 //   - the write methods of bufio.Writer (not Flush): its error is
 //     sticky, so intermediate write errors resurface at Flush — which
 //     this analyzer does require to be handled;
-//   - pool.Group.Submit / Fork, which are owned by the syncmisuse
-//     analyzer so one violation yields one diagnostic.
+//   - pool.Group.Submit / Fork, pool.Run and pool.Map, which are owned
+//     by the syncmisuse analyzer so one violation yields one diagnostic.
 //
 // Deliberate discards are written as `_ = f()` — visible in review —
 // or carry //lint:ignore errdrop <reason>.
@@ -102,7 +102,7 @@ func errDropAllowed(p *Package, call *ast.CallExpr) bool {
 	case recvNameOf(fn) == "Writer" && pkgSuffixIs(fn, "bufio") &&
 		(name == "Write" || name == "WriteString" || name == "WriteByte" || name == "WriteRune"):
 		return true
-	case isMethod(fn, "internal/pool", "Group", "Submit"), isMethod(fn, "internal/pool", "Group", "Fork"):
+	case isMethod(fn, "internal/pool", "Group", "Submit"), isMethod(fn, "internal/pool", "Group", "Fork"), isPoolFanOut(fn):
 		return true // syncmisuse owns these
 	}
 	return false

@@ -17,38 +17,24 @@ import (
 // force either path.
 var parallelEvalCutoff = 1 << 15
 
-// chunkRange returns chunk i of [0, n) split into `chunks` contiguous
-// near-equal ranges.
-func chunkRange(n, chunks, i int) (lo, hi int) {
-	return n * i / chunks, n * (i + 1) / chunks
+// evalWorkers is the worker request for an evaluation sweep over nv
+// vertices: one range below parallelEvalCutoff, every core above it.
+func evalWorkers(nv int) int {
+	if nv < parallelEvalCutoff {
+		return 1
+	}
+	return 0
 }
 
 // accumPartitionWeights computes per-partition weight vectors and
 // vertex counts under labels, in parallel above parallelEvalCutoff.
 func accumPartitionWeights(g *graph.Graph, labels []int32, k int) ([][]int64, []int) {
 	nv, ncon := g.NV(), g.NCon
-	pw := make([][]int64, k)
-	for p := range pw {
-		pw[p] = make([]int64, ncon)
-	}
-	cnt := make([]int, k)
-	workers := pool.Workers(0)
-	if nv < parallelEvalCutoff || workers < 2 {
-		for v := 0; v < nv; v++ {
-			w := g.Weights(v)
-			for j, wj := range w {
-				pw[labels[v]][j] += int64(wj)
-			}
-			cnt[labels[v]]++
-		}
-		return pw, cnt
-	}
 	type local struct {
 		pw  []int64 // k*ncon, partition-major
 		cnt []int
 	}
-	parts, _ := pool.Map(workers, workers, func(i int) (local, error) {
-		lo, hi := chunkRange(nv, workers, i)
+	parts := pool.Ranges(evalWorkers(nv), nv, func(lo, hi int) local {
 		l := local{pw: make([]int64, k*ncon), cnt: make([]int, k)}
 		for v := lo; v < hi; v++ {
 			p := int(labels[v])
@@ -58,15 +44,20 @@ func accumPartitionWeights(g *graph.Graph, labels []int32, k int) ([][]int64, []
 			}
 			l.cnt[p]++
 		}
-		return l, nil
+		return l
 	})
+	flat, cnt := make([]int64, k*ncon), make([]int, k)
 	for _, l := range parts {
-		for p := 0; p < k; p++ {
-			for j := 0; j < ncon; j++ {
-				pw[p][j] += l.pw[p*ncon+j]
-			}
-			cnt[p] += l.cnt[p]
+		for i, w := range l.pw {
+			flat[i] += w
 		}
+		for p, c := range l.cnt {
+			cnt[p] += c
+		}
+	}
+	pw := make([][]int64, k)
+	for p := range pw {
+		pw[p] = flat[p*ncon : (p+1)*ncon : (p+1)*ncon]
 	}
 	return pw, cnt
 }
@@ -689,17 +680,10 @@ func (s *kwayState) balance(rng *rand.Rand) {
 // the per-chunk partial cuts are exact integers, so the parallel sum
 // equals the serial one.
 func EdgeCut(g *graph.Graph, labels []int32) int64 {
-	nv := g.NV()
-	workers := pool.Workers(0)
-	if nv < parallelEvalCutoff || workers < 2 {
-		return edgeCutRange(g, labels, 0, nv)
-	}
-	parts, _ := pool.Map(workers, workers, func(i int) (int64, error) {
-		lo, hi := chunkRange(nv, workers, i)
-		return edgeCutRange(g, labels, lo, hi), nil
-	})
 	var cut int64
-	for _, c := range parts {
+	for _, c := range pool.Ranges(evalWorkers(g.NV()), g.NV(), func(lo, hi int) int64 {
+		return edgeCutRange(g, labels, lo, hi)
+	}) {
 		cut += c
 	}
 	return cut

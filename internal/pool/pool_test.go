@@ -367,3 +367,67 @@ func TestWorkers(t *testing.T) {
 		t.Error("default should be GOMAXPROCS")
 	}
 }
+
+func TestRangesSplit(t *testing.T) {
+	for _, workers := range []int{1, 3, 8, 200} {
+		for _, n := range []int{0, 1, 7, 100} {
+			got := Ranges(workers, n, func(lo, hi int) [2]int { return [2]int{lo, hi} })
+			if want := min(workers, n); len(got) != want {
+				t.Fatalf("workers=%d n=%d: %d ranges, want %d", workers, n, len(got), want)
+			}
+			for i, r := range got {
+				w := len(got)
+				if r != [2]int{n * i / w, n * (i + 1) / w} || r[0] >= r[1] {
+					t.Fatalf("workers=%d n=%d: range %d = %v", workers, n, i, r)
+				}
+			}
+		}
+	}
+}
+
+// TestRangesReraisesPanic: a panic in any range, the only range
+// included, reaches the caller's recover as a *PanicError, and only
+// once every range has finished; a nested Ranges' panic passes
+// through unwrapped.
+func TestRangesReraisesPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		workers, panic int
+		nested         bool
+	}{
+		{"one range", 1, 0, false},
+		{"non-first range", 4, 2, false},
+		{"nested", 4, 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var finished atomic.Int64
+			var got any
+			panicking := make(chan struct{})
+			func() {
+				defer func() { got = recover() }()
+				Ranges(tc.workers, 100, func(lo, hi int) int {
+					defer finished.Add(1)
+					if lo != 100*tc.panic/tc.workers {
+						<-panicking // still running when the panic happens
+						return 0
+					}
+					close(panicking)
+					if tc.nested {
+						Ranges(2, hi-lo, func(int, int) int { panic("boom") })
+					}
+					panic("boom")
+				})
+			}()
+			pe, ok := got.(*PanicError)
+			if !ok {
+				t.Fatalf("recovered %T (%v), want *PanicError", got, got)
+			}
+			if pe.Value != "boom" || len(pe.Stack) == 0 {
+				t.Errorf("panic payload %v, stack %d bytes", pe.Value, len(pe.Stack))
+			}
+			if n := finished.Load(); n != int64(tc.workers) {
+				t.Errorf("re-raised after %d of %d ranges finished", n, tc.workers)
+			}
+		})
+	}
+}

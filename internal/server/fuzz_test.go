@@ -17,6 +17,9 @@ var jobSpecFuzzSeeds = []string{
 	`{"kind":"sweep","sweep":{"snapshots":14,"ks":[2,3,4,6,8],"seed":11}}`,
 	`{"kind":"sweep","sweep":{"snapshots":3,"ks":[4],"backend":"rcb","adaptive":true},"timeout_ms":500}`,
 	`{"kind":"mesh","k":-1}`,
+	`{"kind":"sweep","sweep":{"snapshots":200,"steps":4000,"ks":[2]}}`,
+	`{"kind":"sweep","sweep":{"snapshots":1,"steps":4001,"ks":[2]}}`,
+	`{"kind":"sweep","sweep":{"snapshots":8,"steps":7,"ks":[2]}}`,
 }
 
 // FuzzJobSpec feeds arbitrary bytes through the submit path's parsing:

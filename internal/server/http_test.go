@@ -167,6 +167,11 @@ func TestHTTPStatusCodes(t *testing.T) {
 	if code, view, _ := postJob(t, ts, hugeK, ""); code != http.StatusBadRequest {
 		t.Fatalf("graph job with k=%d: HTTP %d (%s), want 400", hugeK.K, code, view.Error)
 	}
+	// A sweep's step count is bounded too: sim.Run takes no context.
+	manySteps := JobSpec{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Steps: maxSteps + 1, Ks: []int{2}}}
+	if code, view, _ := postJob(t, ts, manySteps, ""); code != http.StatusBadRequest {
+		t.Fatalf("sweep with %d steps: HTTP %d (%s), want 400", manySteps.Sweep.Steps, code, view.Error)
+	}
 
 	// 404: unknown job, every verb.
 	if code := getJSON(t, ts, "/api/v1/jobs/job-999999", nil); code != http.StatusNotFound {

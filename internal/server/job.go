@@ -131,7 +131,7 @@ type SweepSpec struct {
 	// Snapshots is the number of mesh snapshots measured (>= 1).
 	Snapshots int `json:"snapshots"`
 	// Steps is the kinematic step count (default 4x snapshots,
-	// minimum 40).
+	// minimum 40; at most maxSteps, and at least Snapshots).
 	Steps int `json:"steps,omitempty"`
 	// Ks are the partition counts of the sweep (each >= 1).
 	Ks []int `json:"ks"`
@@ -211,6 +211,10 @@ type JobSpec struct {
 // worker until the job's deadline.
 const maxK = 1024
 
+// maxSteps caps a sweep's kinematic step count. It covers the shipped
+// profiles (400 steps) and the paper's 3,768-step sequence.
+const maxSteps = 4000
+
 // validate rejects malformed specs in the submit path. maxVertices is
 // the server's graph-size cap.
 func (js *JobSpec) validate(maxVertices int) error {
@@ -249,6 +253,11 @@ func (js *JobSpec) validate(maxVertices int) error {
 		}
 		if s.Refine < 0 || s.Refine > 3 {
 			return fmt.Errorf("sweep job: refine = %d, want 0..3", s.Refine)
+		}
+		// sim.Run takes no context, so the step count bounds scene
+		// generation time before the job is queued.
+		if s.Steps != 0 && (s.Steps < s.Snapshots || s.Steps > maxSteps) {
+			return fmt.Errorf("sweep job: steps = %d, want %d..%d (or 0 for the default)", s.Steps, s.Snapshots, maxSteps)
 		}
 		if len(s.Ks) == 0 {
 			return fmt.Errorf("sweep job: no ks")

@@ -206,8 +206,12 @@ type Server struct {
 	byKey    map[string]string // idempotency key -> job id
 	acct     Accounting
 
-	sceneMu sync.Mutex
-	scenes  map[string][]sim.Snapshot
+	// The most recent sweep scene and its sceneKey. One is kept: a
+	// scene holds every snapshot's mesh, and keeping each distinct
+	// one would grow the daemon for its whole lifetime.
+	sceneMu    sync.Mutex
+	sceneKey   string
+	sceneSnaps []sim.Snapshot
 }
 
 // New starts a server: opt.Workers executor goroutines behind a
@@ -215,11 +219,10 @@ type Server struct {
 func New(opt Options) *Server {
 	opt = opt.withDefaults()
 	s := &Server{
-		opt:    opt,
-		queue:  make(chan *Job, opt.QueueDepth),
-		jobs:   make(map[string]*Job),
-		byKey:  make(map[string]string),
-		scenes: make(map[string][]sim.Snapshot),
+		opt:   opt,
+		queue: make(chan *Job, opt.QueueDepth),
+		jobs:  make(map[string]*Job),
+		byKey: make(map[string]string),
 	}
 	if opt.CacheEntries > 0 {
 		s.cache = newResultCache(opt.CacheEntries)
@@ -755,20 +758,21 @@ func (s *Server) runSweepJob(ctx context.Context, job *Job, col *obs.Collector, 
 }
 
 // scene returns the snapshot sequence for a sweep's scene parameters,
-// generating it on first use. Scenes are deterministic in their
-// parameters, so sharing them across jobs changes nothing but wall
-// clock.
+// generating it unless it is the most recent scene. Scenes are
+// deterministic in their parameters, so sharing or regenerating them
+// changes nothing but wall clock.
 func (s *Server) scene(spec SweepSpec) ([]sim.Snapshot, error) {
 	key := spec.sceneKey()
 	s.sceneMu.Lock()
 	defer s.sceneMu.Unlock()
-	if snaps, ok := s.scenes[key]; ok {
-		return snaps, nil
+	if s.sceneSnaps != nil && s.sceneKey == key {
+		return s.sceneSnaps, nil
 	}
+	s.sceneSnaps = nil // not held through the next scene's generation
 	snaps, err := sim.Run(spec.simConfig())
 	if err != nil {
 		return nil, err
 	}
-	s.scenes[key] = snaps
+	s.sceneKey, s.sceneSnaps = key, snaps
 	return snaps, nil
 }

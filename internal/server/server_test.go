@@ -6,6 +6,7 @@ package server
 // chaos-under-load proofs in chaos_test.go.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -182,6 +183,9 @@ func TestServerValidationRejects(t *testing.T) {
 		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Ks: []int{0}}},
 		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Ks: []int{maxK + 1}}},
 		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Ks: []int{2}}, Graph: gridSpec(2, 2)},
+		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Steps: -1, Ks: []int{2}}},
+		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 8, Steps: 7, Ks: []int{2}}}, // fewer steps than snapshots
+		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Steps: maxSteps + 1, Ks: []int{2}}},
 	}
 	for i, spec := range bad {
 		if _, err := s.Submit(spec, ""); err == nil {
@@ -191,6 +195,36 @@ func TestServerValidationRejects(t *testing.T) {
 	a := s.Accounting()
 	if a.RejectedInvalid != int64(len(bad)) || a.Accepted != 0 {
 		t.Fatalf("ledger after invalid submissions: %+v", a)
+	}
+}
+
+// TestServerKeepsOneScene: sweeps over two scenes leave only the most
+// recent one cached, and a resubmitted sweep whose scene was evicted
+// regenerates it with byte-identical results.
+func TestServerKeepsOneScene(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, CacheEntries: -1})
+	a := JobSpec{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Ks: []int{2}, Seed: 3}}
+	b := JobSpec{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 2, Ks: []int{2}, Seed: 3}}
+	var first JobView
+	for i, spec := range []JobSpec{a, b, a} {
+		view := wait(t, s, mustSubmit(t, s, spec).ID)
+		if view.Status != StatusDone {
+			t.Fatalf("sweep %d: %s (%s)", i, view.Status, view.Error)
+		}
+		s.sceneMu.Lock()
+		key := s.sceneKey
+		s.sceneMu.Unlock()
+		if want := spec.Sweep.withDefaults().sceneKey(); key != want {
+			t.Fatalf("after sweep %d the cached scene is %q, want %q", i, key, want)
+		}
+		switch i {
+		case 0:
+			first = view
+		case 2:
+			if !bytes.Equal(view.Result, first.Result) {
+				t.Fatalf("regenerated scene changed the result:\n%.200s\nvs\n%.200s", view.Result, first.Result)
+			}
+		}
 	}
 }
 

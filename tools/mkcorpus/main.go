@@ -153,8 +153,9 @@ func main() {
 	// Job specs for server.FuzzJobSpec, mirroring its seeds: graph jobs
 	// (plain, weighted with coordinates, offsets running past adj, k
 	// past the job cap),
-	// sweep jobs (plain, adaptive on a backend that cannot warm-start)
-	// and an unknown kind.
+	// sweep jobs (plain, adaptive on a backend that cannot warm-start,
+	// steps at the cap, one past it, and fewer than the snapshots) and
+	// an unknown kind.
 	specDir := filepath.Join("internal", "server", "testdata", "fuzz", "FuzzJobSpec")
 	write(specDir, "seed-graph", []byte(`{"kind":"graph","graph":{"ncon":1,"xadj":[0,1,3,4],"adj":[1,0,2,1]},"k":2,"seed":7}`))
 	write(specDir, "seed-graph-coords", []byte(`{"kind":"graph","graph":{"ncon":2,"xadj":[0,1,2],"adj":[1,0],"adjwgt":[3,3],"vwgt":[1,0,1,1],"dim":2,"coords":[0,0,1,1]},"k":2,"backend":"rcb","imbalance":0.05}`))
@@ -163,4 +164,7 @@ func main() {
 	write(specDir, "seed-sweep", []byte(`{"kind":"sweep","sweep":{"snapshots":14,"ks":[2,3,4,6,8],"seed":11}}`))
 	write(specDir, "seed-sweep-adaptive", []byte(`{"kind":"sweep","sweep":{"snapshots":3,"ks":[4],"backend":"rcb","adaptive":true},"timeout_ms":500}`))
 	write(specDir, "seed-unknown-kind", []byte(`{"kind":"mesh","k":-1}`))
+	write(specDir, "seed-sweep-steps-cap", []byte(`{"kind":"sweep","sweep":{"snapshots":200,"steps":4000,"ks":[2]}}`))
+	write(specDir, "seed-sweep-steps-past-cap", []byte(`{"kind":"sweep","sweep":{"snapshots":1,"steps":4001,"ks":[2]}}`))
+	write(specDir, "seed-sweep-steps-below-snapshots", []byte(`{"kind":"sweep","sweep":{"snapshots":8,"steps":7,"ks":[2]}}`))
 }
