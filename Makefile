@@ -43,6 +43,8 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzRepartition -fuzztime=10s -fuzzminimizetime=2s ./internal/partition
 	go test -run='^$$' -fuzz=FuzzRCBSelect -fuzztime=10s -fuzzminimizetime=2s ./internal/rcb
 	go test -run='^$$' -fuzz=FuzzTreeDeserialize -fuzztime=10s -fuzzminimizetime=2s ./internal/dtree
+	go test -run='^$$' -fuzz=FuzzPresortCarry -fuzztime=10s -fuzzminimizetime=2s ./internal/dtree
+	go test -run='^$$' -fuzz=FuzzBoxFilterCells -fuzztime=10s -fuzzminimizetime=2s ./internal/contact
 	go test -run='^$$' -fuzz=FuzzHilbertKey -fuzztime=10s -fuzzminimizetime=2s ./internal/sfc
 	go test -run='^$$' -fuzz=FuzzBKMeansAssign -fuzztime=10s -fuzzminimizetime=2s ./internal/bkmeans
 	go test -run='^$$' -fuzz=FuzzBuilder -fuzztime=10s -fuzzminimizetime=2s ./internal/graph

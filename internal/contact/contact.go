@@ -20,6 +20,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/pool"
+	"repro/internal/rcb"
 )
 
 // Filter marks, for a query box, every partition whose descriptor
@@ -30,18 +31,29 @@ type Filter interface {
 	K() int
 }
 
-// BoxFilter filters by per-subdomain bounding boxes.
+// BoxFilter filters by per-subdomain bounding boxes. When Cells is the
+// RCB cut tree whose subdomains' points the boxes bound, a query tests
+// only the subdomains whose cells it meets (rcb.Tree.VisitCells) and
+// marks the same ones a test of every box marks.
 type BoxFilter struct {
 	Boxes []geom.AABB
 	Dim   int
+	Cells *rcb.Tree
 }
 
 // PartsFor marks every subdomain whose box intersects b.
 func (f *BoxFilter) PartsFor(b geom.AABB, mark []bool) {
-	for p, box := range f.Boxes {
-		if box.Intersects(b, f.Dim) && !box.IsEmpty(f.Dim) {
+	test := func(p int32) {
+		if box := f.Boxes[p]; box.Intersects(b, f.Dim) && !box.IsEmpty(f.Dim) {
 			mark[p] = true
 		}
+	}
+	if f.Cells != nil {
+		f.Cells.VisitCells(b, test)
+		return
+	}
+	for p := range f.Boxes {
+		test(int32(p))
 	}
 }
 
@@ -79,16 +91,17 @@ func (f *TreeFilter) K() int { return f.Tree.K }
 // contact computations happen in MCML+DT.
 func SurfaceOwners(m *mesh.Mesh, labels []int32) []int32 {
 	owners := make([]int32, len(m.Surface))
-	counts := map[int32]int{}
 	for i, s := range m.Surface {
-		for k := range counts {
-			delete(counts, k)
-		}
+		// Facets have a handful of nodes: count each label in place.
 		best, bestN := int32(0), -1
 		for _, n := range s.Nodes {
-			p := labels[n]
-			counts[p]++
-			if c := counts[p]; c > bestN || (c == bestN && p < best) {
+			p, c := labels[n], 0
+			for _, o := range s.Nodes {
+				if labels[o] == p {
+					c++
+				}
+			}
+			if c > bestN || (c == bestN && p < best) {
 				best, bestN = p, c
 			}
 		}

@@ -40,15 +40,17 @@ func TestSurfaceOwnersMajority(t *testing.T) {
 		Dim: 2,
 		Coords: []geom.Point{
 			geom.P2(0, 0), geom.P2(1, 0), geom.P2(2, 0), geom.P2(3, 0),
+			geom.P2(4, 0), geom.P2(5, 0),
 		},
 		EPtr: []int32{0},
 		Surface: []mesh.SurfaceElem{
 			{Nodes: []int32{0, 1}, Elem: -1},
 			{Nodes: []int32{1, 2}, Elem: -1},
 			{Nodes: []int32{0, 1, 2}, Elem: -1},
+			{Nodes: []int32{4, 5, 1, 2}, Elem: -1},
 		},
 	}
-	labels := []int32{0, 1, 1, 1}
+	labels := []int32{0, 1, 1, 1, 2, 2}
 	owners := SurfaceOwners(m, labels)
 	if owners[0] != 0 { // tie {0,1}: smaller id wins
 		t.Errorf("owner[0] = %d, want 0", owners[0])
@@ -58,6 +60,9 @@ func TestSurfaceOwnersMajority(t *testing.T) {
 	}
 	if owners[2] != 1 { // majority 1
 		t.Errorf("owner[2] = %d, want 1", owners[2])
+	}
+	if owners[3] != 1 { // tie {2,2,1,1}, larger id first: smaller id wins
+		t.Errorf("owner[3] = %d, want 1", owners[3])
 	}
 }
 

@@ -359,6 +359,14 @@ func (d *Decomposition) reshape(m *mesh.Mesh, popt partition.Options) error {
 // update of Section 4.3: the partition stays, the tree is rebuilt for
 // the new contact-point positions.
 func DescriptorFor(m *mesh.Mesh, labels []int32, cfg Config) (*dtree.Tree, []int32, []geom.Point, []int32, error) {
+	return Descriptor(m, labels, cfg, nil, nil)
+}
+
+// Descriptor is DescriptorFor with the tree's presort carried across
+// the snapshots of one sequence in c, keyed by the persistent node ids
+// ids (one per node of m). A nil c sorts afresh. The tree is the same
+// either way.
+func Descriptor(m *mesh.Mesh, labels []int32, cfg Config, c *dtree.Carry, ids []int64) (*dtree.Tree, []int32, []geom.Point, []int32, error) {
 	nodes := m.ContactNodes()
 	pts := make([]geom.Point, len(nodes))
 	cl := make([]int32, len(nodes))
@@ -371,11 +379,21 @@ func DescriptorFor(m *mesh.Mesh, labels []int32, cfg Config) (*dtree.Tree, []int
 		k = 1
 	}
 	ph := cfg.Obs.Phase(cfg.Span, "tree_induction", obs.Str("mode", "descriptor"))
-	tree, err := dtree.Build(pts, cl, m.Dim, k, dtree.Options{
+	var order [3][]int32
+	if c == nil {
+		order = dtree.Presort(pts, m.Dim)
+	} else {
+		keys := make([]int64, len(nodes))
+		for i, n := range nodes {
+			keys[i] = ids[n]
+		}
+		order = c.Orders(pts, keys, m.Dim)
+	}
+	tree, err := dtree.BuildSorted(pts, cl, m.Dim, k, dtree.Options{
 		Mode:           dtree.Descriptor,
 		Parallel:       cfg.Parallel,
 		PreferWideGaps: cfg.WideGaps,
-	})
+	}, order)
 	ph.End()
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -418,8 +436,13 @@ func (d *Decomposition) NRemote(m *mesh.Mesh, tol float64) int64 {
 // region to its points' bounding box (the production setting); pass
 // false to measure the raw space-partition filter (ablation).
 func NRemote(m *mesh.Mesh, labels []int32, desc *dtree.Tree, contactPts []geom.Point, contactLabels []int32, tol float64, tight bool) int64 {
+	return NRemoteBoxes(m, labels, desc, contactPts, contactLabels, contact.SurfaceBoxes(m, tol), tight)
+}
+
+// NRemoteBoxes is NRemote over the query boxes
+// contact.SurfaceBoxes(m, tol).
+func NRemoteBoxes(m *mesh.Mesh, labels []int32, desc *dtree.Tree, contactPts []geom.Point, contactLabels []int32, boxes []geom.AABB, tight bool) int64 {
 	owners := contact.SurfaceOwners(m, labels)
-	boxes := contact.SurfaceBoxes(m, tol)
 	f := &contact.TreeFilter{Tree: desc, Labels: contactLabels}
 	if tight {
 		f.TightBoxes = desc.PointBoxes(contactPts)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/dtree"
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/meshgen"
@@ -217,6 +219,47 @@ func TestDescriptorForMatchesUpdateSemantics(t *testing.T) {
 	}
 	if tree.NumNodes() < 1 {
 		t.Fatal("empty updated tree")
+	}
+}
+
+// TestDescriptorCarryMatchesFresh: along an eroding snapshot sequence,
+// the descriptor induced over a carried presort is the fresh-sort
+// descriptor, node for node.
+func TestDescriptorCarryMatchesFresh(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Scene.PlateNX, cfg.Scene.PlateNY, cfg.Scene.PlateNZ = 12, 12, 2
+	cfg.Scene.ProjN, cfg.Scene.ProjLen = 2, 6
+	cfg.Scene.ContactRadius = 4
+	cfg.Steps, cfg.Snapshots = 60, 6
+	snaps, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Decompose(snaps[0].Mesh, Config{K: 5, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[int64]int32{}
+	for v, id := range snaps[0].NodeID {
+		byID[id] = d.Labels[v]
+	}
+	var c dtree.Carry
+	for i, sn := range snaps {
+		labels := make([]int32, len(sn.NodeID))
+		for v, id := range sn.NodeID {
+			labels[v] = byID[id]
+		}
+		want, _, _, _, err := DescriptorFor(sn.Mesh, labels, d.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, _, _, err := Descriptor(sn.Mesh, labels, d.Cfg, &c, sn.NodeID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Perm, want.Perm) {
+			t.Fatalf("snapshot %d: carried descriptor differs from the fresh one", i)
+		}
 	}
 }
 

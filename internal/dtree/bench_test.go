@@ -29,6 +29,31 @@ func BenchmarkBuildDescriptor10k(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildDescriptor10kCarried is the steady state of the
+// per-snapshot update: every point moves by a small jitter between
+// builds and the presort is carried from the previous build.
+func BenchmarkBuildDescriptor10kCarried(b *testing.B) {
+	pts, labels := benchPoints(10000, 25)
+	keys := make([]int64, len(pts))
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	r := rand.New(rand.NewSource(2))
+	var c Carry
+	c.Orders(pts, keys, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := range pts {
+			pts[j][r.Intn(3)] += (r.Float64() - 0.5) * 0.01
+		}
+		b.StartTimer()
+		if _, err := BuildSorted(pts, labels, 3, 25, Options{Mode: Descriptor}, c.Orders(pts, keys, 3)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBuildDescriptor10kParallel(b *testing.B) {
 	pts, labels := benchPoints(10000, 25)
 	b.ResetTimer()

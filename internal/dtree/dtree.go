@@ -25,10 +25,8 @@
 package dtree
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/pool"
@@ -132,6 +130,13 @@ func (t *Tree) Height() int {
 // Build induces a decision tree over pts with partition labels in
 // [0,k). Points and labels must have equal length; dim is 2 or 3.
 func Build(pts []geom.Point, labels []int32, dim, k int, opt Options) (*Tree, error) {
+	return BuildSorted(pts, labels, dim, k, opt, Presort(pts, dim))
+}
+
+// BuildSorted is Build over supplied per-dimension orders, as Presort
+// or a Carry returns them. It permutes them in place: the tree's Perm
+// is order[0].
+func BuildSorted(pts []geom.Point, labels []int32, dim, k int, opt Options, order [3][]int32) (*Tree, error) {
 	if dim != 2 && dim != 3 {
 		return nil, fmt.Errorf("dtree: dim = %d", dim)
 	}
@@ -151,24 +156,15 @@ func Build(pts []geom.Point, labels []int32, dim, k int, opt Options) (*Tree, er
 			return nil, fmt.Errorf("dtree: guidance mode needs MaxPure, MaxImpure >= 1 (got %d, %d)", opt.MaxPure, opt.MaxImpure)
 		}
 	}
-
-	b := &builder{pts: pts, labels: labels, dim: dim, k: k, opt: opt}
 	n := len(pts)
 	for d := 0; d < dim; d++ {
-		ord := make([]int32, n)
-		for i := range ord {
-			ord[i] = int32(i)
+		if len(order[d]) != n {
+			return nil, fmt.Errorf("dtree: order[%d] has %d of %d points", d, len(order[d]), n)
 		}
-		slices.SortFunc(ord, func(a, c int32) int {
-			if pa, pc := pts[a][d], pts[c][d]; pa != pc {
-				return cmp.Compare(pa, pc)
-			}
-			return cmp.Compare(a, c)
-		})
-		b.order[d] = ord
 	}
-	b.side = make([]bool, n)
 
+	b := &builder{pts: pts, labels: labels, dim: dim, k: k, opt: opt, order: order,
+		side: make([]bool, n), tmp: make([]int32, n)}
 	var root *bnode
 	if n > 0 {
 		root = b.build(0, n, newScratch(k))
@@ -217,6 +213,9 @@ type builder struct {
 	opt    Options
 	order  [3][]int32
 	side   []bool
+	// tmp is partition's scratch; concurrent subtrees use disjoint
+	// [lo,hi) ranges of it.
+	tmp []int32
 }
 
 // parallelCutoff is the subtree size above which children are induced
@@ -402,19 +401,20 @@ func (b *builder) partition(lo, hi, dim, nL int) {
 	for i, p := range b.order[dim][lo:hi] {
 		b.side[p] = i < nL
 	}
+	tmp := b.tmp[lo:hi]
 	for d := 0; d < b.dim; d++ {
 		ord := b.order[d][lo:hi]
-		tmp := make([]int32, 0, len(ord)-nL)
-		w := 0
+		w, r := 0, 0
 		for _, p := range ord {
 			if b.side[p] {
 				ord[w] = p
 				w++
 			} else {
-				tmp = append(tmp, p)
+				tmp[r] = p
+				r++
 			}
 		}
-		copy(ord[w:], tmp)
+		copy(ord[w:], tmp[:r])
 	}
 }
 

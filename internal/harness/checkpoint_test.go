@@ -108,6 +108,49 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeMidSweepCarry: a sweep resumed mid-sequence
+// starts the descriptor presort carry and the surface boxes cold, while
+// the uninterrupted sweep carries them; under the fixed partition and a
+// full repartition every 2 snapshots (whose legs reuse the
+// decomposition's descriptor) the results must stay byte-identical.
+func TestCheckpointResumeMidSweepCarry(t *testing.T) {
+	snaps := testSnaps(t, 6)
+	cfgs := []Config{{K: 4, Seed: 3}, {K: 6, Seed: 3, RepartitionEvery: 2}}
+	want, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON := marshalResults(t, want)
+	for _, killAt := range []int{3, 4} {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		ctx, cancel := context.WithCancel(context.Background())
+		ck := NewCheckpointer(path, snaps, cfgs)
+		ck.AfterFlush = func(exp, cursor int) {
+			if exp == 1 && cursor == killAt {
+				cancel()
+			}
+		}
+		if _, err := RunSweep(ctx, snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck}); err == nil {
+			t.Fatalf("killAt=%d: interrupted sweep reported success", killAt)
+		}
+		cancel()
+		ck2, err := LoadCheckpoint(path, snaps, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done := ck2.Done(); done[0] != len(snaps) || done[1] != killAt {
+			t.Fatalf("killAt=%d: cursors %v", killAt, done)
+		}
+		got, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 2, Checkpoint: ck2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotJSON := marshalResults(t, got); !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("killAt=%d: resumed results differ\n got: %s\nwant: %s", killAt, gotJSON, wantJSON)
+		}
+	}
+}
+
 // TestCheckpointSkipsMeasuredLegs verifies resume actually skips the
 // expensive metric evaluation for checkpointed snapshots instead of
 // recomputing and discarding it.

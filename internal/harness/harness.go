@@ -24,7 +24,10 @@ import (
 	"strconv"
 	"text/tabwriter"
 
+	"repro/internal/contact"
 	"repro/internal/core"
+	"repro/internal/dtree"
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
@@ -247,6 +250,13 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	// following snapshot's graph when it was derived beside this
 	// snapshot's legs.
 	var g, next *graph.Graph
+	// boxes are the current snapshot's surface search boxes, which both
+	// legs read; nextBoxes the following snapshot's, when they were
+	// built beside this snapshot's legs. carry holds the descriptor's
+	// presort from the last snapshot the MC leg induced one for; a
+	// checkpoint resume starts it cold.
+	var boxes, nextBoxes []geom.AABB
+	var carry dtree.Carry
 
 	// start is the first snapshot still to be measured; everything
 	// before it is already in the checkpoint.
@@ -314,6 +324,11 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		cfg.Obs.Add("metric_graph_rebuilds", 1)
 		return m.NodalGraph(opt)
 	}
+	surfaceBoxes := func(span *obs.Span, t int) []geom.AABB {
+		ph := cfg.Obs.Phase(span, "surface_boxes", obs.Int("t", int64(t)))
+		defer ph.End()
+		return contact.SurfaceBoxes(snaps[t].Mesh, cfg.SearchTol)
+	}
 	// event reports whether snapshot t has a repartitioning event:
 	// Adaptive asks the drift policy at every snapshot after the first;
 	// RepartitionEvery repairs (Incremental) or recomputes every that
@@ -347,6 +362,13 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		prevG := g // snapshot t-1's graph, if it was built
 		if t > 0 {
 			g, next = next, nil
+			boxes, nextBoxes = nextBoxes, nil
+		}
+		// d is snapshot t's decomposition, if it has one: its descriptor
+		// is the one the MC leg would induce.
+		var d *core.Decomposition
+		if t == 0 {
+			d = d0
 		}
 		// Snapshot t's repartitioning event, decided here alone. The
 		// carried MCML+DT partition state must advance on every
@@ -357,7 +379,6 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		var ev EvalTimes
 		if event(t) {
 			prev := lookupLabels(sn.NodeID, mcByID)
-			var d *core.Decomposition
 			var out core.AdaptiveOutcome
 			switch {
 			case cfg.Adaptive:
@@ -412,6 +433,9 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		if g == nil {
 			g = metricGraph(snapSpan, t, prevG)
 		}
+		if boxes == nil {
+			boxes = surfaceBoxes(snapSpan, t)
+		}
 
 		// The two measurement legs are independent — the MC leg reads
 		// only MCML+DT state and writes only the MC* fields of row
@@ -427,13 +451,17 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 
 			// MCML+DT: refresh the descriptor tree for the moved
 			// contact points (partition unchanged — the paper's update
-			// strategy).
-			desc, _, contactPts, contactLabels, err := core.DescriptorFor(m, mcLabels, coreCfg)
-			if err != nil {
-				return err
+			// strategy), unless a decomposition just induced it.
+			src := d
+			if src == nil {
+				src = &core.Decomposition{}
+				var err error
+				if src.Descriptor, _, src.ContactPoints, src.ContactLabels, err = core.Descriptor(m, mcLabels, coreCfg, &carry, sn.NodeID); err != nil {
+					return err
+				}
 			}
-			row.MCNTNodes = int64(desc.NumNodes())
-			row.MCNRemote = core.NRemote(m, mcLabels, desc, contactPts, contactLabels, cfg.SearchTol, !cfg.LooseTreeFilter)
+			row.MCNTNodes = int64(src.Descriptor.NumNodes())
+			row.MCNRemote = core.NRemoteBoxes(m, mcLabels, src.Descriptor, src.ContactPoints, src.ContactLabels, boxes, !cfg.LooseTreeFilter)
 
 			imb := metrics.LoadImbalance(g, mcLabels, cfg.K)
 			imbFE += imb[0]
@@ -452,17 +480,18 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 				return err
 			}
 			row.MLM2MComm = int64(m2m)
-			row.MLNRemote = mlState.NRemote(m, cfg.SearchTol)
+			row.MLNRemote = mlState.NRemoteBoxes(m, boxes)
 			return nil
 		}
 		// When the next snapshot has no repartitioning event, its metric
-		// graph is derived from this one's as a third task beside the
+		// graph and search boxes are built as a third task beside the
 		// legs, off the next snapshot's critical path.
 		tasks := []func() error{mcLeg, mlLeg}
 		if u := t + 1; u < len(snaps) && !event(u) {
 			cur := g
 			tasks = append(tasks, func() error {
 				next = metricGraph(snapSpan, u, cur)
+				nextBoxes = surfaceBoxes(snapSpan, u)
 				return nil
 			})
 		}

@@ -109,16 +109,24 @@ func (s *State) M2MComm(meshLabels []int32) (int, error) {
 // (bounding box, inflated by tol) is tested against the bounding box
 // of every RCB subdomain's contact points; the element is "remote" for
 // every matching subdomain other than its own. A surface element's own
-// contact partition is where the RCB tree places its box center.
+// contact partition is where the RCB tree places its box center. m
+// must be the mesh of the last Decompose or Update.
 func (s *State) NRemote(m *mesh.Mesh, tol float64) int64 {
-	boxes := contact.SurfaceBoxes(m, tol)
+	return s.NRemoteBoxes(m, contact.SurfaceBoxes(m, tol))
+}
+
+// NRemoteBoxes is NRemote over the query boxes
+// contact.SurfaceBoxes(m, tol). Each box walks the RCB cut tree to the
+// subdomains whose cells it meets and is tested against their point
+// boxes only, which marks the subdomains a test against every point
+// box marks.
+func (s *State) NRemoteBoxes(m *mesh.Mesh, boxes []geom.AABB) int64 {
 	owners := make([]int32, len(boxes))
 	for i := range boxes {
 		owners[i] = s.Tree.PartOf(boxes[i].Center())
 	}
 	pts := gatherPoints(m, s.ContactNodes)
-	sub := rcb.SubdomainBoxes(pts, s.ContactLabels, s.Cfg.K)
-	f := &contact.BoxFilter{Boxes: sub, Dim: m.Dim}
+	f := &contact.BoxFilter{Boxes: rcb.SubdomainBoxes(pts, s.ContactLabels, s.Cfg.K), Dim: m.Dim, Cells: s.Tree}
 	return contact.NRemote(boxes, owners, f)
 }
 

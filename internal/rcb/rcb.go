@@ -273,6 +273,30 @@ func (t *Tree) PartOf(p geom.Point) int32 {
 	return n.part
 }
 
+// VisitCells calls visit with every partition whose closed cell meets
+// box q: a cut at c leads left when q.Min[d] <= c and right when
+// q.Max[d] >= c. Build and Update leave every point in its partition's
+// closed cell, points on a cut plane included, so a partition whose
+// points' bounding box meets q is never skipped, provided the points are
+// the ones the cuts were last fitted to and their coordinates are
+// well inside the float64 range, so that a cut midpoint cannot overflow.
+func (t *Tree) VisitCells(q geom.AABB, visit func(part int32)) {
+	visitCells(t.root, q, visit)
+}
+
+func visitCells(n *node, q geom.AABB, visit func(part int32)) {
+	if n.left == nil {
+		visit(n.part)
+		return
+	}
+	if q.Min[n.dim] <= n.cut {
+		visitCells(n.left, q, visit)
+	}
+	if q.Max[n.dim] >= n.cut {
+		visitCells(n.right, q, visit)
+	}
+}
+
 // Depth returns the height of the cut tree (1 for k=1).
 func (t *Tree) Depth() int { return depth(t.root) }
 
