@@ -55,7 +55,6 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzFacetsErode -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz='^FuzzNodalGraph$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzNodalGraphFrom -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
-	go test -run='^$$' -fuzz=FuzzReadText -fuzztime=10s -fuzzminimizetime=2s ./internal/mesh
 	go test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s -fuzzminimizetime=2s ./internal/harness
 	go test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=2s ./internal/server
 

@@ -36,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -86,6 +87,21 @@ func run() int {
 	flag.Parse()
 	if *resume && *ckptPath == "" {
 		log.Print("-resume requires -checkpoint")
+		return 2
+	}
+	update := harness.Config{
+		Backend:          *backendF,
+		Adaptive:         *adaptive,
+		RepartitionEvery: *repartEvery,
+		Incremental:      *incremental,
+		Drift: partition.DriftThresholds{
+			CutDrift:      *driftCut,
+			FullCutDrift:  *driftFullCut,
+			FullImbalance: *driftImb,
+		},
+	}
+	if err := checkUpdate(update); err != nil {
+		log.Print(err)
 		return 2
 	}
 
@@ -232,18 +248,8 @@ func run() int {
 
 	cfgs = make([]harness.Config, len(ks))
 	for i, k := range ks {
-		cfgs[i] = harness.Config{
-			K: k, Seed: *seed, Obs: col,
-			Backend:          *backendF,
-			Adaptive:         *adaptive,
-			RepartitionEvery: *repartEvery,
-			Incremental:      *incremental,
-			Drift: partition.DriftThresholds{
-				CutDrift:      *driftCut,
-				FullCutDrift:  *driftFullCut,
-				FullImbalance: *driftImb,
-			},
-		}
+		cfgs[i] = update
+		cfgs[i].K, cfgs[i].Seed, cfgs[i].Obs = k, *seed, col
 	}
 	if *ckptPath != "" {
 		if *resume {
@@ -396,6 +402,27 @@ func writeRepartSummary(w io.Writer, results []*harness.Result) {
 		fmt.Fprintf(w, "  %d-way: kept %d, diffused %d, full %d; %d nodes migrated\n",
 			k, c.kept, c.diffused, c.full, c.migrated)
 	}
+}
+
+// checkUpdate rejects update-strategy flags that would do nothing or
+// could not run, so a bad command line fails before the scene is
+// generated rather than after it, or not at all.
+func checkUpdate(c harness.Config) error {
+	be, err := backend.Lookup(c.Backend)
+	if err != nil {
+		return err
+	}
+	switch {
+	case c.Incremental && c.RepartitionEvery <= 0:
+		return errors.New("-incremental requires -repart-every")
+	case (c.Drift.CutDrift != 0 || c.Drift.FullCutDrift != 0) && !c.Adaptive:
+		return errors.New("-drift-cut and -drift-full-cut require -adaptive")
+	case c.Drift.FullImbalance != 0 && !c.Adaptive && !c.Incremental:
+		return errors.New("-drift-imb requires -adaptive or -incremental")
+	case (c.Adaptive || c.Incremental) && !be.Caps().Warmstart:
+		return fmt.Errorf("-adaptive and -incremental need a warm-start-capable backend, %q is not", be.Name())
+	}
+	return nil
 }
 
 func parseKs(s string) ([]int, error) {

@@ -15,12 +15,14 @@
 //     — the geometric subdomain descriptors used by global search.
 //
 // Between time steps the partition is kept and only step 5 re-runs
-// (the paper's default update strategy); hybrid updates re-run
-// Decompose every R steps. The warm-started updates share one rung
-// path: AdaptiveDecompose lets the drift policy pick keep, diffusion
-// repair or a full partition per snapshot, and Redecompose forces the
-// diffusion rung; on both, a repair that leaves the imbalance above
-// Drift.FullImbalance escalates to a full partition.
+// (the paper's default update strategy); hybrid updates re-decompose
+// every R steps. DecomposeGraph is the one pipeline entry point, on a
+// nodal graph the caller built once for the snapshot: it partitions
+// from scratch, lets the drift policy pick keep, diffusion repair or a
+// full partition, or forces the diffusion rung; a repair that leaves
+// the imbalance above Drift.FullImbalance escalates to a full
+// partition. Decompose and AdaptiveDecompose build the graph and call
+// it.
 package core
 
 import (
@@ -75,10 +77,10 @@ type Config struct {
 	// (dtree.Options.PreferWideGaps) — the tree-induction improvement
 	// of the paper's future-work section.
 	WideGaps bool
-	// Drift tunes the warm-start policy of AdaptiveDecompose (zero
+	// Drift tunes the warm-start policy of the DriftPolicy mode (zero
 	// value selects the partition.DriftThresholds defaults).
-	// Redecompose reads only FullImbalance, the escalation bound of its
-	// diffusion repair; Decompose ignores it.
+	// ForceDiffuse reads only FullImbalance, the escalation bound of its
+	// diffusion repair; FromScratch ignores it.
 	Drift partition.DriftThresholds
 	// Obs, when non-nil, receives per-phase wall-clock timings
 	// ("partition", "tree_induction", "drift_eval") for every pipeline
@@ -95,9 +97,7 @@ func (c Config) withDefaults(n int) Config {
 	if c.Imbalance <= 0 {
 		c.Imbalance = 0.05
 	}
-	if c.Nodal.NCon == 0 {
-		c.Nodal = mesh.DefaultNodalOptions()
-	}
+	c.Nodal = c.nodal()
 	if c.MaxPure == 0 {
 		c.MaxPure = autoThreshold(n, c.K, 1.25)
 	}
@@ -113,6 +113,14 @@ func (c Config) withDefaults(n int) Config {
 	return c
 }
 
+// nodal returns the options of the nodal graph the pipeline runs on.
+func (c Config) nodal() mesh.NodalGraphOptions {
+	if c.Nodal.NCon == 0 {
+		return mesh.DefaultNodalOptions()
+	}
+	return c.Nodal
+}
+
 // autoThreshold returns n / k^exp, the geometric midpoint of the
 // paper's recommended [n/k^(exp+0.25), n/k^(exp-0.25)] ranges.
 func autoThreshold(n, k int, exp float64) int {
@@ -121,8 +129,13 @@ func autoThreshold(n, k int, exp float64) int {
 
 // Decomposition is the output of the MCML+DT pipeline.
 type Decomposition struct {
-	Cfg   Config
-	Graph *graph.Graph // the two-constraint nodal graph
+	Cfg Config
+	// Graph is the two-constraint nodal graph the decomposition ran
+	// on, the caller's own when it came through DecomposeGraph. A
+	// graph from mesh.NodalGraphFrom lives in its NodalWorkspace and
+	// is valid only until the workspace's second later derivation, so
+	// such a Decomposition must not outlive that.
+	Graph *graph.Graph
 	// Labels is P'': the final nodal partition.
 	Labels []int32
 	// RawLabels is P, the partition before tree-guided reshaping.
@@ -138,60 +151,11 @@ type Decomposition struct {
 	ContactLabels []int32
 }
 
-// Decompose runs the full MCML+DT pipeline on a mesh.
+// Decompose runs the full MCML+DT pipeline on a mesh, building its
+// nodal graph under cfg.Nodal.
 func Decompose(m *mesh.Mesh, cfg Config) (*Decomposition, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("core: K = %d", cfg.K)
-	}
-	cfg = cfg.withDefaults(m.NumNodes())
-	be, err := backend.Lookup(cfg.Backend)
-	if err != nil {
-		return nil, err
-	}
-	g := m.NodalGraph(cfg.Nodal)
-	return pipeline(m, g, cfg, be, func(partition.Options) ([]int32, error) {
-		return partitionWith(be, m, g, cfg)
-	}, obs.Str("backend", be.Name()))
-}
-
-// partitionWith computes P with the backend be (step 2).
-func partitionWith(be backend.Partitioner, m *mesh.Mesh, g *graph.Graph, cfg Config) ([]int32, error) {
-	return be.Partition(
-		backend.Input{Graph: g, Coords: m.Coords, Dim: m.Dim},
-		backend.Options{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance, Obs: cfg.Obs, Span: cfg.Span})
-}
-
-// pipeline is the tail every entry point shares: part computes P
-// under the "partition" phase (attr annotates its span), the
-// tree-guided reshape turns it into P” when the backend benefits
-// (steps 3-4), and the contact-point descriptor is induced (step 5).
-func pipeline(m *mesh.Mesh, g *graph.Graph, cfg Config, be backend.Partitioner, part func(partition.Options) ([]int32, error), attr ...obs.Attr) (*Decomposition, error) {
-	popt := partition.Options{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance, Obs: cfg.Obs}
-	attrs := [3]obs.Attr{obs.Int("k", int64(cfg.K)), obs.Int("nv", int64(g.NV()))}
-	n := 2 + copy(attrs[2:], attr)
-	ph := cfg.Obs.Phase(cfg.Span, "partition", attrs[:n]...)
-	labels, err := part(popt)
-	ph.End()
-	if err != nil {
-		return nil, err
-	}
-
-	d := &Decomposition{
-		Cfg:       cfg,
-		Graph:     g,
-		RawLabels: append([]int32(nil), labels...),
-		Labels:    labels,
-	}
-	if !cfg.SkipReshape && be.Caps().Reshape && cfg.K > 1 {
-		if err := d.reshape(m, popt); err != nil {
-			return nil, err
-		}
-	}
-	d.Descriptor, d.ContactNodes, d.ContactPoints, d.ContactLabels, err = DescriptorFor(m, d.Labels, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+	d, _, err := DecomposeGraph(m, m.NodalGraph(cfg.nodal()), nil, 0, cfg, FromScratch)
+	return d, err
 }
 
 // AdaptiveOutcome reports what the update rung did for one snapshot.
@@ -214,47 +178,55 @@ type AdaptiveOutcome struct {
 }
 
 // AdaptiveDecompose is the warm-started per-snapshot update of
-// Section 4.3: it grades the inherited labels against the updated mesh
-// with the drift policy (partition.DriftThresholds) and either keeps
-// them (returning a nil Decomposition — the caller reuses its current
-// one and only refreshes descriptors), repairs them with the diffusion
-// repartitioner, or falls back to a full partition by the configured
-// backend, exactly as Decompose computes one.
-// baseCut is the edge cut measured right after the last repair (pass
-// the initial Decompose's cut for snapshot 1); carry the returned
-// BaselineCut forward. Deterministic: equal inputs give equal outputs
-// for any worker count.
+// Section 4.3 on m's nodal graph under cfg.Nodal: DecomposeGraph in
+// the DriftPolicy mode.
 func AdaptiveDecompose(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Config) (*Decomposition, AdaptiveOutcome, error) {
-	return update(m, prevLabels, baseCut, cfg, "AdaptiveDecompose", false)
+	return DecomposeGraph(m, m.NodalGraph(cfg.nodal()), prevLabels, baseCut, cfg, DriftPolicy)
 }
 
-// Redecompose adapts a previous decomposition to an updated mesh: the
-// multi-constraint *repartitioning* update of Section 4.3 ("the
-// updated multi-constraint partitioning will be computed using a
-// multi-constraint repartitioning algorithm [32]"). It is
-// AdaptiveDecompose forced onto the diffuse rung: prevLabels maps every
-// node of m to its previous partition (the caller carries labels
-// across snapshots via persistent node ids), the repartitioner
-// restores balance with bounded migration, and a repair that leaves
-// the imbalance above Drift.FullImbalance escalates to a full
-// partition. The boundary reshaping and descriptor induction then run
-// as in Decompose.
-func Redecompose(m *mesh.Mesh, prevLabels []int32, cfg Config) (*Decomposition, AdaptiveOutcome, error) {
-	return update(m, prevLabels, 0, cfg, "Redecompose", true)
-}
+// Mode selects what DecomposeGraph does with the previous labels.
+type Mode int
 
-// update is the one warm-started update path behind AdaptiveDecompose
-// and Redecompose. It measures the inherited labels on m's graph and,
-// unless diffuse forces the repair rung, lets the drift policy pick
-// the rung. Diffusion that leaves the imbalance above
-// Drift.FullImbalance escalates to a full partition: local moves
-// cannot always fix a labeling that has degraded structurally.
-func update(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Config, op string, diffuse bool) (*Decomposition, AdaptiveOutcome, error) {
-	var out AdaptiveOutcome
+const (
+	// FromScratch partitions with the configured backend and reads
+	// the previous labels, if any, only to count the migration.
+	FromScratch Mode = iota
+	// DriftPolicy grades the previous labels with the drift policy
+	// (partition.DriftThresholds) and keeps them, repairs them by
+	// diffusion, or partitions from scratch.
+	DriftPolicy
+	// ForceDiffuse repairs the previous labels by diffusion whatever
+	// their drift: the multi-constraint repartitioning update of
+	// Section 4.3 ("the updated multi-constraint partitioning will be
+	// computed using a multi-constraint repartitioning algorithm
+	// [32]").
+	ForceDiffuse
+)
+
+// DecomposeGraph runs the MCML+DT pipeline on m with g, m's nodal
+// graph under cfg.Nodal (mesh.DefaultNodalOptions when zero). g may
+// come from m.NodalGraph or from a mesh.NodalGraphFrom derivation,
+// which equals it; the Decomposition keeps g as its Graph (see there
+// for how long a derived one stays valid).
+//
+// prevLabels maps every node of m to its previous partition (callers
+// carry labels across snapshots via persistent node ids); it may be
+// nil only in the FromScratch mode. The warm-started modes need a backend that
+// declares Caps().Warmstart. On the DriftPolicy keep rung the
+// Decomposition is nil: the caller reuses its current one and only
+// refreshes descriptors. A diffusion repair that leaves the imbalance
+// above Drift.FullImbalance escalates to a full partition, since
+// local moves cannot always fix a labeling that has degraded
+// structurally. baseCut is the edge cut measured right after the last
+// repair (the initial partition's cut for snapshot 1); carry the
+// returned BaselineCut forward. Deterministic: equal inputs give equal
+// outputs for any worker count.
+func DecomposeGraph(m *mesh.Mesh, g *graph.Graph, prevLabels []int32, baseCut int64, cfg Config, mode Mode) (*Decomposition, AdaptiveOutcome, error) {
+	out := AdaptiveOutcome{Decision: partition.DriftFull}
 	if cfg.K < 1 {
 		return nil, out, fmt.Errorf("core: K = %d", cfg.K)
 	}
-	if len(prevLabels) != m.NumNodes() {
+	if (prevLabels != nil || mode != FromScratch) && len(prevLabels) != m.NumNodes() {
 		return nil, out, fmt.Errorf("core: %d previous labels for %d nodes", len(prevLabels), m.NumNodes())
 	}
 	be, err := backend.Lookup(cfg.Backend)
@@ -263,44 +235,69 @@ func update(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Config, op stri
 	}
 	// Only the multilevel backend implements the diffusion
 	// repartitioner the repair rung runs.
-	if !be.Caps().Warmstart {
-		return nil, out, fmt.Errorf("core: %s requires a warm-start-capable backend, %q is not (Caps().Warmstart=false)", op, be.Name())
+	if mode != FromScratch && !be.Caps().Warmstart {
+		return nil, out, fmt.Errorf("core: a warm-started update requires a warm-start-capable backend, %q is not (Caps().Warmstart=false)", be.Name())
 	}
 	cfg = cfg.withDefaults(m.NumNodes())
-	g := m.NodalGraph(cfg.Nodal)
 
-	ph := cfg.Obs.Phase(cfg.Span, "drift_eval")
-	cur := partition.MeasureDrift(g, prevLabels, cfg.K)
-	out.Cut, out.Imbalance = cur.Cut, cur.Imbalance
-	out.Decision = partition.DriftDiffuse
-	if !diffuse {
-		out.Decision = cfg.Drift.Decide(cur, baseCut, cfg.Imbalance)
+	attr := obs.Str("backend", be.Name())
+	if mode != FromScratch {
+		ph := cfg.Obs.Phase(cfg.Span, "drift_eval")
+		cur := partition.MeasureDrift(g, prevLabels, cfg.K)
+		out.Cut, out.Imbalance = cur.Cut, cur.Imbalance
+		out.Decision = partition.DriftDiffuse
+		if mode == DriftPolicy {
+			out.Decision = cfg.Drift.Decide(cur, baseCut, cfg.Imbalance)
+		}
+		ph.End()
+		if out.Decision == partition.DriftKeep {
+			out.BaselineCut = baseCut
+			return nil, out, nil
+		}
+		attr = obs.Str("mode", out.Decision.String())
 	}
-	ph.End()
 
-	if out.Decision == partition.DriftKeep {
-		out.BaselineCut = baseCut
-		return nil, out, nil
-	}
-
-	d, err := pipeline(m, g, cfg, be, func(popt partition.Options) ([]int32, error) {
-		if out.Decision == partition.DriftDiffuse {
-			labels := append([]int32(nil), prevLabels...)
-			if err := partition.Repartition(g, labels, popt); err != nil {
-				return nil, err
-			}
-			post := partition.MeasureDrift(g, labels, cfg.K)
-			if th := cfg.Drift.WithDefaults(cfg.Imbalance); post.Imbalance <= th.FullImbalance {
-				return labels, nil
-			}
+	// Step 2 computes P: the diffusion repair of the previous labels,
+	// or a partition by the backend.
+	popt := partition.Options{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance, Obs: cfg.Obs}
+	ph := cfg.Obs.Phase(cfg.Span, "partition", obs.Int("k", int64(cfg.K)), obs.Int("nv", int64(g.NV())), attr)
+	var labels []int32
+	if out.Decision == partition.DriftDiffuse {
+		labels = append([]int32(nil), prevLabels...)
+		err = partition.Repartition(g, labels, popt)
+		if th := cfg.Drift.WithDefaults(cfg.Imbalance); err == nil && partition.MeasureDrift(g, labels, cfg.K).Imbalance > th.FullImbalance {
 			out.Decision = partition.DriftFull
 		}
-		return partitionWith(be, m, g, cfg)
-	}, obs.Str("mode", out.Decision.String()))
+	}
+	if err == nil && out.Decision == partition.DriftFull {
+		labels, err = be.Partition(
+			backend.Input{Graph: g, Coords: m.Coords, Dim: m.Dim},
+			backend.Options{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance, Obs: cfg.Obs, Span: cfg.Span})
+	}
+	ph.End()
 	if err != nil {
 		return nil, out, err
 	}
-	out.Migrated = len(prevLabels) - partition.Overlap(prevLabels, d.Labels)
+
+	d := &Decomposition{
+		Cfg:       cfg,
+		Graph:     g,
+		RawLabels: append([]int32(nil), labels...),
+		Labels:    labels,
+	}
+	// Steps 3-4 turn P into P'' when the backend benefits; step 5
+	// induces the contact-point descriptor.
+	if !cfg.SkipReshape && be.Caps().Reshape && cfg.K > 1 {
+		if err := d.reshape(m, popt); err != nil {
+			return nil, out, err
+		}
+	}
+	if d.Descriptor, d.ContactNodes, d.ContactPoints, d.ContactLabels, err = DescriptorFor(m, d.Labels, cfg); err != nil {
+		return nil, out, err
+	}
+	if prevLabels != nil {
+		out.Migrated = len(prevLabels) - partition.Overlap(prevLabels, d.Labels)
+	}
 	out.BaselineCut = partition.EdgeCut(g, d.Labels)
 	return d, out, nil
 }

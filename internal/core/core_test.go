@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/dtree"
 	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/mesh"
 	"repro/internal/meshgen"
 	"repro/internal/metrics"
@@ -354,6 +356,11 @@ func TestDecomposeGeometric(t *testing.T) {
 	}
 }
 
+// redecompose is the forced-diffuse update on m's own nodal graph.
+func redecompose(m *mesh.Mesh, prev []int32, cfg Config) (*Decomposition, AdaptiveOutcome, error) {
+	return DecomposeGraph(m, m.NodalGraph(cfg.nodal()), prev, 0, cfg, ForceDiffuse)
+}
+
 func TestRedecomposeMigratesBounded(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Scene.PlateNX, cfg.Scene.PlateNY, cfg.Scene.PlateNZ = 12, 12, 2
@@ -379,7 +386,7 @@ func TestRedecomposeMigratesBounded(t *testing.T) {
 	for v, id := range last.NodeID {
 		prev[v] = byID[id]
 	}
-	d1, out, err := Redecompose(last.Mesh, prev, Config{K: 6, Seed: 1})
+	d1, out, err := redecompose(last.Mesh, prev, Config{K: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,10 +409,10 @@ func TestRedecomposeMigratesBounded(t *testing.T) {
 
 func TestRedecomposeValidates(t *testing.T) {
 	m := testMesh(t)
-	if _, _, err := Redecompose(m, nil, Config{K: 4}); err == nil {
+	if _, _, err := redecompose(m, nil, Config{K: 4}); err == nil {
 		t.Error("accepted wrong label length")
 	}
-	if _, _, err := Redecompose(m, make([]int32, m.NumNodes()), Config{K: 0}); err == nil {
+	if _, _, err := redecompose(m, make([]int32, m.NumNodes()), Config{K: 0}); err == nil {
 		t.Error("accepted K=0")
 	}
 }
@@ -582,13 +589,13 @@ func TestWarmstartCapabilityGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, adErr := AdaptiveDecompose(m, prev, 0, Config{K: 4, Seed: 1, Backend: name})
-		_, _, rdErr := Redecompose(m, prev, Config{K: 4, Seed: 1, Backend: name})
+		_, _, rdErr := redecompose(m, prev, Config{K: 4, Seed: 1, Backend: name})
 		if be.Caps().Warmstart {
 			if adErr != nil {
 				t.Errorf("%s: AdaptiveDecompose rejected warm-start-capable backend: %v", name, adErr)
 			}
 			if rdErr != nil {
-				t.Errorf("%s: Redecompose rejected warm-start-capable backend: %v", name, rdErr)
+				t.Errorf("%s: forced diffuse rejected warm-start-capable backend: %v", name, rdErr)
 			}
 			continue
 		}
@@ -596,7 +603,83 @@ func TestWarmstartCapabilityGate(t *testing.T) {
 			t.Errorf("%s: AdaptiveDecompose accepted a backend without Warmstart", name)
 		}
 		if rdErr == nil {
-			t.Errorf("%s: Redecompose accepted a backend without Warmstart", name)
+			t.Errorf("%s: forced diffuse accepted a backend without Warmstart", name)
 		}
+	}
+}
+
+// TestDecomposeGraphMatchesWrappers: DecomposeGraph on a graph the
+// caller built, from scratch or derived from the previous snapshot's,
+// gives the labels and descriptor of Decompose and AdaptiveDecompose,
+// which build their own.
+func TestDecomposeGraphMatchesWrappers(t *testing.T) {
+	snaps := adaptiveSnaps(t, 3)
+	cfg := Config{K: 6, Seed: 1}
+	m0, m1 := snaps[0].Mesh, snaps[2].Mesh
+	g0 := m0.NodalGraph(cfg.nodal())
+	d0, err := Decompose(m0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got0, out0, err := DecomposeGraph(m0, g0, nil, 0, cfg, FromScratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDecomposition(t, "from scratch", got0, d0)
+	if want := partition.EdgeCut(g0, d0.Labels); out0.BaselineCut != want || out0.Migrated != 0 {
+		t.Errorf("from scratch: baseline cut %d, migrated %d; want %d and 0", out0.BaselineCut, out0.Migrated, want)
+	}
+
+	// Carry the labels to the last snapshot and derive its graph.
+	at := map[int64]int32{}
+	for v, id := range snaps[0].NodeID {
+		at[id] = int32(v)
+	}
+	prev, old := make([]int32, m1.NumNodes()), make([]int32, m1.NumNodes())
+	for v, id := range snaps[2].NodeID {
+		old[v] = at[id]
+		prev[v] = d0.Labels[old[v]]
+	}
+	var ws mesh.NodalWorkspace
+	g1, ok := m1.NodalGraphFrom(m0, g0, old, cfg.nodal(), &ws)
+	if !ok {
+		t.Fatal("derivation refused the simulator's snapshots")
+	}
+	cfg.Drift = partition.DriftThresholds{CutDrift: 1e-9, FullCutDrift: 1e9, FullImbalance: 1e9}
+	for _, g := range []*graph.Graph{m1.NodalGraph(cfg.nodal()), g1} {
+		want, wout, err := AdaptiveDecompose(m1, prev, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gout, err := DecomposeGraph(m1, g, prev, 1, cfg, DriftPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gout != wout {
+			t.Errorf("outcome %+v, AdaptiveDecompose's %+v", gout, wout)
+		}
+		if want == nil || got == nil {
+			t.Fatal("kept despite a near-zero drift threshold")
+		}
+		sameDecomposition(t, "drift policy", got, want)
+	}
+}
+
+// sameDecomposition fails t unless got and want carry equal labels and
+// byte-identical descriptors.
+func sameDecomposition(t *testing.T, what string, got, want *Decomposition) {
+	t.Helper()
+	if !slices.Equal(got.Labels, want.Labels) || !slices.Equal(got.RawLabels, want.RawLabels) {
+		t.Errorf("%s: labels differ", what)
+	}
+	var gb, wb bytes.Buffer
+	if _, err := got.Descriptor.WriteTo(&gb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.Descriptor.WriteTo(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Errorf("%s: descriptors differ", what)
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -295,11 +295,7 @@ func TestCheckpointObsCounters(t *testing.T) {
 // its own write or a later one put it there.
 func TestCheckpointConcurrentRecords(t *testing.T) {
 	const exps, steps = 8, 12
-	m, err := mesh.ReadText(strings.NewReader("mesh 2\nnode 0 0\nnode 1 0\nnode 1 1\nelem tri3 0 1 2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := []sim.Snapshot{{Mesh: m}}
+	snaps := []sim.Snapshot{{Mesh: oneTriangle()}}
 	cfgs := make([]Config, exps)
 	for i := range cfgs {
 		cfgs[i] = Config{K: 2 + i, Seed: 1}
@@ -400,10 +396,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, s := range checkpointFuzzSeeds {
 		f.Add([]byte(s))
 	}
-	m, err := mesh.ReadText(strings.NewReader("mesh 2\nnode 0 0\nnode 1 0\nnode 1 1\nelem tri3 0 1 2\n"))
-	if err != nil {
-		f.Fatal(err)
-	}
+	m := oneTriangle()
 	snaps := []sim.Snapshot{{Mesh: m}, {Index: 1, Mesh: m}, {Index: 2, Mesh: m}}
 	cfgs := []Config{{K: 2, Seed: 1}, {K: 3, Seed: 1, Adaptive: true}}
 	hash := []byte(configHash(snaps, cfgs))
@@ -437,4 +430,16 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			_ = obs.New().Merge(*rep) // a malformed report may be refused, never panic
 		}
 	})
+}
+
+// oneTriangle is a one-element mesh for checkpoint tests that measure
+// no snapshot.
+func oneTriangle() *mesh.Mesh {
+	return &mesh.Mesh{
+		Dim:    2,
+		Coords: []geom.Point{geom.P2(0, 0), geom.P2(1, 0), geom.P2(1, 1)},
+		Types:  []mesh.ElemType{mesh.Tri3},
+		EPtr:   []int32{0, 3},
+		ENodes: []int32{0, 1, 2},
+	}
 }

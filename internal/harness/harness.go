@@ -71,7 +71,7 @@ type Config struct {
 	// snapshot-0 partitions throughout (the paper's evaluated setting).
 	RepartitionEvery int
 	// Incremental makes the periodic update the drift ladder's diffuse
-	// rung on the MCML+DT side (core.Redecompose: bounded-migration
+	// rung on the MCML+DT side (core.ForceDiffuse: bounded-migration
 	// repair, escalating to a full partition past Drift.FullImbalance)
 	// instead of a fresh partition of both sides. Only meaningful with
 	// RepartitionEvery > 0.
@@ -243,12 +243,10 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	var mlState *mlrcb.State
 	var imbFE, imbContact float64
 	var baseCut int64 // adaptive drift baseline (cut after the last repair)
-	// g is the current snapshot's metric graph, when a decomposition
-	// built one or once the snapshot is measured. A decomposition's
-	// graph has the metric graph's vertex weights (FE 1, contact 1);
-	// only the edge weights, which no metric reads, differ. next is the
-	// following snapshot's graph when it was derived beside this
-	// snapshot's legs.
+	// g is the current snapshot's nodal graph under coreCfg.Nodal, the
+	// one graph its decomposition and both legs' metrics read; nil on a
+	// replayed snapshot that needs none. next is the following
+	// snapshot's graph when it was derived beside this snapshot's legs.
 	var g, next *graph.Graph
 	// boxes are the current snapshot's surface search boxes, which both
 	// legs read; nextBoxes the following snapshot's, when they were
@@ -270,59 +268,60 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	}
 	prog.set(exp, start)
 
-	// decompose partitions sn from scratch on both sides, at snapshot 0
-	// and on every full -repart-every event, and carries the ML+RCB
-	// state; the MCML+DT side's carry is the caller's.
-	decompose := func(sn sim.Snapshot) (d *core.Decomposition, err error) {
+	// decompose partitions sn from scratch on both sides, the MCML+DT
+	// side on sn's graph g, at snapshot 0 and on every full
+	// -repart-every event; prev are the MCML+DT labels it replaces, if
+	// any. It carries the ML+RCB state; the MCML+DT side's carry is the
+	// caller's.
+	decompose := func(sn sim.Snapshot, g *graph.Graph, prev []int32) (d *core.Decomposition, out core.AdaptiveOutcome, err error) {
 		var st *mlrcb.State
 		err = pool.Run(legWorkers, func() (err error) {
-			d, err = core.Decompose(sn.Mesh, coreCfg)
+			d, out, err = core.DecomposeGraph(sn.Mesh, g, prev, 0, coreCfg, core.FromScratch)
 			return err
 		}, func() (err error) {
 			st, err = mlrcb.Decompose(sn.Mesh, mlCfg)
 			return err
 		})
 		if err != nil {
-			return nil, err
+			return nil, out, err
 		}
 		mlState = st
 		setLabels(mlByID, sn.NodeID, st.MeshLabels)
-		return d, nil
+		return d, out, nil
 	}
-	d0, err := decompose(snaps[0])
+	g = snaps[0].Mesh.NodalGraph(coreCfg.Nodal)
+	d0, out0, err := decompose(snaps[0], g, nil)
 	if err != nil {
 		return nil, err
 	}
-	g = d0.Graph
 	setLabels(mcByID, snaps[0].NodeID, d0.Labels)
-	if cfg.Adaptive {
-		baseCut = partition.EdgeCut(g, d0.Labels)
-	}
+	baseCut = out0.BaselineCut
 
-	// metricGraph returns snapshot t's metric graph, derived from prev,
+	// nodalGraph returns snapshot t's graph, derived from prev,
 	// snapshot t-1's graph, when there is one and the derivation takes
 	// it, else built from scratch. The node map comes from the
 	// id-indexed table of snapshot t-1's node indices. Calls must not
-	// overlap: they share ws, idx and old, and each result is valid
-	// until the second later call.
+	// overlap: they share ws, idx and old, and each derived graph is
+	// valid until the second later derivation, which is why no
+	// decomposition outlives its snapshot.
 	var ws mesh.NodalWorkspace
 	idx, old := make([]int32, nID), []int32(nil)
-	metricGraph := func(span *obs.Span, t int, prev *graph.Graph) *graph.Graph {
+	nodalGraph := func(span *obs.Span, t int, prev *graph.Graph) *graph.Graph {
 		ph := cfg.Obs.Phase(span, "metric_graph", obs.Int("t", int64(t)))
 		defer ph.End()
-		opt, m := mesh.NodalGraphOptions{NCon: 2}, snaps[t].Mesh
+		m := snaps[t].Mesh
 		if prev != nil {
 			setIndices(idx, snaps[t-1].NodeID)
 			old = old[:0]
 			for _, id := range snaps[t].NodeID {
 				old = append(old, idx[id])
 			}
-			if g, ok := m.NodalGraphFrom(snaps[t-1].Mesh, prev, old, opt, &ws); ok {
+			if g, ok := m.NodalGraphFrom(snaps[t-1].Mesh, prev, old, coreCfg.Nodal, &ws); ok {
 				return g
 			}
 		}
 		cfg.Obs.Add("metric_graph_rebuilds", 1)
-		return m.NodalGraph(opt)
+		return m.NodalGraph(coreCfg.Nodal)
 	}
 	surfaceBoxes := func(span *obs.Span, t int) []geom.AABB {
 		ph := cfg.Obs.Phase(span, "surface_boxes", obs.Int("t", int64(t)))
@@ -359,10 +358,14 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	}
 
 	for t, sn := range snaps {
-		prevG := g // snapshot t-1's graph, if it was built
 		if t > 0 {
+			prev := g // snapshot t-1's graph, if it was built
 			g, next = next, nil
 			boxes, nextBoxes = nextBoxes, nil
+			// A replayed snapshot needs its graph only for its event.
+			if g == nil && (t >= start || event(t)) {
+				g = nodalGraph(expSpan, t, prev)
+			}
 		}
 		// d is snapshot t's decomposition, if it has one: its descriptor
 		// is the one the MC leg would induce.
@@ -382,21 +385,17 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			var out core.AdaptiveOutcome
 			switch {
 			case cfg.Adaptive:
-				d, out, err = core.AdaptiveDecompose(sn.Mesh, prev, baseCut, coreCfg)
+				d, out, err = core.DecomposeGraph(sn.Mesh, g, prev, baseCut, coreCfg, core.DriftPolicy)
 			case cfg.Incremental:
-				d, out, err = core.Redecompose(sn.Mesh, prev, coreCfg)
+				d, out, err = core.DecomposeGraph(sn.Mesh, g, prev, 0, coreCfg, core.ForceDiffuse)
 			default:
-				if d, err = decompose(sn); err == nil {
-					out.Decision = partition.DriftFull
-					out.Migrated = len(prev) - partition.Overlap(prev, d.Labels)
-				}
+				d, out, err = decompose(sn, g, prev)
 			}
 			if err != nil {
 				return nil, err
 			}
 			baseCut = out.BaselineCut
 			if d != nil {
-				g = d.Graph
 				setLabels(mcByID, sn.NodeID, d.Labels)
 			}
 			ev.Repart, ev.Migrated = out.Decision.String(), int64(out.Migrated)
@@ -430,9 +429,6 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 
 		var row Row
 		snapSpan := expSpan.Child("snapshot", obs.Int("t", int64(t)))
-		if g == nil {
-			g = metricGraph(snapSpan, t, prevG)
-		}
 		if boxes == nil {
 			boxes = surfaceBoxes(snapSpan, t)
 		}
@@ -483,14 +479,16 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			row.MLNRemote = mlState.NRemoteBoxes(m, boxes)
 			return nil
 		}
-		// When the next snapshot has no repartitioning event, its metric
-		// graph and search boxes are built as a third task beside the
-		// legs, off the next snapshot's critical path.
+		// When the next snapshot has no repartitioning event, its graph
+		// and search boxes are built as a third task beside the legs, off
+		// the next snapshot's critical path. An event snapshot derives
+		// its graph at the top of its iteration instead: a third task on
+		// every adaptive snapshot would compete with the short legs.
 		tasks := []func() error{mcLeg, mlLeg}
 		if u := t + 1; u < len(snaps) && !event(u) {
 			cur := g
 			tasks = append(tasks, func() error {
-				next = metricGraph(snapSpan, u, cur)
+				next = nodalGraph(snapSpan, u, cur)
 				nextBoxes = surfaceBoxes(snapSpan, u)
 				return nil
 			})

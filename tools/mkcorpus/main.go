@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/dtree"
 	"repro/internal/geom"
@@ -105,14 +104,16 @@ func main() {
 	write(metisDir, "seed-edge-weights", []byte("2 1 001\n2 7\n1 7\n"))
 	write(metisDir, "seed-listed-once", []byte("3 2 010\n4 2\n5 3\n6\n"))
 
-	// Mesh files for mesh.FuzzReadText and mesh.FuzzReadMesh: a text
-	// mesh, its binary encoding and a truncated copy, and a 10-byte
-	// binary header claiming 2^28 nodes.
-	text := "mesh 2\nnode 0 0\nnode 1 0\nnode 1 1\nnode 2 0\nelem tri3 0 1 2\nelem tri3 1 3 2\nsurf 0 0 1\nsurf -1 1 3\n"
-	write(filepath.Join("internal", "mesh", "testdata", "fuzz", "FuzzReadText"), "seed-valid", []byte(text))
-	m, err := mesh.ReadText(strings.NewReader(text))
-	if err != nil {
-		log.Fatal(err)
+	// Mesh files for mesh.FuzzReadMesh: the binary encoding of two
+	// triangles with two surface segments, a truncated copy, and a
+	// 10-byte header claiming 2^28 nodes.
+	m := &mesh.Mesh{
+		Dim:     2,
+		Coords:  []geom.Point{geom.P2(0, 0), geom.P2(1, 0), geom.P2(1, 1), geom.P2(2, 0)},
+		Types:   []mesh.ElemType{mesh.Tri3, mesh.Tri3},
+		EPtr:    []int32{0, 3, 6},
+		ENodes:  []int32{0, 1, 2, 1, 3, 2},
+		Surface: []mesh.SurfaceElem{{Nodes: []int32{0, 1}, Elem: 0}, {Nodes: []int32{1, 3}, Elem: -1}},
 	}
 	buf.Reset()
 	if _, err := m.WriteTo(&buf); err != nil {
