@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -23,11 +24,12 @@ import (
 // fault plan whose drops are restricted to first attempts, so every
 // injected fault is recovered by retry (visible as "retry" events in
 // the trace) and the results stay identical to a fault-free run.
-func runEngineLeg(ctx context.Context, sn sim.Snapshot, ks []int, seed, chaosSeed int64, col *obs.Collector, parent *obs.Span) error {
+func runEngineLeg(ctx context.Context, sn sim.Snapshot, ks []int, seed, chaosSeed int64, col *obs.Collector) error {
 	fmt.Println()
 	for _, k := range ks {
-		span := parent.Child("engine_iter", obs.Int("k", int64(k)))
-		d, err := core.Decompose(sn.Mesh, core.Config{K: k, Seed: seed, Obs: col, Span: span})
+		ictx, span := obs.StartSpan(ctx, "engine_iter", obs.Int("k", int64(k)))
+		d, _, err := core.DecomposeGraph(ictx, sn.Mesh, sn.Mesh.NodalGraph(mesh.DefaultNodalOptions()), nil, 0,
+			core.Config{K: k, Seed: seed, Obs: col}, core.FromScratch)
 		if err != nil {
 			span.End()
 			return fmt.Errorf("engine leg k=%d: %w", k, err)
@@ -39,7 +41,7 @@ func runEngineLeg(ctx context.Context, sn sim.Snapshot, ks []int, seed, chaosSee
 				FirstAttemptOnly: true,
 			}
 		}
-		st, err := engine.Run(obs.ContextWithSpan(ctx, span), sn.Mesh, d, 0.5, engine.Options{
+		st, err := engine.Run(ictx, sn.Mesh, d, 0.5, engine.Options{
 			Obs: col, Fault: plan,
 		})
 		span.End()

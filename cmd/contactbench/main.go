@@ -100,7 +100,7 @@ func run() int {
 			FullImbalance: *driftImb,
 		},
 	}
-	if err := checkUpdate(update); err != nil {
+	if err := checkUpdate(update, *sweep || *ablate); err != nil {
 		log.Print(err)
 		return 2
 	}
@@ -357,7 +357,7 @@ func run() int {
 	}
 
 	if *engineLeg {
-		if err := runEngineLeg(ctx, snaps[0], ks, *seed, *chaosSeed, col, rootSpan); err != nil {
+		if err := runEngineLeg(obs.ContextWithSpan(ctx, rootSpan), snaps[0], ks, *seed, *chaosSeed, col); err != nil {
 			log.Print(err)
 			return 1
 		}
@@ -406,13 +406,18 @@ func writeRepartSummary(w io.Writer, results []*harness.Result) {
 
 // checkUpdate rejects update-strategy flags that would do nothing or
 // could not run, so a bad command line fails before the scene is
-// generated rather than after it, or not at all.
-func checkUpdate(c harness.Config) error {
+// generated rather than after it, or not at all. fixed is -sweep or
+// -ablate, whose fixed configurations read none of the update flags.
+func checkUpdate(c harness.Config, fixed bool) error {
 	be, err := backend.Lookup(c.Backend)
 	if err != nil {
 		return err
 	}
 	switch {
+	case fixed && (c.Backend != "" || c.Adaptive || c.RepartitionEvery > 0 || c.Incremental || c.Drift != partition.DriftThresholds{}):
+		return errors.New("-sweep and -ablate ignore -backend, -adaptive, -repart-every, -incremental and -drift-*")
+	case c.Adaptive && c.RepartitionEvery > 0:
+		return errors.New("-adaptive and -repart-every exclude each other: the drift policy decides every snapshot, and the ML+RCB side never repartitions under it")
 	case c.Incremental && c.RepartitionEvery <= 0:
 		return errors.New("-incremental requires -repart-every")
 	case (c.Drift.CutDrift != 0 || c.Drift.FullCutDrift != 0) && !c.Adaptive:

@@ -52,23 +52,6 @@ type Options struct {
 	// GOMAXPROCS). Labels never depend on it.
 	Workers int
 	Obs     *obs.Collector
-	Span    *obs.Span
-	// Ctx, when non-nil, carries a per-call deadline/cancellation into
-	// the backend: the multilevel partitioner stops its recursion
-	// promptly and returns the context's error (partition.KWay); the
-	// near-linear geometric backends check it once at entry. Labels of
-	// a run that completes never depend on Ctx. Nil means
-	// context.Background() (never cancelled).
-	Ctx context.Context
-}
-
-// ctx resolves the options' context, nil meaning Background.
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	//lint:ignore ctxflow nil Ctx means the caller opted out of cancellation; this is the documented default
-	return context.Background()
 }
 
 // Caps describes what a backend supports. Callers branch on these
@@ -91,10 +74,17 @@ type Caps struct {
 
 // Partitioner is one partitioning algorithm behind a uniform seam:
 // labels and weights in, one label per graph vertex out.
+//
+// Partition's ctx carries the parent trace span (obs.SpanFromContext)
+// and the call's deadline or cancellation: every backend refuses to
+// start under a dead ctx, and the multilevel partitioner also stops
+// its recursion promptly and returns the context's error
+// (partition.KWay); the near-linear geometric backends check it only
+// at entry. Labels of a run that completes never depend on ctx.
 type Partitioner interface {
 	Name() string
 	Caps() Caps
-	Partition(in Input, opt Options) ([]int32, error)
+	Partition(ctx context.Context, in Input, opt Options) ([]int32, error)
 }
 
 // registry maps backend names to implementations. "" is an alias for
@@ -132,8 +122,8 @@ func Names() []string {
 // checkInput validates the parts of Input every backend needs, plus
 // coordinates when the backend requires them, and refuses to start
 // work under an already-dead context.
-func checkInput(in Input, caps Caps, name string, opt Options) error {
-	if err := opt.ctx().Err(); err != nil {
+func checkInput(ctx context.Context, in Input, caps Caps, name string) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if in.Graph == nil {
@@ -156,11 +146,11 @@ func (multilevel) Name() string { return "multilevel" }
 func (multilevel) Caps() Caps {
 	return Caps{MultiConstraint: true, Reshape: true, Warmstart: true}
 }
-func (b multilevel) Partition(in Input, opt Options) ([]int32, error) {
-	if err := checkInput(in, b.Caps(), b.Name(), opt); err != nil {
+func (b multilevel) Partition(ctx context.Context, in Input, opt Options) ([]int32, error) {
+	if err := checkInput(ctx, in, b.Caps(), b.Name()); err != nil {
 		return nil, err
 	}
-	return partition.KWay(obs.ContextWithSpan(opt.ctx(), opt.Span), in.Graph, partition.Options{
+	return partition.KWay(ctx, in.Graph, partition.Options{
 		K: opt.K, Seed: opt.Seed, Imbalance: opt.Imbalance,
 		Workers: opt.Workers, Obs: opt.Obs,
 	})
@@ -172,8 +162,8 @@ func (rcbBackend) Name() string { return "rcb" }
 func (rcbBackend) Caps() Caps {
 	return Caps{MultiConstraint: true, NeedsCoords: true}
 }
-func (b rcbBackend) Partition(in Input, opt Options) ([]int32, error) {
-	if err := checkInput(in, b.Caps(), b.Name(), opt); err != nil {
+func (b rcbBackend) Partition(ctx context.Context, in Input, opt Options) ([]int32, error) {
+	if err := checkInput(ctx, in, b.Caps(), b.Name()); err != nil {
 		return nil, err
 	}
 	_, labels, err := rcb.BuildMC(in.Coords, in.Graph.VWgt, in.Graph.NCon, in.Dim, opt.K)
@@ -188,12 +178,12 @@ func (sfcBackend) Caps() Caps {
 	// worst per-constraint deviation reachable by contiguous segments.
 	return Caps{MultiConstraint: true, NeedsCoords: true}
 }
-func (b sfcBackend) Partition(in Input, opt Options) ([]int32, error) {
-	if err := checkInput(in, b.Caps(), b.Name(), opt); err != nil {
+func (b sfcBackend) Partition(ctx context.Context, in Input, opt Options) ([]int32, error) {
+	if err := checkInput(ctx, in, b.Caps(), b.Name()); err != nil {
 		return nil, err
 	}
-	return sfc.Partition(in.Coords, in.Graph.VWgt, in.Graph.NCon, in.Dim, opt.K, sfc.Options{
-		Workers: opt.Workers, Obs: opt.Obs, Span: opt.Span,
+	return sfc.Partition(ctx, in.Coords, in.Graph.VWgt, in.Graph.NCon, in.Dim, opt.K, sfc.Options{
+		Workers: opt.Workers, Obs: opt.Obs,
 	})
 }
 
@@ -203,12 +193,12 @@ func (bkmeansBackend) Name() string { return "bkmeans" }
 func (bkmeansBackend) Caps() Caps {
 	return Caps{NeedsCoords: true}
 }
-func (b bkmeansBackend) Partition(in Input, opt Options) ([]int32, error) {
-	if err := checkInput(in, b.Caps(), b.Name(), opt); err != nil {
+func (b bkmeansBackend) Partition(ctx context.Context, in Input, opt Options) ([]int32, error) {
+	if err := checkInput(ctx, in, b.Caps(), b.Name()); err != nil {
 		return nil, err
 	}
-	return bkmeans.Partition(in.Coords, in.Graph.VWgt, in.Graph.NCon, in.Dim, opt.K, bkmeans.Options{
+	return bkmeans.Partition(ctx, in.Coords, in.Graph.VWgt, in.Graph.NCon, in.Dim, opt.K, bkmeans.Options{
 		Seed: opt.Seed, Imbalance: opt.Imbalance,
-		Workers: opt.Workers, Obs: opt.Obs, Span: opt.Span,
+		Workers: opt.Workers, Obs: opt.Obs,
 	})
 }

@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -75,7 +77,7 @@ func TestBackendInvariants(t *testing.T) {
 			for _, tc := range []struct{ k, ncon int }{{2, 1}, {4, 2}, {9, 2}} {
 				in := gridInput(r, 12, 10, 8, tc.ncon)
 				opt := Options{K: tc.k, Seed: 5, Imbalance: 0.05}
-				labels, err := p.Partition(in, opt)
+				labels, err := p.Partition(context.Background(), in, opt)
 				if err != nil {
 					t.Fatalf("k=%d ncon=%d: %v", tc.k, tc.ncon, err)
 				}
@@ -102,7 +104,7 @@ func TestBackendInvariants(t *testing.T) {
 					t.Errorf("k=%d: implausible edge cut %d", tc.k, cut)
 				}
 
-				again, err := p.Partition(in, opt)
+				again, err := p.Partition(context.Background(), in, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +162,7 @@ func TestBackendCutOracle(t *testing.T) {
 	in := gridInput(r, 10, 9, 7, 2)
 	for _, name := range Names() {
 		p, _ := Lookup(name)
-		labels, err := p.Partition(in, Options{K: 6, Seed: 3, Imbalance: 0.05})
+		labels, err := p.Partition(context.Background(), in, Options{K: 6, Seed: 3, Imbalance: 0.05})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -201,12 +203,27 @@ func TestNeedsCoordsValidation(t *testing.T) {
 	in.Coords = nil
 	for _, name := range Names() {
 		p, _ := Lookup(name)
-		_, err := p.Partition(in, Options{K: 2, Seed: 1})
+		_, err := p.Partition(context.Background(), in, Options{K: 2, Seed: 1})
 		if p.Caps().NeedsCoords && err == nil {
 			t.Errorf("%s: accepted nil coords", name)
 		}
 		if !p.Caps().NeedsCoords && err != nil {
 			t.Errorf("%s: rejected nil coords: %v", name, err)
+		}
+	}
+}
+
+// TestBackendCancelledContext: every backend checks its ctx once at
+// entry, so a cancelled one returns the context's error and no labels.
+func TestBackendCancelledContext(t *testing.T) {
+	in := gridInput(rand.New(rand.NewSource(41)), 6, 5, 4, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range Names() {
+		p, _ := Lookup(name)
+		labels, err := p.Partition(ctx, in, Options{K: 3, Seed: 1})
+		if !errors.Is(err, context.Canceled) || labels != nil {
+			t.Errorf("%s: Partition under a cancelled ctx = (%d labels, %v), want context.Canceled", name, len(labels), err)
 		}
 	}
 }

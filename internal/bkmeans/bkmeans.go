@@ -14,6 +14,7 @@
 package bkmeans
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -41,9 +42,6 @@ type Options struct {
 	// Obs, when non-nil, receives bkmeans_init/bkmeans_assign phase
 	// timers and the bkmeans_iters counter. Observational only.
 	Obs *obs.Collector
-	// Span, when non-nil, records one "bkmeans" child span, with the
-	// phases nested beneath it.
-	Span *obs.Span
 }
 
 func (opt Options) withDefaults() Options {
@@ -62,8 +60,9 @@ func (opt Options) withDefaults() Options {
 // balanced — callers that need full multi-constraint balance should
 // use the multilevel partitioner. Every part is non-empty whenever
 // len(pts) >= k. Deterministic for fixed (Seed, K); Workers never
-// changes the labels.
-func Partition(pts []geom.Point, wgts []int32, ncon, dim, k int, opt Options) ([]int32, error) {
+// changes the labels. ctx carries the parent of the run's "bkmeans"
+// span; the few O(n·k) sweeps do not poll it.
+func Partition(ctx context.Context, pts []geom.Point, wgts []int32, ncon, dim, k int, opt Options) ([]int32, error) {
 	if dim != 2 && dim != 3 {
 		return nil, fmt.Errorf("bkmeans: dim = %d, want 2 or 3", dim)
 	}
@@ -77,7 +76,7 @@ func Partition(pts []geom.Point, wgts []int32, ncon, dim, k int, opt Options) ([
 		return nil, fmt.Errorf("bkmeans: %d weights for %d points with ncon=%d", len(wgts), len(pts), ncon)
 	}
 	opt = opt.withDefaults()
-	span := opt.Span.Child("bkmeans", obs.Int("k", int64(k)), obs.Int("n", int64(len(pts))))
+	span := obs.SpanFromContext(ctx).Child("bkmeans", obs.Int("k", int64(k)), obs.Int("n", int64(len(pts))))
 	defer span.End()
 
 	n := len(pts)

@@ -1,6 +1,7 @@
 package bkmeans
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestPartitionBalanceAndCoverage(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, k := range []int{2, 6, 16} {
 		pts, wgts := randPoints(r, 2500, 1)
-		labels, err := Partition(pts, wgts, 1, 3, k, Options{Seed: 42})
+		labels, err := Partition(context.Background(), pts, wgts, 1, 3, k, Options{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func TestPartitionCompactness(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pts, wgts := randPoints(r, 3000, 1)
 	k := 8
-	labels, err := Partition(pts, wgts, 1, 3, k, Options{Seed: 7})
+	labels, err := Partition(context.Background(), pts, wgts, 1, 3, k, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +94,12 @@ func TestPartitionCompactness(t *testing.T) {
 func TestPartitionWorkerDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	pts, wgts := randPoints(r, 9000, 2) // > assignCutoff to exercise the ranged sweep
-	base, err := Partition(pts, wgts, 2, 3, 10, Options{Seed: 3, Workers: 1})
+	base, err := Partition(context.Background(), pts, wgts, 2, 3, 10, Options{Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 3, 8} {
-		got, err := Partition(pts, wgts, 2, 3, 10, Options{Seed: 3, Workers: w})
+		got, err := Partition(context.Background(), pts, wgts, 2, 3, 10, Options{Seed: 3, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +116,11 @@ func TestPartitionWorkerDeterminism(t *testing.T) {
 func TestPartitionSeedSensitivity(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	pts, wgts := randPoints(r, 1200, 1)
-	a, err := Partition(pts, wgts, 1, 3, 6, Options{Seed: 1})
+	a, err := Partition(context.Background(), pts, wgts, 1, 3, 6, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Partition(pts, wgts, 1, 3, 6, Options{Seed: 1})
+	b, err := Partition(context.Background(), pts, wgts, 1, 3, 6, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +133,13 @@ func TestPartitionSeedSensitivity(t *testing.T) {
 
 func TestPartitionValidation(t *testing.T) {
 	pts := []geom.Point{geom.P3(0, 0, 0)}
-	if _, err := Partition(pts, []int32{1}, 1, 4, 2, Options{}); err == nil {
+	if _, err := Partition(context.Background(), pts, []int32{1}, 1, 4, 2, Options{}); err == nil {
 		t.Error("accepted dim=4")
 	}
-	if _, err := Partition(pts, []int32{1}, 1, 3, 0, Options{}); err == nil {
+	if _, err := Partition(context.Background(), pts, []int32{1}, 1, 3, 0, Options{}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := Partition(pts, []int32{1, 1, 1}, 2, 3, 2, Options{}); err == nil {
+	if _, err := Partition(context.Background(), pts, []int32{1, 1, 1}, 2, 3, 2, Options{}); err == nil {
 		t.Error("accepted mismatched weight length")
 	}
 	// Degenerate geometry (all points coincident) still covers every part.
@@ -147,7 +148,7 @@ func TestPartitionValidation(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	labels, err := Partition(same, w, 1, 3, 4, Options{Seed: 2})
+	labels, err := Partition(context.Background(), same, w, 1, 3, 4, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -84,13 +85,10 @@ type Config struct {
 	Drift partition.DriftThresholds
 	// Obs, when non-nil, receives per-phase wall-clock timings
 	// ("partition", "tree_induction", "drift_eval") for every pipeline
-	// run.
+	// run. When the run's ctx carries a trace span, every phase also
+	// records a same-named child span under it, and the partitioner's
+	// bisection tasks record "rb_task" spans on the "rb" track.
 	Obs *obs.Collector
-	// Span, when non-nil, is the parent trace span: every phase timed
-	// into Obs records a same-named child span under it, and the
-	// partitioner's bisection tasks record "rb_task" spans on the "rb"
-	// track. Nil disables tracing at zero cost.
-	Span *obs.Span
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -151,10 +149,17 @@ type Decomposition struct {
 	ContactLabels []int32
 }
 
+// uncancellable is the root context of the ctx-less wrappers that
+// perfbench pins: their runs can be neither cancelled nor traced.
+func uncancellable() context.Context {
+	//lint:ignore ctxflow perfbench pins the ctx-less Decompose, AdaptiveDecompose and DescriptorFor (ROADMAP item 1)
+	return context.Background()
+}
+
 // Decompose runs the full MCML+DT pipeline on a mesh, building its
 // nodal graph under cfg.Nodal.
 func Decompose(m *mesh.Mesh, cfg Config) (*Decomposition, error) {
-	d, _, err := DecomposeGraph(m, m.NodalGraph(cfg.nodal()), nil, 0, cfg, FromScratch)
+	d, _, err := DecomposeGraph(uncancellable(), m, m.NodalGraph(cfg.nodal()), nil, 0, cfg, FromScratch)
 	return d, err
 }
 
@@ -181,7 +186,7 @@ type AdaptiveOutcome struct {
 // Section 4.3 on m's nodal graph under cfg.Nodal: DecomposeGraph in
 // the DriftPolicy mode.
 func AdaptiveDecompose(m *mesh.Mesh, prevLabels []int32, baseCut int64, cfg Config) (*Decomposition, AdaptiveOutcome, error) {
-	return DecomposeGraph(m, m.NodalGraph(cfg.nodal()), prevLabels, baseCut, cfg, DriftPolicy)
+	return DecomposeGraph(uncancellable(), m, m.NodalGraph(cfg.nodal()), prevLabels, baseCut, cfg, DriftPolicy)
 }
 
 // Mode selects what DecomposeGraph does with the previous labels.
@@ -221,8 +226,15 @@ const (
 // repair (the initial partition's cut for snapshot 1); carry the
 // returned BaselineCut forward. Deterministic: equal inputs give equal
 // outputs for any worker count.
-func DecomposeGraph(m *mesh.Mesh, g *graph.Graph, prevLabels []int32, baseCut int64, cfg Config, mode Mode) (*Decomposition, AdaptiveOutcome, error) {
+// ctx carries the phases' parent span and the run's cancellation: a
+// dead ctx returns its error before any work, and the multilevel
+// backend stops on it (partition.KWay); the diffusion repair, the
+// reshape and the descriptor run to completion.
+func DecomposeGraph(ctx context.Context, m *mesh.Mesh, g *graph.Graph, prevLabels []int32, baseCut int64, cfg Config, mode Mode) (*Decomposition, AdaptiveOutcome, error) {
 	out := AdaptiveOutcome{Decision: partition.DriftFull}
+	if err := ctx.Err(); err != nil {
+		return nil, out, err
+	}
 	if cfg.K < 1 {
 		return nil, out, fmt.Errorf("core: K = %d", cfg.K)
 	}
@@ -240,9 +252,10 @@ func DecomposeGraph(m *mesh.Mesh, g *graph.Graph, prevLabels []int32, baseCut in
 	}
 	cfg = cfg.withDefaults(m.NumNodes())
 
+	span := obs.SpanFromContext(ctx)
 	attr := obs.Str("backend", be.Name())
 	if mode != FromScratch {
-		ph := cfg.Obs.Phase(cfg.Span, "drift_eval")
+		ph := cfg.Obs.Phase(span, "drift_eval")
 		cur := partition.MeasureDrift(g, prevLabels, cfg.K)
 		out.Cut, out.Imbalance = cur.Cut, cur.Imbalance
 		out.Decision = partition.DriftDiffuse
@@ -260,7 +273,7 @@ func DecomposeGraph(m *mesh.Mesh, g *graph.Graph, prevLabels []int32, baseCut in
 	// Step 2 computes P: the diffusion repair of the previous labels,
 	// or a partition by the backend.
 	popt := partition.Options{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance, Obs: cfg.Obs}
-	ph := cfg.Obs.Phase(cfg.Span, "partition", obs.Int("k", int64(cfg.K)), obs.Int("nv", int64(g.NV())), attr)
+	ph := cfg.Obs.Phase(span, "partition", obs.Int("k", int64(cfg.K)), obs.Int("nv", int64(g.NV())), attr)
 	var labels []int32
 	if out.Decision == partition.DriftDiffuse {
 		labels = append([]int32(nil), prevLabels...)
@@ -270,9 +283,9 @@ func DecomposeGraph(m *mesh.Mesh, g *graph.Graph, prevLabels []int32, baseCut in
 		}
 	}
 	if err == nil && out.Decision == partition.DriftFull {
-		labels, err = be.Partition(
+		labels, err = be.Partition(ctx,
 			backend.Input{Graph: g, Coords: m.Coords, Dim: m.Dim},
-			backend.Options{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance, Obs: cfg.Obs, Span: cfg.Span})
+			backend.Options{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance, Obs: cfg.Obs})
 	}
 	ph.End()
 	if err != nil {
@@ -288,11 +301,11 @@ func DecomposeGraph(m *mesh.Mesh, g *graph.Graph, prevLabels []int32, baseCut in
 	// Steps 3-4 turn P into P'' when the backend benefits; step 5
 	// induces the contact-point descriptor.
 	if !cfg.SkipReshape && be.Caps().Reshape && cfg.K > 1 {
-		if err := d.reshape(m, popt); err != nil {
+		if err := d.reshape(span, m, popt); err != nil {
 			return nil, out, err
 		}
 	}
-	if d.Descriptor, d.ContactNodes, d.ContactPoints, d.ContactLabels, err = DescriptorFor(m, d.Labels, cfg); err != nil {
+	if d.Descriptor, d.ContactNodes, d.ContactPoints, d.ContactLabels, err = Descriptor(ctx, m, d.Labels, cfg, nil, nil); err != nil {
 		return nil, out, err
 	}
 	if prevLabels != nil {
@@ -303,10 +316,10 @@ func DecomposeGraph(m *mesh.Mesh, g *graph.Graph, prevLabels []int32, baseCut in
 }
 
 // reshape performs steps 3-4: guidance tree, majority reassignment,
-// and G' refinement.
-func (d *Decomposition) reshape(m *mesh.Mesh, popt partition.Options) error {
+// and G' refinement, timed under span.
+func (d *Decomposition) reshape(span *obs.Span, m *mesh.Mesh, popt partition.Options) error {
 	cfg := d.Cfg
-	ph := cfg.Obs.Phase(cfg.Span, "tree_induction", obs.Str("mode", "guidance"))
+	ph := cfg.Obs.Phase(span, "tree_induction", obs.Str("mode", "guidance"))
 	gt, err := dtree.Build(m.Coords, d.Labels, m.Dim, cfg.K, dtree.Options{
 		Mode:      dtree.Guidance,
 		MaxPure:   cfg.MaxPure,
@@ -356,14 +369,14 @@ func (d *Decomposition) reshape(m *mesh.Mesh, popt partition.Options) error {
 // update of Section 4.3: the partition stays, the tree is rebuilt for
 // the new contact-point positions.
 func DescriptorFor(m *mesh.Mesh, labels []int32, cfg Config) (*dtree.Tree, []int32, []geom.Point, []int32, error) {
-	return Descriptor(m, labels, cfg, nil, nil)
+	return Descriptor(uncancellable(), m, labels, cfg, nil, nil)
 }
 
 // Descriptor is DescriptorFor with the tree's presort carried across
 // the snapshots of one sequence in c, keyed by the persistent node ids
 // ids (one per node of m). A nil c sorts afresh. The tree is the same
-// either way.
-func Descriptor(m *mesh.Mesh, labels []int32, cfg Config, c *dtree.Carry, ids []int64) (*dtree.Tree, []int32, []geom.Point, []int32, error) {
+// either way. ctx carries the parent of its tree_induction span.
+func Descriptor(ctx context.Context, m *mesh.Mesh, labels []int32, cfg Config, c *dtree.Carry, ids []int64) (*dtree.Tree, []int32, []geom.Point, []int32, error) {
 	nodes := m.ContactNodes()
 	pts := make([]geom.Point, len(nodes))
 	cl := make([]int32, len(nodes))
@@ -375,7 +388,7 @@ func Descriptor(m *mesh.Mesh, labels []int32, cfg Config, c *dtree.Carry, ids []
 	if k < 1 {
 		k = 1
 	}
-	ph := cfg.Obs.Phase(cfg.Span, "tree_induction", obs.Str("mode", "descriptor"))
+	ph := cfg.Obs.Phase(obs.SpanFromContext(ctx), "tree_induction", obs.Str("mode", "descriptor"))
 	var order [3][]int32
 	if c == nil {
 		order = dtree.Presort(pts, m.Dim)

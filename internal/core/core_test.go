@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/meshgen"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/sim"
 )
@@ -79,6 +82,26 @@ func TestDecomposeRejectsBadK(t *testing.T) {
 	m := testMesh(t)
 	if _, err := Decompose(m, Config{K: 0}); err == nil {
 		t.Error("accepted K=0")
+	}
+}
+
+// TestDecomposeGraphCancelled: in every mode, a cancelled ctx returns
+// the context's error before any work, so no phase is recorded.
+func TestDecomposeGraphCancelled(t *testing.T) {
+	m := testMesh(t)
+	g := m.NodalGraph(mesh.DefaultNodalOptions())
+	prev := make([]int32, m.NumNodes())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	col := obs.New()
+	for _, mode := range []Mode{FromScratch, DriftPolicy, ForceDiffuse} {
+		d, _, err := DecomposeGraph(ctx, m, g, prev, 0, Config{K: 4, Seed: 1, Obs: col}, mode)
+		if !errors.Is(err, context.Canceled) || d != nil {
+			t.Errorf("mode %d: DecomposeGraph under a cancelled ctx = (decomposition %t, %v), want context.Canceled", mode, d != nil, err)
+		}
+	}
+	if ph := col.Report().Phases; len(ph) != 0 {
+		t.Errorf("cancelled runs recorded phases %v", ph)
 	}
 }
 
@@ -255,7 +278,7 @@ func TestDescriptorCarryMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, _, _, err := Descriptor(sn.Mesh, labels, d.Cfg, &c, sn.NodeID)
+		got, _, _, _, err := Descriptor(context.Background(), sn.Mesh, labels, d.Cfg, &c, sn.NodeID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +381,7 @@ func TestDecomposeGeometric(t *testing.T) {
 
 // redecompose is the forced-diffuse update on m's own nodal graph.
 func redecompose(m *mesh.Mesh, prev []int32, cfg Config) (*Decomposition, AdaptiveOutcome, error) {
-	return DecomposeGraph(m, m.NodalGraph(cfg.nodal()), prev, 0, cfg, ForceDiffuse)
+	return DecomposeGraph(context.Background(), m, m.NodalGraph(cfg.nodal()), prev, 0, cfg, ForceDiffuse)
 }
 
 func TestRedecomposeMigratesBounded(t *testing.T) {
@@ -621,7 +644,7 @@ func TestDecomposeGraphMatchesWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got0, out0, err := DecomposeGraph(m0, g0, nil, 0, cfg, FromScratch)
+	got0, out0, err := DecomposeGraph(context.Background(), m0, g0, nil, 0, cfg, FromScratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +674,7 @@ func TestDecomposeGraphMatchesWrappers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gout, err := DecomposeGraph(m1, g, prev, 1, cfg, DriftPolicy)
+		got, gout, err := DecomposeGraph(context.Background(), m1, g, prev, 1, cfg, DriftPolicy)
 		if err != nil {
 			t.Fatal(err)
 		}

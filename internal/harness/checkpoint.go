@@ -113,7 +113,7 @@ func configHash(snaps []sim.Snapshot, cfgs []Config) string {
 		// before the selector existed still matches its workload.
 		geo := c.Backend == "rcb"
 		fmt.Fprintf(h, "|k=%d seed=%d imb=%g tol=%g cw=%d mp=%d mi=%d sr=%t lf=%t geo=%t wg=%t re=%d inc=%t",
-			c.K, c.Seed, c.Imbalance, c.SearchTol, c.ContactEdgeWeight,
+			c.K, c.Seed, c.Imbalance, searchTol, c.ContactEdgeWeight,
 			c.MaxPure, c.MaxImpure, c.SkipReshape, c.LooseTreeFilter,
 			geo, c.WideGaps, c.RepartitionEvery, c.Incremental)
 		if !geo && c.Backend != "" && c.Backend != "multilevel" {

@@ -18,10 +18,8 @@ package harness
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
 	"text/tabwriter"
 
 	"repro/internal/contact"
@@ -38,14 +36,15 @@ import (
 	"repro/internal/sim"
 )
 
+// searchTol inflates surface-element boxes during global search (the
+// contact proximity tolerance).
+const searchTol = 0.5
+
 // Config parameterizes one experiment (one k).
 type Config struct {
 	K         int
 	Seed      int64
 	Imbalance float64
-	// SearchTol inflates surface-element boxes during global search
-	// (contact proximity tolerance). Default 0.5.
-	SearchTol float64
 	// ContactEdgeWeight is the weight of contact-contact edges in the
 	// MCML+DT graph (paper: 5). Zero selects 5.
 	ContactEdgeWeight int32
@@ -104,9 +103,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SearchTol == 0 {
-		c.SearchTol = 0.5
-	}
 	if c.ContactEdgeWeight == 0 {
 		c.ContactEdgeWeight = 5
 	}
@@ -220,7 +216,6 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		Drift:       cfg.Drift,
 		Parallel:    true,
 		Obs:         cfg.Obs,
-		Span:        expSpan,
 	}
 	mlCfg := mlrcb.Config{K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance}
 	legWorkers := 2
@@ -268,15 +263,26 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	}
 	prog.set(exp, start)
 
-	// decompose partitions sn from scratch on both sides, the MCML+DT
-	// side on sn's graph g, at snapshot 0 and on every full
+	// obsAt is the collector of snapshot t's work: none before start,
+	// whose replayed phases and counters the checkpoint already holds.
+	obsAt := func(t int) *obs.Collector {
+		if t < start {
+			return nil
+		}
+		return cfg.Obs
+	}
+	coreAt := func(t int) core.Config { c := coreCfg; c.Obs = obsAt(t); return c }
+
+	// decompose partitions snapshot t from scratch on both sides, the
+	// MCML+DT side on its graph g, at snapshot 0 and on every full
 	// -repart-every event; prev are the MCML+DT labels it replaces, if
 	// any. It carries the ML+RCB state; the MCML+DT side's carry is the
 	// caller's.
-	decompose := func(sn sim.Snapshot, g *graph.Graph, prev []int32) (d *core.Decomposition, out core.AdaptiveOutcome, err error) {
+	decompose := func(t int, g *graph.Graph, prev []int32) (d *core.Decomposition, out core.AdaptiveOutcome, err error) {
+		sn := snaps[t]
 		var st *mlrcb.State
 		err = pool.Run(legWorkers, func() (err error) {
-			d, out, err = core.DecomposeGraph(sn.Mesh, g, prev, 0, coreCfg, core.FromScratch)
+			d, out, err = core.DecomposeGraph(ctx, sn.Mesh, g, prev, 0, coreAt(t), core.FromScratch)
 			return err
 		}, func() (err error) {
 			st, err = mlrcb.Decompose(sn.Mesh, mlCfg)
@@ -290,7 +296,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		return d, out, nil
 	}
 	g = snaps[0].Mesh.NodalGraph(coreCfg.Nodal)
-	d0, out0, err := decompose(snaps[0], g, nil)
+	d0, out0, err := decompose(0, g, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +313,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 	var ws mesh.NodalWorkspace
 	idx, old := make([]int32, nID), []int32(nil)
 	nodalGraph := func(span *obs.Span, t int, prev *graph.Graph) *graph.Graph {
-		ph := cfg.Obs.Phase(span, "metric_graph", obs.Int("t", int64(t)))
+		ph := obsAt(t).Phase(span, "metric_graph", obs.Int("t", int64(t)))
 		defer ph.End()
 		m := snaps[t].Mesh
 		if prev != nil {
@@ -320,13 +326,13 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 				return g
 			}
 		}
-		cfg.Obs.Add("metric_graph_rebuilds", 1)
+		obsAt(t).Add("metric_graph_rebuilds", 1)
 		return m.NodalGraph(coreCfg.Nodal)
 	}
 	surfaceBoxes := func(span *obs.Span, t int) []geom.AABB {
 		ph := cfg.Obs.Phase(span, "surface_boxes", obs.Int("t", int64(t)))
 		defer ph.End()
-		return contact.SurfaceBoxes(snaps[t].Mesh, cfg.SearchTol)
+		return contact.SurfaceBoxes(snaps[t].Mesh, searchTol)
 	}
 	// event reports whether snapshot t has a repartitioning event:
 	// Adaptive asks the drift policy at every snapshot after the first;
@@ -376,20 +382,19 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 		// Snapshot t's repartitioning event, decided here alone. The
 		// carried MCML+DT partition state must advance on every
 		// snapshot — including checkpoint fast-forward (it is
-		// deterministic from the seed, so replaying it is exact); only
-		// the obs counters are gated on t >= start so a resume does not
-		// double-count replayed decisions.
+		// deterministic from the seed, so replaying it is exact); obsAt
+		// keeps a resume from double-counting replayed decisions.
 		var ev EvalTimes
 		if event(t) {
 			prev := lookupLabels(sn.NodeID, mcByID)
 			var out core.AdaptiveOutcome
 			switch {
 			case cfg.Adaptive:
-				d, out, err = core.DecomposeGraph(sn.Mesh, g, prev, baseCut, coreCfg, core.DriftPolicy)
+				d, out, err = core.DecomposeGraph(ctx, sn.Mesh, g, prev, baseCut, coreAt(t), core.DriftPolicy)
 			case cfg.Incremental:
-				d, out, err = core.DecomposeGraph(sn.Mesh, g, prev, 0, coreCfg, core.ForceDiffuse)
+				d, out, err = core.DecomposeGraph(ctx, sn.Mesh, g, prev, 0, coreAt(t), core.ForceDiffuse)
 			default:
-				d, out, err = decompose(sn, g, prev)
+				d, out, err = decompose(t, g, prev)
 			}
 			if err != nil {
 				return nil, err
@@ -399,17 +404,16 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 				setLabels(mcByID, sn.NodeID, d.Labels)
 			}
 			ev.Repart, ev.Migrated = out.Decision.String(), int64(out.Migrated)
-			if t >= start {
-				switch out.Decision {
-				case partition.DriftKeep:
-					cfg.Obs.Add("repartition_kept", 1)
-				case partition.DriftDiffuse:
-					cfg.Obs.Add("repartition_diffused", 1)
-				case partition.DriftFull:
-					cfg.Obs.Add("repartition_full", 1)
-				}
-				cfg.Obs.Add("repartition_migrated", ev.Migrated)
+			col := obsAt(t)
+			switch out.Decision {
+			case partition.DriftKeep:
+				col.Add("repartition_kept", 1)
+			case partition.DriftDiffuse:
+				col.Add("repartition_diffused", 1)
+			case partition.DriftFull:
+				col.Add("repartition_full", 1)
 			}
+			col.Add("repartition_migrated", ev.Migrated)
 		}
 		if t < start {
 			// Fast-forward an already-checkpointed snapshot: its row came
@@ -452,7 +456,7 @@ func run(ctx context.Context, snaps []sim.Snapshot, cfg Config, ck *Checkpointer
 			if src == nil {
 				src = &core.Decomposition{}
 				var err error
-				if src.Descriptor, _, src.ContactPoints, src.ContactLabels, err = core.Descriptor(m, mcLabels, coreCfg, &carry, sn.NodeID); err != nil {
+				if src.Descriptor, _, src.ContactPoints, src.ContactLabels, err = core.Descriptor(ctx, m, mcLabels, coreCfg, &carry, sn.NodeID); err != nil {
 					return err
 				}
 			}
@@ -598,35 +602,11 @@ func lookupLabels(ids []int64, byID []int32) []int32 {
 }
 
 // WriteCSV emits the per-snapshot metric rows as CSV (one line per
-// snapshot per result), for plotting the evolution of the metrics over
-// the simulation.
+// snapshot per result, for plotting the evolution of the metrics over
+// the simulation): the series CSV's first nine columns, without the
+// eval times and repartitioning events.
 func WriteCSV(w io.Writer, results []*Result) error {
-	cw := csv.NewWriter(w)
-	header := []string{"k", "snapshot",
-		"mc_fecomm", "mc_ntnodes", "mc_nremote",
-		"ml_fecomm", "ml_m2mcomm", "ml_updcomm", "ml_nremote"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, r := range results {
-		for t, row := range r.Rows {
-			rec := []string{
-				strconv.Itoa(r.K), strconv.Itoa(t),
-				strconv.FormatInt(row.MCFEComm, 10),
-				strconv.FormatInt(row.MCNTNodes, 10),
-				strconv.FormatInt(row.MCNRemote, 10),
-				strconv.FormatInt(row.MLFEComm, 10),
-				strconv.FormatInt(row.MLM2MComm, 10),
-				strconv.FormatInt(row.MLUpdComm, 10),
-				strconv.FormatInt(row.MLNRemote, 10),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeSeriesCSV(w, results, 9)
 }
 
 // WriteTable renders results in the layout of the paper's Table 1.

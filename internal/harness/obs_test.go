@@ -190,83 +190,137 @@ func TestSeriesFromSweep(t *testing.T) {
 // TestResumeObsAndEvalsCumulative: a sweep killed mid-run and resumed
 // must end with (a) an obs report covering the WHOLE sweep — the
 // pre-kill report persisted in the checkpoint merged with the
-// post-resume collector — and (b) a complete series, with the killed
-// run's leg times restored from the checkpoint.
+// post-resume collector — that counts each snapshot's work once, as an
+// uninterrupted run does, and (b) a complete series, with the killed
+// run's leg times restored from the checkpoint. The replayed snapshots
+// before the cursor, the snapshot-0 decomposition and any replayed
+// repartitioning events included, record no phase sample and no
+// counter.
 func TestResumeObsAndEvalsCumulative(t *testing.T) {
 	snaps := testSnaps(t, 4)
-	cfgs := []Config{{K: 4, Seed: 1}}
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	const killAt = 2
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// skew is how far each named count of the resumed sweep lies
+		// from the uninterrupted one's; every other count must match.
+		skew map[string]int64
+	}{
+		{"fixed", Config{K: 4, Seed: 1}, map[string]int64{
+			// The killed run derived snapshot killAt's graph and boxes
+			// beside snapshot killAt-1's legs; the resumed run builds
+			// them again, the graph from scratch (no snapshot killAt-1
+			// graph was replayed to derive it from).
+			"metric_graph": 1, "surface_boxes": 1, "metric_graph_rebuilds": 1,
+		}},
+		{"adaptive", Config{K: 4, Seed: 1, Adaptive: true}, nil},
+		{"repart_every_2", Config{K: 4, Seed: 1, RepartitionEvery: 2}, map[string]int64{
+			// Snapshot killAt is an event, so no graph was prefetched,
+			// but snapshot killAt-1 was replayed without one: the
+			// resumed run builds snapshot killAt's from scratch.
+			"metric_graph_rebuilds": 1,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfgs := []Config{tc.cfg}
+			want := obs.New()
+			cfgs[0].Obs = want
+			ckFull := NewCheckpointer(filepath.Join(t.TempDir(), "full.ckpt"), snaps, cfgs)
+			ckFull.Obs = want
+			if _, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ckFull}); err != nil {
+				t.Fatal(err)
+			}
 
-	// Phase 1: record into one collector, kill after killAt snapshots.
-	ctx, cancel := context.WithCancel(context.Background())
-	col1 := obs.New()
-	cfgs[0].Obs = col1
-	ck := NewCheckpointer(path, snaps, cfgs)
-	ck.Obs = col1
-	ck.AfterFlush = func(exp, cursor int) {
-		if cursor == killAt {
+			path := filepath.Join(t.TempDir(), "sweep.ckpt")
+			// Phase 1: record into one collector, kill after killAt
+			// snapshots.
+			ctx, cancel := context.WithCancel(context.Background())
+			col1 := obs.New()
+			cfgs[0].Obs = col1
+			ck := NewCheckpointer(path, snaps, cfgs)
+			ck.Obs = col1
+			ck.AfterFlush = func(exp, cursor int) {
+				if cursor == killAt {
+					cancel()
+				}
+			}
+			if _, err := RunSweep(ctx, snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck}); err == nil {
+				t.Fatal("interrupted sweep reported success")
+			}
 			cancel()
-		}
-	}
-	if _, err := RunSweep(ctx, snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck}); err == nil {
-		t.Fatal("interrupted sweep reported success")
-	}
-	cancel()
 
-	// Phase 2: fresh process-equivalent — new collector, merge the
-	// persisted report, finish the sweep.
-	ck2, err := LoadCheckpoint(path, snaps, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := ck2.SavedObs()
-	if saved == nil {
-		t.Fatal("checkpoint has no persisted obs report")
-	}
-	col2 := obs.New()
-	if err := col2.Merge(*saved); err != nil {
-		t.Fatal(err)
-	}
-	cfgs[0].Obs = col2
-	ck2.Obs = col2
-	results, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck2})
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Phase 2: fresh process-equivalent — new collector, merge
+			// the persisted report, finish the sweep.
+			ck2, err := LoadCheckpoint(path, snaps, cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved := ck2.SavedObs()
+			if saved == nil {
+				t.Fatal("checkpoint has no persisted obs report")
+			}
+			col2 := obs.New()
+			if err := col2.Merge(*saved); err != nil {
+				t.Fatal(err)
+			}
+			cfgs[0].Obs = col2
+			ck2.Obs = col2
+			results, err := RunSweep(context.Background(), snaps, cfgs, SweepOptions{Workers: 1, Checkpoint: ck2})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// The merged report covers the whole sweep: both legs of every
-	// snapshot, and one checkpoint write per snapshot.
-	rep := col2.Report()
-	phases := map[string]int64{}
+			got := obsCounts(col2.Report())
+			if got["metric_eval"] != int64(2*len(snaps)) || got["partition"] == 0 {
+				t.Errorf("resumed sweep counts metric_eval=%d partition=%d", got["metric_eval"], got["partition"])
+			}
+			if tc.cfg.Adaptive && got["drift_eval"] == 0 {
+				t.Error("adaptive sweep recorded no drift_eval")
+			}
+			for name, n := range obsCounts(want.Report()) {
+				got[name] -= n
+			}
+			skew := map[string]int64{
+				// The persisted report is captured just before each
+				// flush, so the flush that the kill interrupted never
+				// recorded its own checkpoint_write sample: exactly one
+				// is lost.
+				"checkpoint_write": -1, "checkpoint_writes": -1,
+			}
+			for name, d := range tc.skew {
+				skew[name] = d
+			}
+			for name, d := range got {
+				if d != skew[name] {
+					t.Errorf("%s: resumed count - uninterrupted count = %d, want %d", name, d, skew[name])
+				}
+			}
+
+			// The series is complete: the killed run's eval times for
+			// snapshots [0, killAt) came back from the checkpoint.
+			pts := Series(results)
+			if len(pts) != len(snaps) {
+				t.Fatalf("resumed series has %d points, want %d", len(pts), len(snaps))
+			}
+			for _, p := range pts {
+				if p.MCEvalNS <= 0 || p.MLEvalNS <= 0 {
+					t.Errorf("resumed series point t=%d missing eval times: mc=%d ml=%d",
+						p.Snapshot, p.MCEvalNS, p.MLEvalNS)
+				}
+			}
+		})
+	}
+}
+
+// obsCounts maps every phase of rep to its sample count and every
+// counter to its value.
+func obsCounts(rep obs.Report) map[string]int64 {
+	out := map[string]int64{}
 	for _, ph := range rep.Phases {
-		phases[ph.Name] = ph.Count
-	}
-	if got, want := phases["metric_eval"], int64(2*len(snaps)); got != want {
-		t.Errorf("cumulative metric_eval count = %d, want %d", got, want)
-	}
-	// The persisted report is captured just before each flush, so the
-	// flush that the kill interrupted never recorded its own
-	// checkpoint_write sample: exactly one is lost, nothing else.
-	if got, want := phases["checkpoint_write"], int64(len(snaps)-1); got != want {
-		t.Errorf("cumulative checkpoint_write count = %d, want %d", got, want)
+		out[ph.Name] = ph.Count
 	}
 	for _, c := range rep.Counters {
-		if c.Name == "checkpoint_writes" && c.Value != int64(len(snaps)-1) {
-			t.Errorf("cumulative checkpoint_writes = %d, want %d", c.Value, len(snaps)-1)
-		}
+		out[c.Name] = c.Value
 	}
-
-	// The series is complete: the killed run's eval times for snapshots
-	// [0, killAt) came back from the checkpoint.
-	pts := Series(results)
-	if len(pts) != len(snaps) {
-		t.Fatalf("resumed series has %d points, want %d", len(pts), len(snaps))
-	}
-	for _, p := range pts {
-		if p.MCEvalNS <= 0 || p.MLEvalNS <= 0 {
-			t.Errorf("resumed series point t=%d missing eval times: mc=%d ml=%d",
-				p.Snapshot, p.MCEvalNS, p.MLEvalNS)
-		}
-	}
+	return out
 }

@@ -75,12 +75,18 @@ func WriteSeriesJSON(w io.Writer, results []*Result) error {
 
 // WriteSeriesCSV emits the series as CSV, one line per point.
 func WriteSeriesCSV(w io.Writer, results []*Result) error {
+	return writeSeriesCSV(w, results, len(seriesColumns))
+}
+
+var seriesColumns = []string{"k", "snapshot",
+	"mc_fecomm", "mc_ntnodes", "mc_nremote",
+	"ml_fecomm", "ml_m2mcomm", "ml_updcomm", "ml_nremote",
+	"mc_eval_ns", "ml_eval_ns", "mc_repart", "mc_migrated"}
+
+// writeSeriesCSV emits the first cols columns of the series CSV.
+func writeSeriesCSV(w io.Writer, results []*Result, cols int) error {
 	cw := csv.NewWriter(w)
-	header := []string{"k", "snapshot",
-		"mc_fecomm", "mc_ntnodes", "mc_nremote",
-		"ml_fecomm", "ml_m2mcomm", "ml_updcomm", "ml_nremote",
-		"mc_eval_ns", "ml_eval_ns", "mc_repart", "mc_migrated"}
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write(seriesColumns[:cols]); err != nil {
 		return err
 	}
 	for _, p := range Series(results) {
@@ -98,7 +104,7 @@ func WriteSeriesCSV(w io.Writer, results []*Result) error {
 			p.MCRepart,
 			strconv.FormatInt(p.MCMigrated, 10),
 		}
-		if err := cw.Write(rec); err != nil {
+		if err := cw.Write(rec[:cols]); err != nil {
 			return err
 		}
 	}

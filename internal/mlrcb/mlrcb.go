@@ -12,6 +12,7 @@
 package mlrcb
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/backend"
@@ -58,7 +59,8 @@ func Decompose(m *mesh.Mesh, cfg Config) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	labels, err := ml.Partition(backend.Input{Graph: g}, backend.Options{
+	//lint:ignore ctxflow perfbench pins the ctx-less Decompose (ROADMAP item 1), so the baseline's partition can be neither cancelled nor traced
+	labels, err := ml.Partition(context.Background(), backend.Input{Graph: g}, backend.Options{
 		K: cfg.K, Seed: cfg.Seed, Imbalance: cfg.Imbalance,
 	})
 	if err != nil {

@@ -583,11 +583,12 @@ func (s *Server) runJob(ctx context.Context, job *Job) {
 		}()
 		s.opt.Fault.MaybePanic(int(job.seq), jobPhase)
 		s.opt.Fault.MaybeStall(ctx, int(job.seq), jobPhase)
+		jctx := obs.ContextWithSpan(ctx, span)
 		switch job.spec.Kind {
 		case KindGraph:
-			result, err = s.runGraphJob(ctx, job, col, span)
+			result, err = s.runGraphJob(jctx, job, col)
 		case KindSweep:
-			result, err = s.runSweepJob(ctx, job, col, span)
+			result, err = s.runSweepJob(jctx, job, col)
 		default:
 			err = fmt.Errorf("unknown job kind %q", job.spec.Kind)
 		}
@@ -670,8 +671,9 @@ func (s *Server) finishLocked(job *Job, status Status, errMsg string, result []b
 }
 
 // runGraphJob partitions the submitted graph with the requested
-// backend and reports labels, cut, and per-constraint imbalance.
-func (s *Server) runGraphJob(ctx context.Context, job *Job, col *obs.Collector, span *obs.Span) ([]byte, error) {
+// backend and reports labels, cut, and per-constraint imbalance. ctx
+// carries the job's deadline and its trace span.
+func (s *Server) runGraphJob(ctx context.Context, job *Job, col *obs.Collector) ([]byte, error) {
 	spec := job.spec
 	g, coords, err := spec.Graph.Build()
 	if err != nil {
@@ -681,9 +683,9 @@ func (s *Server) runGraphJob(ctx context.Context, job *Job, col *obs.Collector, 
 	if err != nil {
 		return nil, err
 	}
-	labels, err := be.Partition(backend.Input{Graph: g, Coords: coords, Dim: spec.Graph.Dim}, backend.Options{
+	labels, err := be.Partition(ctx, backend.Input{Graph: g, Coords: coords, Dim: spec.Graph.Dim}, backend.Options{
 		K: spec.K, Seed: spec.Seed, Imbalance: spec.Imbalance,
-		Workers: s.opt.JobWorkers, Obs: col, Span: span, Ctx: ctx,
+		Workers: s.opt.JobWorkers, Obs: col,
 	})
 	if err != nil {
 		return nil, err
@@ -702,7 +704,7 @@ func (s *Server) runGraphJob(ctx context.Context, job *Job, col *obs.Collector, 
 // from the checkpoint and returns bytes identical to an uninterrupted
 // run. The checkpoint is deleted on success and kept on any
 // interruption.
-func (s *Server) runSweepJob(ctx context.Context, job *Job, col *obs.Collector, span *obs.Span) ([]byte, error) {
+func (s *Server) runSweepJob(ctx context.Context, job *Job, col *obs.Collector) ([]byte, error) {
 	spec := job.spec.Sweep.withDefaults()
 	snaps, err := s.scene(spec)
 	if err != nil {
@@ -741,7 +743,7 @@ func (s *Server) runSweepJob(ctx context.Context, job *Job, col *obs.Collector, 
 		ck.Obs = col
 	}
 
-	results, err := harness.RunSweep(obs.ContextWithSpan(ctx, span), snaps, cfgs, harness.SweepOptions{
+	results, err := harness.RunSweep(ctx, snaps, cfgs, harness.SweepOptions{
 		Workers: s.opt.JobWorkers, Checkpoint: ck,
 	})
 	if err != nil {

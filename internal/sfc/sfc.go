@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -19,9 +20,6 @@ type Options struct {
 	// Obs, when non-nil, receives the sfc_keys/sfc_sort/sfc_split phase
 	// timers and the sfc_sort_chunks counter. Observational only.
 	Obs *obs.Collector
-	// Span, when non-nil, records one "sfc" child span over the run,
-	// with the phases nested beneath it.
-	Span *obs.Span
 }
 
 // parallelCutoff is the point count below which keys are computed and
@@ -35,8 +33,9 @@ var parallelCutoff = 1 << 13
 // per-constraint relative deviation from the proportional target, so
 // multi-constraint balance is honored as far as contiguous curve
 // segments allow. Every part is non-empty whenever len(pts) >= k.
-// Deterministic for any Options.Workers.
-func Partition(pts []geom.Point, wgts []int32, ncon, dim, k int, opt Options) ([]int32, error) {
+// Deterministic for any Options.Workers. ctx carries the parent of
+// the run's "sfc" span; the near-linear run does not poll it.
+func Partition(ctx context.Context, pts []geom.Point, wgts []int32, ncon, dim, k int, opt Options) ([]int32, error) {
 	bits := opt.Bits
 	if bits == 0 {
 		bits = MaxBits(dim)
@@ -53,7 +52,7 @@ func Partition(pts []geom.Point, wgts []int32, ncon, dim, k int, opt Options) ([
 	if len(wgts) != len(pts)*ncon {
 		return nil, fmt.Errorf("sfc: %d weights for %d points with ncon=%d", len(wgts), len(pts), ncon)
 	}
-	span := opt.Span.Child("sfc",
+	span := obs.SpanFromContext(ctx).Child("sfc",
 		obs.Int("k", int64(k)), obs.Int("n", int64(len(pts))), obs.Int("bits", int64(bits)))
 	defer span.End()
 

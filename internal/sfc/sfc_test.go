@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestPartitionBalanceAndCoverage(t *testing.T) {
 	for _, k := range []int{2, 5, 16} {
 		for _, ncon := range []int{1, 2} {
 			pts, wgts := randPoints(r, 3000, ncon)
-			labels, err := Partition(pts, wgts, ncon, 3, k, Options{})
+			labels, err := Partition(context.Background(), pts, wgts, ncon, 3, k, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +143,7 @@ func TestPartitionLocality(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	pts, wgts := randPoints(r, 4000, 1)
 	k := 8
-	labels, err := Partition(pts, wgts, 1, 3, k, Options{})
+	labels, err := Partition(context.Background(), pts, wgts, 1, 3, k, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestPartitionLocality(t *testing.T) {
 func TestPartitionWorkerDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	pts, wgts := randPoints(r, 5000, 2)
-	base, err := Partition(pts, wgts, 2, 3, 12, Options{Workers: 1})
+	base, err := Partition(context.Background(), pts, wgts, 2, 3, 12, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestPartitionWorkerDeterminism(t *testing.T) {
 	for _, cutoff := range []int{saved, 1} {
 		parallelCutoff = cutoff
 		for _, w := range []int{1, 2, 3, 8} {
-			got, err := Partition(pts, wgts, 2, 3, 12, Options{Workers: w})
+			got, err := Partition(context.Background(), pts, wgts, 2, 3, 12, Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,16 +197,16 @@ func TestPartitionWorkerDeterminism(t *testing.T) {
 
 func TestPartitionValidation(t *testing.T) {
 	pts := []geom.Point{geom.P3(0, 0, 0)}
-	if _, err := Partition(pts, []int32{1}, 1, 4, 2, Options{}); err == nil {
+	if _, err := Partition(context.Background(), pts, []int32{1}, 1, 4, 2, Options{}); err == nil {
 		t.Error("accepted dim=4")
 	}
-	if _, err := Partition(pts, []int32{1}, 1, 3, 0, Options{}); err == nil {
+	if _, err := Partition(context.Background(), pts, []int32{1}, 1, 3, 0, Options{}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := Partition(pts, []int32{1, 1}, 2, 3, 2, Options{Bits: 40}); err == nil {
+	if _, err := Partition(context.Background(), pts, []int32{1, 1}, 2, 3, 2, Options{Bits: 40}); err == nil {
 		t.Error("accepted bits=40 in 3D")
 	}
-	if _, err := Partition(pts, []int32{1, 1, 1}, 2, 3, 2, Options{}); err == nil {
+	if _, err := Partition(context.Background(), pts, []int32{1, 1, 1}, 2, 3, 2, Options{}); err == nil {
 		t.Error("accepted mismatched weight length")
 	}
 	// Degenerate geometry (all points coincident) still partitions.
@@ -214,7 +215,7 @@ func TestPartitionValidation(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	labels, err := Partition(same, w, 1, 3, 3, Options{})
+	labels, err := Partition(context.Background(), same, w, 1, 3, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/harness"
+	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -51,11 +52,14 @@ func TestPhaseHistogramsMatchSpans(t *testing.T) {
 	}
 
 	iter := root.Child("engine_iter")
-	d, err := core.Decompose(snaps[0].Mesh, core.Config{K: 4, Seed: 1, Obs: col, Span: iter})
+	ictx := obs.ContextWithSpan(ctx, iter)
+	m := snaps[0].Mesh
+	d, _, err := core.DecomposeGraph(ictx, m, m.NodalGraph(mesh.DefaultNodalOptions()), nil, 0,
+		core.Config{K: 4, Seed: 1, Obs: col}, core.FromScratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Run(obs.ContextWithSpan(ctx, iter), snaps[0].Mesh, d, 0.5, engine.Options{Obs: col}); err != nil {
+	if _, err := engine.Run(ictx, m, d, 0.5, engine.Options{Obs: col}); err != nil {
 		t.Fatal(err)
 	}
 	iter.End()
