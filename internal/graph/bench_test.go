@@ -46,16 +46,18 @@ func BenchmarkCollapse(b *testing.B) {
 	}
 }
 
-func BenchmarkInduceHalf(b *testing.B) {
+func BenchmarkSplitHalf(b *testing.B) {
 	g := benchGraph(50000, 2)
-	vs := make([]int32, 0, g.NV()/2)
-	for v := 0; v < g.NV(); v += 2 {
-		vs = append(vs, int32(v))
+	where := make([]int8, g.NV())
+	for v := range where {
+		where[v] = int8(v % 2)
 	}
+	var dst Graph
+	var s Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Induce(vs)
+		g.SplitInto(&dst, where, 0, &s)
 	}
 }
 

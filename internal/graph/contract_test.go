@@ -25,7 +25,8 @@ func refCollapse(g *Graph, label []int32, ngroups int) *Graph {
 	return b.Build()
 }
 
-// refInduce is the Builder-based Induce the direct row filter replaced.
+// refInduce is the Builder-based induced subgraph on the vertex set
+// vs, the reference for SplitInto.
 func refInduce(g *Graph, vs []int32) *Graph {
 	newIdx := make([]int32, g.NV())
 	for i := range newIdx {
@@ -65,15 +66,37 @@ func checkCollapse(t testing.TB, g *Graph, label []int32, ngroups int) {
 	}
 }
 
-func checkInduce(t testing.TB, g *Graph, vs []int32) {
+// checkSplit splits both sides of where into dst (which may hold an
+// earlier, larger graph) with the work arrays of s, and compares each
+// with refInduce of the side's vertices.
+func checkSplit(t testing.TB, g *Graph, where []int8, dst *Graph, s *Scratch) {
 	t.Helper()
-	got, want := g.Induce(vs), refInduce(g, vs)
-	if err := got.Validate(); err != nil {
-		t.Fatalf("Induce: %v", err)
+	for side := int8(0); side < 2; side++ {
+		var vs []int32
+		for v, w := range where {
+			if w == side {
+				vs = append(vs, int32(v))
+			}
+		}
+		g.SplitInto(dst, where, side, s)
+		if err := dst.Validate(); err != nil {
+			t.Fatalf("SplitInto side %d: %v", side, err)
+		}
+		if want := refInduce(g, vs); !sameGraph(dst, want) {
+			t.Fatalf("SplitInto side %d differs from refInduce (where %v):\n got %+v\nwant %+v", side, where, dst, want)
+		}
 	}
-	if !sameGraph(got, want) {
-		t.Fatalf("Induce differs from refInduce (vs %v):\n got %+v\nwant %+v", vs, got, want)
+}
+
+// randomSides puts each vertex of g on side 1 with probability 1/3.
+func randomSides(r *rand.Rand, g *Graph) []int8 {
+	where := make([]int8, g.NV())
+	for v := range where {
+		if r.Intn(3) == 0 {
+			where[v] = 1
+		}
 	}
+	return where
 }
 
 // The random multigraphs have isolated vertices and, after merging,
@@ -101,31 +124,50 @@ func TestCollapseDegenerate(t *testing.T) {
 	checkCollapse(t, NewBuilder(4, 1).Build(), []int32{1, 1, 0, 2}, 3) // no edges
 }
 
-// Induce must match the reference for ascending vertex sets (the
-// recursive bisection's case, rows kept in order) and for shuffled
-// ones (rows sorted after relabelling).
-func TestInduceMatchesReference(t *testing.T) {
+// Both sides of a split must match the reference, written into one
+// destination and one Scratch that earlier, larger graphs left dirty.
+func TestSplitMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
+	var dst Graph
+	var s Scratch
+	big := randomMultigraph(r)
+	for big.nv < 60 {
+		big = randomMultigraph(r)
+	}
+	g := big.Build()
+	checkSplit(t, g, randomSides(r, g), &dst, &s)
 	for i := 0; i < 500; i++ {
 		g := randomMultigraph(r).Build()
-		var vs []int32
-		for v := 0; v < g.NV(); v++ {
-			if r.Intn(3) > 0 {
-				vs = append(vs, int32(v))
-			}
-		}
-		checkInduce(t, g, vs)
-		r.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
-		checkInduce(t, g, vs)
+		checkSplit(t, g, randomSides(r, g), &dst, &s)
 	}
-	checkInduce(t, path(5), nil)
-	checkInduce(t, path(5), []int32{4, 0, 2})
+	checkSplit(t, path(5), []int8{0, 0, 0, 0, 0}, &dst, &s) // one side empty
+	checkSplit(t, NewBuilder(0, 2).Build(), nil, &dst, &s)  // empty graph
+	checkSplit(t, path(5), []int8{1, 0, 1, 0, 1}, new(Graph), new(Scratch))
+}
+
+// CollapseInto with one destination and one Scratch reused across
+// graphs, larger and smaller in turn, must return what Collapse does.
+func TestCollapseIntoReusesBuffers(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	var dst Graph
+	var s Scratch
+	for i := 0; i < 300; i++ {
+		g := randomMultigraph(r).Build()
+		ngroups := 1 + r.Intn(g.NV()+3)
+		label := make([]int32, g.NV())
+		for v := range label {
+			label[v] = int32(r.Intn(ngroups))
+		}
+		g.CollapseInto(&dst, label, ngroups, &s)
+		if want := g.Collapse(label, ngroups); !sameGraph(&dst, want) {
+			t.Fatalf("graph %d: CollapseInto into a reused destination differs from Collapse:\n got %+v\nwant %+v", i, &dst, want)
+		}
+	}
 }
 
 // FuzzCollapse decodes bytes into a multigraph (as FuzzBuilder does),
 // then a group label per vertex; Collapse must equal refCollapse, and
-// Induce of the odd-labelled vertices, taken in byte order (so usually
-// not ascending), must equal refInduce.
+// both sides of the split by label parity must equal refInduce.
 func FuzzCollapse(f *testing.F) {
 	f.Add([]byte{0, 0, 1})
 	f.Add([]byte{6, 1, 3, 0, 1, 2, 1, 2, 1, 2, 1, 3, 3, 4, 2, 0, 1, 1, 2, 0, 2})
@@ -152,14 +194,10 @@ func FuzzCollapse(f *testing.F) {
 		}
 		checkCollapse(t, g, label, ngroups)
 
-		var vs []int32
-		seen := make([]bool, nv)
-		for _, x := range labelBytes {
-			if v := int(x) % max(nv, 1); x%2 == 1 && v < nv && !seen[v] {
-				seen[v] = true
-				vs = append(vs, int32(v))
-			}
+		where := make([]int8, nv)
+		for v, l := range label {
+			where[v] = int8(l % 2)
 		}
-		checkInduce(t, g, vs)
+		checkSplit(t, g, where, new(Graph), new(Scratch))
 	})
 }

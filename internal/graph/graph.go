@@ -12,9 +12,11 @@
 // and hence its labels. The package also provides the quotient
 // ("collapse") operation used to build the coarse region graph G' of
 // the paper and every coarsening level of the multilevel partitioner,
-// and induced subgraphs for recursive bisection. Both derive their CSR
-// arrays directly from the source graph's rows rather than through
-// Builder, and both return exactly the graph Builder would.
+// and the side split that builds each child of a recursive bisection.
+// Both derive their CSR arrays directly from the source graph's rows
+// rather than through Builder, both return exactly the graph Builder
+// would, and both can write into a caller's graph and Scratch, so a
+// partitioner reuses the same memory at every level and every node.
 package graph
 
 import (
@@ -247,82 +249,66 @@ func (b *Builder) Build() *Graph {
 		}
 		g.Xadj[v+1] = n
 	}
-	// Parallel edges leave slack behind the compacted rows.
-	g.Adj, g.AdjWgt = shrink(adj[:n]), shrink(wgt[:n])
+	// Parallel edges leave slack behind the compacted rows; release it
+	// when it is more than half of the allocation.
+	g.Adj, g.AdjWgt = adj[:n], wgt[:n]
+	if int(n) < len(adj)/2 {
+		g.Adj, g.AdjWgt = slices.Clone(g.Adj), slices.Clone(g.AdjWgt)
+	}
 	return g
 }
 
-// Induce returns the subgraph induced by the vertex set vs (which must
-// contain no duplicates): vertex i of the subgraph corresponds to
-// vs[i], keeping its weight vector, with edges retained only when both
-// endpoints lie in vs.
-//
-// Rows are filtered and relabelled directly. When vs is ascending the
-// relabelling is monotone and the rows stay sorted; otherwise each row
-// is sorted, so the result is the same graph Builder would produce.
-func (g *Graph) Induce(vs []int32) *Graph {
-	newIdx := make([]int32, g.NV())
-	for i := range newIdx {
-		newIdx[i] = -1
-	}
-	sorted := true
-	deg := 0
-	for i, v := range vs {
-		if newIdx[v] >= 0 {
-			panic(fmt.Sprintf("graph: Induce: duplicate vertex %d", v))
-		}
-		newIdx[v] = int32(i)
-		if i > 0 && v < vs[i-1] {
-			sorted = false
-		}
-		deg += g.Degree(int(v))
-	}
-	sub := &Graph{
-		NCon: g.NCon,
-		Xadj: make([]int32, len(vs)+1),
-		VWgt: make([]int32, len(vs)*g.NCon),
-	}
-	adj := make([]int32, 0, deg)
-	wgt := make([]int32, 0, deg)
-	var acc []int32 // row weights by new id, for sorting rows
-	if !sorted {
-		acc = make([]int32, len(vs))
-	}
-	for i, v := range vs {
-		copy(sub.VWgt[i*g.NCon:], g.Weights(int(v)))
-		row := len(adj)
-		ew := g.EdgeWeights(int(v))
-		for j, u := range g.Neighbors(int(v)) {
-			if ui := newIdx[u]; ui >= 0 {
-				adj = append(adj, ui)
-				wgt = append(wgt, ew[j])
-			}
-		}
-		if !sorted {
-			for j := row; j < len(adj); j++ {
-				acc[adj[j]] = wgt[j]
-			}
-			slices.Sort(adj[row:])
-			for j := row; j < len(adj); j++ {
-				wgt[j] = acc[adj[j]]
-			}
-		}
-		sub.Xadj[i+1] = int32(len(adj))
-	}
-	sub.Adj, sub.AdjWgt = shrink(adj), shrink(wgt)
-	return sub
+// Scratch holds the work arrays of CollapseInto and SplitInto, grown
+// to the largest input seen; the zero value is ready to use.
+type Scratch struct {
+	idx, start, members []int32
 }
 
-// shrink releases a row array's unused capacity when it is more than
-// half of the allocation. The bound is loose on purpose: a coarsening
-// contraction typically fills about half of its degree-sum capacity,
-// and copying on every call would cost more allocation than the slack
-// it frees.
-func shrink(s []int32) []int32 {
-	if len(s) < cap(s)/2 {
-		return slices.Clone(s)
+// resize returns s with length n, reallocating (to exactly n) only
+// when s is too small.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
-	return s
+	return s[:n]
+}
+
+// SplitInto writes into dst the subgraph of g induced by the vertices
+// v with where[v] == side (one side of a bisection), numbered in
+// ascending order of v, so the relabelled rows stay sorted and dst is
+// exactly the graph Builder would produce. dst's arrays are reused
+// when large enough (dst must not be g); s holds the renumbering.
+func (g *Graph) SplitInto(dst *Graph, where []int8, side int8, s *Scratch) {
+	n := g.NV()
+	s.idx = resize(s.idx, n)
+	nv, deg := 0, 0
+	for v, w := range where[:n] {
+		if w == side {
+			s.idx[v] = int32(nv)
+			nv++
+			deg += g.Degree(v)
+		}
+	}
+	dst.NCon = g.NCon
+	dst.Xadj, dst.VWgt = resize(dst.Xadj, nv+1), resize(dst.VWgt, nv*g.NCon)
+	adj, wgt := resize(dst.Adj, deg), resize(dst.AdjWgt, deg)
+	i, m := 0, 0
+	for v, w := range where[:n] {
+		if w != side {
+			continue
+		}
+		copy(dst.VWgt[i*g.NCon:], g.Weights(v))
+		ew := g.EdgeWeights(v)
+		for j, u := range g.Neighbors(v) {
+			if where[u] == side {
+				adj[m], wgt[m] = s.idx[u], ew[j]
+				m++
+			}
+		}
+		i++
+		dst.Xadj[i] = int32(m)
+	}
+	dst.Adj, dst.AdjWgt = adj[:m], wgt[:m]
 }
 
 // Components returns the connected component id of every vertex and the
@@ -358,11 +344,19 @@ func (g *Graph) Components() (comp []int32, n int) {
 // label (values in [0, ngroups)): one coarse vertex per group, weight
 // vectors summed componentwise, and an edge between two groups with
 // weight equal to the total weight of original edges between them.
-// Groups with no vertices become isolated zero-weight vertices.
-//
-// It returns the quotient graph. This is both the multilevel
-// contraction step (label = matching map) and the G' construction of
-// Section 4.2 (label = decision-tree leaf ids).
+// Groups with no vertices become isolated zero-weight vertices. It is
+// the G' construction of Section 4.2 (label = decision-tree leaf ids).
+func (g *Graph) Collapse(label []int32, ngroups int) *Graph {
+	c := new(Graph)
+	g.CollapseInto(c, label, ngroups, new(Scratch))
+	return c
+}
+
+// CollapseInto writes the quotient graph Collapse returns into dst,
+// reusing dst's arrays and s's work arrays when they are large enough
+// (dst must not be g). Rows go straight into dst's edge arrays if they
+// have room for all of g's edges, else into a temporary copied out at
+// the quotient's size.
 //
 // The contraction is direct, as in METIS: vertices are bucketed by
 // group, and each group's row merges its members' rows, with a marker
@@ -370,33 +364,32 @@ func (g *Graph) Components() (comp []int32, n int) {
 // parallel edges add their weights there. Edges inside a group are
 // dropped. Each row is then sorted, so the result is the same graph
 // Builder would produce from the inter-group edges.
-func (g *Graph) Collapse(label []int32, ngroups int) *Graph {
+func (g *Graph) CollapseInto(dst *Graph, label []int32, ngroups int, s *Scratch) {
 	n := g.NV()
 	if len(label) != n {
 		panic(fmt.Sprintf("graph: Collapse label length %d != NV %d", len(label), n))
 	}
-	c := &Graph{
-		NCon: g.NCon,
-		Xadj: make([]int32, ngroups+1),
-		VWgt: make([]int32, ngroups*g.NCon),
-	}
+	dst.NCon = g.NCon
+	dst.Xadj, dst.VWgt = resize(dst.Xadj, ngroups+1), resize(dst.VWgt, ngroups*g.NCon)
+	clear(dst.VWgt)
 	// Counting-sort the vertices into groups: group l's members are
 	// members[start[l]:start[l+1]], in ascending vertex order.
-	start := make([]int32, ngroups+1)
+	start := resize(s.start, ngroups+1)
+	clear(start)
 	for v, l := range label {
 		if l < 0 || int(l) >= ngroups {
 			panic(fmt.Sprintf("graph: Collapse label[%d] = %d out of range [0,%d)", v, l, ngroups))
 		}
 		start[l+1]++
 		for j, w := range g.Weights(v) {
-			c.VWgt[int(l)*g.NCon+j] += w
+			dst.VWgt[int(l)*g.NCon+j] += w
 		}
 	}
 	for l := 0; l < ngroups; l++ {
 		start[l+1] += start[l]
 	}
-	members := make([]int32, n)
-	pos := slices.Clone(start[:ngroups])
+	members, pos := resize(s.members, n), resize(s.idx, ngroups)
+	copy(pos, start)
 	for v, l := range label {
 		members[pos[l]] = int32(v)
 		pos[l]++
@@ -408,8 +401,11 @@ func (g *Graph) Collapse(label []int32, ngroups int) *Graph {
 	for i := range at {
 		at[i] = -1
 	}
-	adj := make([]int32, 0, len(g.Adj))
-	wgt := make([]int32, 0, len(g.Adj))
+	adj, wgt := dst.Adj[:0], dst.AdjWgt[:0]
+	direct := cap(adj) >= len(g.Adj) && cap(wgt) >= len(g.Adj)
+	if !direct {
+		adj, wgt = make([]int32, 0, len(g.Adj)), make([]int32, 0, len(g.Adj))
+	}
 	for l := 0; l < ngroups; l++ {
 		row := len(adj)
 		for _, v := range members[start[l]:start[l+1]] {
@@ -439,8 +435,11 @@ func (g *Graph) Collapse(label []int32, ngroups int) *Graph {
 		for i, d := range r {
 			wgt[row+i], at[d] = at[d], -1
 		}
-		c.Xadj[l+1] = int32(len(adj))
+		dst.Xadj[l+1] = int32(len(adj))
 	}
-	c.Adj, c.AdjWgt = shrink(adj), shrink(wgt)
-	return c
+	if !direct {
+		adj, wgt = slices.Clone(adj), slices.Clone(wgt)
+	}
+	dst.Adj, dst.AdjWgt = adj, wgt
+	s.idx, s.start, s.members = at, start, members
 }

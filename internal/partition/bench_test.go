@@ -7,17 +7,21 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/mesh"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 func BenchmarkBisect(b *testing.B) {
 	g := grid(100, 100, 2)
 	opt := Options{K: 2}.withDefaults()
+	ws := newWorkspace(g.NV())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i)))
-		bisect(context.Background(), g, 0.5, 0.03, opt, rng, nil, 0)
+		ws.rng.Seed(int64(i))
+		bisect(context.Background(), g, 0.5, 0.03, opt, ws, nil, 0)
 	}
 }
 
@@ -154,6 +158,45 @@ func BenchmarkKWayScaling(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perV, "allocs/vertex")
 		})
 		runtime.GC()
+	}
+}
+
+// BenchmarkKWayPaperMesh partitions the graphs the repository
+// benchmark sends through KWay: the snapshot-0 nodal graph of the
+// table1_fixed scene (the paper profile at Refine 1 after 100 of 400
+// steps, 17,687 vertices) with MCML+DT's two constraints and ML+RCB's
+// one, at k 25 and 100, and serve_open's grid job (48x48, one
+// constraint, k 8).
+func BenchmarkKWayPaperMesh(b *testing.B) {
+	cfg := sim.PaperConfig()
+	cfg.Scene.Refine = 1
+	cfg.Steps, cfg.Snapshots = 400, 100
+	s, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for t := 0; t < 100; t++ {
+		s.Step()
+	}
+	m := s.Snapshot(0).Mesh
+	g2, g1 := m.NodalGraph(mesh.DefaultNodalOptions()), m.NodalGraph(mesh.NodalGraphOptions{NCon: 1})
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		k    int
+	}{
+		{"ncon=2/k=25", g2, 25}, {"ncon=2/k=100", g2, 100},
+		{"ncon=1/k=25", g1, 25}, {"ncon=1/k=100", g1, 100},
+		{"grid48/k=8", grid(48, 48, 1), 8},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := KWay(context.Background(), c.g, Options{K: c.k, Seed: 1, Imbalance: 0.05}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package partition
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -13,19 +12,22 @@ import (
 // with target side fractions frac[0] + frac[1] = 1.
 //
 // gain[v] is always the cut reduction of moving v to the other side
-// (external minus internal edge weight of v): assign and reset set it
-// from scratch and move keeps it current, so reading a gain is O(1)
-// instead of a rescan of v's row.
+// (external minus internal edge weight of v), and across[v] the number
+// of v's neighbours on the other side (v is on the boundary when it is
+// positive): assign and reset set both from scratch and move keeps
+// them current, so reading either is O(1) instead of a rescan of v's
+// row.
 type bisection struct {
-	g     *graph.Graph
-	where []int8
-	gain  []int64
-	side  [2][]int64 // per-side, per-constraint weight
-	total []int64
-	frac  [2]float64
-	eps   float64
-	cut   int64
-	nside [2]int // vertex count per side
+	g      *graph.Graph
+	where  []int8
+	gain   []int64
+	across []int32
+	side   [2][]int64 // per-side, per-constraint weight
+	total  []int64
+	frac   [2]float64
+	eps    float64
+	cut    int64
+	nside  [2]int // vertex count per side
 	// slack[j] is the largest single vertex weight in constraint j:
 	// no bisection can balance better than one vertex of granularity,
 	// so feasibility allows the target fraction to be exceeded by
@@ -35,16 +37,17 @@ type bisection struct {
 	slack []int64
 }
 
-// newBisection returns an all-side-0 bisection of g whose gain array
-// has room for capNV vertices, so assign can later move it onto any
-// graph of up to capNV vertices without allocating.
-func newBisection(g *graph.Graph, fracLeft, eps float64, capNV int) *bisection {
+// newBisection returns an all-side-0 bisection of g whose gain and
+// across arrays are ws's, so assign can later move it onto any graph
+// ws has room for without allocating.
+func newBisection(g *graph.Graph, fracLeft, eps float64, ws *workspace) *bisection {
 	b := &bisection{
-		gain:  make([]int64, 0, max(capNV, g.NV())),
-		total: make([]int64, g.NCon),
-		frac:  [2]float64{fracLeft, 1 - fracLeft},
-		eps:   eps,
-		slack: make([]int64, g.NCon),
+		gain:   ws.gain,
+		across: ws.across,
+		total:  make([]int64, g.NCon),
+		frac:   [2]float64{fracLeft, 1 - fracLeft},
+		eps:    eps,
+		slack:  make([]int64, g.NCon),
 	}
 	b.side[0] = make([]int64, g.NCon)
 	b.side[1] = make([]int64, g.NCon)
@@ -53,11 +56,11 @@ func newBisection(g *graph.Graph, fracLeft, eps float64, capNV int) *bisection {
 }
 
 // assign points the bisection at graph g with sides where (which it
-// takes over) and recomputes totals, slack, side weights, cut and
-// gains from scratch.
+// takes over) and recomputes totals, slack, side weights, cut, gains
+// and across counts from scratch.
 func (b *bisection) assign(g *graph.Graph, where []int8) {
 	n := g.NV()
-	b.g, b.where, b.gain = g, where, b.gain[:n]
+	b.g, b.where, b.gain, b.across = g, where, b.gain[:n], b.across[:n]
 	clear(b.total)
 	clear(b.slack)
 	clear(b.side[0])
@@ -77,17 +80,19 @@ func (b *bisection) assign(g *graph.Graph, where []int8) {
 		adj := g.Neighbors(v)
 		wgt := g.EdgeWeights(v)
 		var ext, in int64
+		var across int32
 		for i, u := range adj {
 			if where[u] == s {
 				in += int64(wgt[i])
 			} else {
 				ext += int64(wgt[i])
+				across++
 				if int(u) > v {
 					b.cut += int64(wgt[i])
 				}
 			}
 		}
-		b.gain[v] = ext - in
+		b.gain[v], b.across[v] = ext-in, across
 	}
 }
 
@@ -164,10 +169,11 @@ func (b *bisection) feasibleAfterMove(v int) bool {
 	return true
 }
 
-// move flips v to the other side, maintaining weights, cut and gains:
-// each edge to a neighbour u on v's old side becomes cut (u's gain
-// rises by twice its weight), each edge to the new side stops being
-// cut (u's gain falls by as much), and v's own gain changes sign.
+// move flips v to the other side, maintaining weights, cut, gains and
+// across counts: each edge to a neighbour u on v's old side becomes cut
+// (u's gain rises by twice its weight, its across count by one), each
+// edge to the new side stops being cut (both fall as much), and v's own
+// gain changes sign.
 func (b *bisection) move(v int) {
 	s := b.where[v]
 	o := 1 - s
@@ -179,11 +185,15 @@ func (b *bisection) move(v int) {
 	b.cut -= b.gain[v]
 	b.gain[v] = -b.gain[v]
 	wgt := b.g.EdgeWeights(v)
-	for i, u := range b.g.Neighbors(v) {
+	adj := b.g.Neighbors(v)
+	b.across[v] = int32(len(adj)) - b.across[v]
+	for i, u := range adj {
 		if b.where[u] == s {
 			b.gain[u] += 2 * int64(wgt[i])
+			b.across[u]++
 		} else {
 			b.gain[u] -= 2 * int64(wgt[i])
+			b.across[u]--
 		}
 	}
 	b.nside[s]--
@@ -250,18 +260,18 @@ func endRBPhase(opt Options, ph obs.Phase, name string, depth int) {
 
 // bisect computes a multilevel 2-way partition of g with left-side
 // fraction fracLeft and per-constraint tolerance eps, returning the
-// side of every vertex. span and depth only feed the
-// phase timers; they never influence the partition. ctx is checked at
-// every multilevel phase boundary (coarsening levels, initial-cut
-// trials, uncoarsening levels); a cancelled bisection returns ctx's
-// error with its phases ended. The checks never alter the
-// result of a run that completes.
-func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Options, rng *rand.Rand, span *obs.Span, depth int) ([]int8, error) {
-	n := g.NV()
-	if n == 0 {
+// side of every vertex in a buffer of ws (which must have room for g's
+// vertices) that the next bisection on ws overwrites; it draws from
+// ws.rng. span and depth only feed the phase timers; they never
+// influence the partition. ctx is checked at every multilevel phase
+// boundary (coarsening levels, initial-cut trials, uncoarsening
+// levels); a cancelled bisection returns ctx's error with its phases
+// ended. The checks never alter the result of a run that completes.
+func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Options, ws *workspace, span *obs.Span, depth int) ([]int8, error) {
+	if g.NV() == 0 {
 		return nil, nil
 	}
-	ws := newWorkspace(n)
+	rng := ws.rng
 	ph := rbPhase(opt, span, "rb_coarsen")
 	levels := coarsen(ctx, g, coarsenTo, rng, ws)
 	coarsest := levels[len(levels)-1].g
@@ -274,9 +284,10 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 	// two side arrays of the projection ping-pong between bufs[0] and
 	// bufs[1]; the best trial is kept in bufs[1].
 	ph = rbPhase(opt, span, "rb_initcut")
-	bufs := [2][]int8{make([]int8, n), make([]int8, n)}
-	b := newBisection(coarsest, fracLeft, eps, n)
+	bufs := ws.sides
+	b := newBisection(coarsest, fracLeft, eps, ws)
 	where := bufs[1][:coarsest.NV()]
+	clear(where) // the all-side-0 start is the best until a trial beats it
 	bestScore := trialScore(b)
 	for t := 0; t < initTrials; t++ {
 		if err := ctx.Err(); err != nil {

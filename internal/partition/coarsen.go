@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -18,9 +19,11 @@ type level struct {
 // starts with the original graph; the last entry is the coarsest.
 // Cancelling ctx stops the level loop early; the caller must check
 // ctx before using the (then incomplete) hierarchy. ws must have room
-// for g's vertices; coarsen uses its perm and match buffers.
+// for g's vertices; the hierarchy lives in ws's ladder, which the next
+// coarsen on ws overwrites.
 func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng *rand.Rand, ws *workspace) []level {
-	levels := []level{{g: g}}
+	ws.levels[0].g = g
+	nl := 1
 	// Cap on a coarse vertex's weight per constraint, to keep the
 	// coarsest graph partitionable: a handful of average coarse
 	// vertices per target size.
@@ -38,7 +41,8 @@ func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng *rand.Rand,
 		match := heavyEdgeMatch(cur, maxW, rng, ws)
 		// Count coarse vertices and relabel.
 		ncoarse := 0
-		cmap := make([]int32, cur.NV())
+		cmap := slices.Grow(ws.levels[nl-1].cmap[:0], cur.NV())[:cur.NV()]
+		ws.levels[nl-1].cmap = cmap
 		for v := range cmap {
 			cmap[v] = -1
 		}
@@ -56,12 +60,15 @@ func coarsen(ctx context.Context, g *graph.Graph, coarsenTo int, rng *rand.Rand,
 			// Matching stalled (e.g. star graphs); stop coarsening.
 			break
 		}
-		next := cur.Collapse(cmap, ncoarse)
-		levels[len(levels)-1].cmap = cmap
-		levels = append(levels, level{g: next})
+		if nl == len(ws.levels) {
+			ws.levels = append(ws.levels, level{g: new(graph.Graph)})
+		}
+		next := ws.levels[nl].g
+		cur.CollapseInto(next, cmap, ncoarse, &ws.gs)
+		nl++
 		cur = next
 	}
-	return levels
+	return ws.levels[:nl]
 }
 
 // heavyEdgeMatch computes a matching of the graph visiting vertices in
@@ -75,7 +82,7 @@ func heavyEdgeMatch(g *graph.Graph, maxW []int64, rng *rand.Rand, ws *workspace)
 	for v := range match {
 		match[v] = -1
 	}
-	for _, v := range ws.permute(rng, n) {
+	for _, v := range permute(rng, ws.perm[:n]) {
 		if match[v] >= 0 {
 			continue
 		}

@@ -1,6 +1,10 @@
 package partition
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/graph"
+)
 
 // refineFM runs up to iters passes of Fiduccia–Mattheyses boundary
 // refinement with multi-constraint balance on the bisection: each pass
@@ -66,10 +70,10 @@ func (h *gainHeap) pop() gainItem {
 	return s[n]
 }
 
-// workspace holds the scratch arrays of one bisect call, sized for
-// its finest graph and reused by every coarser level, initial-cut
-// trial and FM pass, so a bisection allocates O(levels) slices
-// instead of O(passes).
+// workspace is the scratch of one serial chain of rb calls on one
+// goroutine, sized for the chain's first (largest) subgraph and reused
+// by every bisection, coarsening level, initial-cut trial and FM pass
+// of the chain. A subtree forked onto the pool gets its own.
 type workspace struct {
 	heap  gainHeap
 	trail []int32 // vertices moved in the current pass, in order
@@ -77,23 +81,42 @@ type workspace struct {
 	// this pass when moved[v] == epoch; bumping epoch clears both.
 	inHeap, moved []uint32
 	epoch         uint32
-	boundary      []bool // fmPass: v has a neighbour on the other side
 	perm          []int
 	match         []int32 // heavyEdgeMatch output
 	// Greedy-growing scratch (growBisection).
 	frontier   []int32
 	inFrontier []bool
 	deficient  []bool
+
+	rng    *rand.Rand // reseeded at every bisection node
+	gain   []int64    // bisection.gain
+	across []int32    // bisection.across
+	sides  [2][]int8  // bisect's projection ping-pong buffers
+	levels []level    // coarsen's ladder; levels[i>0].g are owned
+	gs     graph.Scratch
+	depth  []*rbSlot // rb's state per recursion depth
+}
+
+// rbSlot is rb's state at one depth: its bisection's sides, and the
+// child graph (and its vertices' original ids) split from them.
+type rbSlot struct {
+	where []int8
+	child graph.Graph
+	ids   []int32
 }
 
 func newWorkspace(n int) *workspace {
 	return &workspace{
-		heap:     make(gainHeap, 0, 256),
-		inHeap:   make([]uint32, n),
-		moved:    make([]uint32, n),
-		boundary: make([]bool, n),
-		perm:     make([]int, n),
-		match:    make([]int32, n),
+		heap:   make(gainHeap, 0, 256),
+		inHeap: make([]uint32, n),
+		moved:  make([]uint32, n),
+		perm:   make([]int, n),
+		match:  make([]int32, n),
+		rng:    rand.New(rand.NewSource(0)),
+		gain:   make([]int64, n),
+		across: make([]int32, n),
+		sides:  [2][]int8{make([]int8, n), make([]int8, n)},
+		levels: make([]level, 1),
 	}
 }
 
@@ -107,12 +130,11 @@ func (ws *workspace) nextEpoch() {
 	}
 }
 
-// permute returns a random permutation of [0, n) in the workspace's
-// buffer. It draws exactly what rng.Perm(n) draws, in the same order,
-// and returns the same permutation, so the RNG stream is unchanged.
-func (ws *workspace) permute(rng *rand.Rand, n int) []int {
-	m := ws.perm[:n]
-	for i := 0; i < n; i++ {
+// permute returns a random permutation of [0, len(m)) in m. It draws
+// exactly what rng.Perm(len(m)) draws, in the same order, and returns
+// the same permutation, so the RNG stream is unchanged.
+func permute(rng *rand.Rand, m []int) []int {
+	for i := range m {
 		j := rng.Intn(i + 1)
 		m[i] = m[j]
 		m[j] = i
@@ -137,23 +159,11 @@ func fmPass(b *bisection, rng *rand.Rand, ws *workspace) bool {
 		}
 	}
 
-	// Seed with the boundary vertices (random order for tie diversity).
-	// They are found in vertex order first: scanning rows in the
-	// permutation's order would miss the cache on every row of a
-	// large graph.
-	boundary := ws.boundary[:n]
-	for v := range boundary {
-		boundary[v] = false
-		s := b.where[v]
-		for _, u := range b.g.Neighbors(v) {
-			if b.where[u] != s {
-				boundary[v] = true
-				break
-			}
-		}
-	}
-	for _, v := range ws.permute(rng, n) {
-		if boundary[v] {
+	// Seed with the boundary vertices (random order for tie diversity):
+	// those with a neighbour on the other side, which move keeps
+	// counted, so no pass rescans the rows.
+	for _, v := range permute(rng, ws.perm[:n]) {
+		if b.across[v] > 0 {
 			push(v)
 		}
 	}

@@ -2,7 +2,9 @@ package partition
 
 import (
 	"container/heap"
+	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -57,12 +59,12 @@ func TestGainHeapMatchesContainerHeap(t *testing.T) {
 // permute must return rand.Perm's permutation and leave the generator
 // in the same state, or every later draw of the bisection would shift.
 func TestPermuteMatchesRandPerm(t *testing.T) {
-	ws := newWorkspace(300)
+	buf := make([]int, 300)
 	for _, n := range []int{0, 1, 2, 7, 64, 300} {
 		for seed := int64(0); seed < 5; seed++ {
 			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 			want := a.Perm(n)
-			got := ws.permute(b, n)
+			got := permute(b, buf[:n])
 			if !slices.Equal(got, want) {
 				t.Fatalf("n=%d seed=%d: permute %v, rand.Perm %v", n, seed, got, want)
 			}
@@ -74,7 +76,8 @@ func TestPermuteMatchesRandPerm(t *testing.T) {
 }
 
 // checkBisectionState recomputes every maintained quantity of b from
-// scratch: per-vertex gains, cut, side weights and side counts.
+// scratch: per-vertex gains and across counts, cut, side weights and
+// side counts.
 func checkBisectionState(t *testing.T, b *bisection, ctx string) {
 	t.Helper()
 	g := b.g
@@ -85,12 +88,14 @@ func checkBisectionState(t *testing.T, b *bisection, ctx string) {
 	for v := 0; v < g.NV(); v++ {
 		s := b.where[v]
 		var gain int64
+		var across int32
 		wgt := g.EdgeWeights(v)
 		for i, u := range g.Neighbors(v) {
 			if b.where[u] == s {
 				gain -= int64(wgt[i])
 			} else {
 				gain += int64(wgt[i])
+				across++
 				if int(u) > v {
 					cut += int64(wgt[i])
 				}
@@ -98,6 +103,9 @@ func checkBisectionState(t *testing.T, b *bisection, ctx string) {
 		}
 		if b.gain[v] != gain {
 			t.Fatalf("%s: gain[%d] = %d, recomputed %d", ctx, v, b.gain[v], gain)
+		}
+		if b.across[v] != across {
+			t.Fatalf("%s: across[%d] = %d, recomputed %d", ctx, v, b.across[v], across)
 		}
 		for j, w := range g.Weights(v) {
 			side[s][j] += int64(w)
@@ -112,17 +120,17 @@ func checkBisectionState(t *testing.T, b *bisection, ctx string) {
 	}
 }
 
-// Gains and cut are maintained incrementally by move, including the
-// rollback moves that end every FM pass; after any mix of random moves,
-// undo sequences, FM passes, resets and re-assignments they must equal
-// a from-scratch recomputation.
+// Gains, across counts and cut are maintained incrementally by move,
+// including the rollback moves that end every FM pass; after every
+// single move, and after any mix of undo sequences, FM passes, resets
+// and re-assignments, they must equal a from-scratch recomputation.
 func TestIncrementalGainsMatchRecompute(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for round := 0; round < 60; round++ {
 		g, _ := randConnGraph(r)
 		n := g.NV()
 		ws := newWorkspace(n)
-		b := newBisection(g, 0.3+0.4*r.Float64(), 0.03, n)
+		b := newBisection(g, 0.3+0.4*r.Float64(), 0.03, ws)
 		checkBisectionState(t, b, "new")
 		for step := 0; step < 20; step++ {
 			var trail []int
@@ -130,10 +138,11 @@ func TestIncrementalGainsMatchRecompute(t *testing.T) {
 				v := r.Intn(n)
 				b.move(v)
 				trail = append(trail, v)
+				checkBisectionState(t, b, "random move")
 			}
-			checkBisectionState(t, b, "random moves")
 			for i := len(trail) - 1; i >= len(trail)/2; i-- {
 				b.move(trail[i])
+				checkBisectionState(t, b, "rollback move")
 			}
 			checkBisectionState(t, b, "rollback")
 			fmPass(b, r, ws)
@@ -167,7 +176,7 @@ func TestWorkspaceEpochWrap(t *testing.T) {
 		for v := range where {
 			where[v] = int8(rng.Intn(2))
 		}
-		b := newBisection(g, 0.5, 0.03, g.NV())
+		b := newBisection(g, 0.5, 0.03, ws)
 		b.assign(g, where)
 		refineFM(b, 8, rng, ws)
 		return where
@@ -186,5 +195,23 @@ func TestWorkspaceEpochWrap(t *testing.T) {
 	}
 	if ws.epoch > 8 {
 		t.Fatalf("epoch %d: the refinement never wrapped the counter", ws.epoch)
+	}
+}
+
+// serialKWayAllocBound is the most a strictly serial KWay of
+// grid(100, 100, 2) into 16 parts may allocate: 3.11 MB measured with
+// one workspace per recursion chain, plus 25%.
+const serialKWayAllocBound = 3_900_000
+
+func TestSerialKWayAllocationBound(t *testing.T) {
+	g := grid(100, 100, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := kwayAt(context.Background(), g, Options{K: 16, Seed: 1, Imbalance: 0.05}, serialCutoff); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > serialKWayAllocBound {
+		t.Fatalf("serial KWay allocated %d bytes, bound %d", got, serialKWayAllocBound)
 	}
 }

@@ -2,8 +2,8 @@ package partition
 
 import (
 	"context"
-	"math/rand"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 
 	"repro/internal/graph"
@@ -67,16 +67,17 @@ func KWay(ctx context.Context, g *graph.Graph, opt Options) ([]int32, error) {
 	}
 
 	cutoff := parallelRBCutoff
+	ws := newWorkspace(g.NV())
 	if g.NV() < cutoff {
 		// The whole tree is below the cutoff: plain serial recursion,
 		// no workers spawned at all.
-		if err := rb(ctx, nil, g, ids, opt.K, 0, labels, epsBis, opt, opt.Seed, 0, cutoff); err != nil {
+		if err := rb(ctx, nil, ws, g, ids, opt.K, 0, labels, epsBis, opt, opt.Seed, 0, cutoff); err != nil {
 			return nil, err
 		}
 	} else {
 		grp := pool.NewGroup(ctx, opt.Workers)
 		serr := grp.Submit(func(ctx context.Context) error {
-			return rb(ctx, grp, g, ids, opt.K, 0, labels, epsBis, opt, opt.Seed, 0, cutoff)
+			return rb(ctx, grp, ws, g, ids, opt.K, 0, labels, epsBis, opt, opt.Seed, 0, cutoff)
 		})
 		err := grp.Wait()
 		if err == nil {
@@ -110,8 +111,10 @@ var parallelRBCutoff = 1 << 14
 // child onto grp when sub is large enough. grp == nil means strictly
 // serial. Label writes of the two children are disjoint by
 // construction, and each child's seed depends only on its path from
-// the root, so scheduling cannot influence the result.
-func rb(ctx context.Context, grp *pool.Group, sub *graph.Graph, ids []int32, k, base int, labels []int32, eps float64, opt Options, seed int64, depth, cutoff int) error {
+// the root, so scheduling cannot influence the result. The sides and
+// both children, in turn, live in ws's slot for depth; a forked left
+// child gets a graph and a workspace of its own.
+func rb(ctx context.Context, grp *pool.Group, ws *workspace, sub *graph.Graph, ids []int32, k, base int, labels []int32, eps float64, opt Options, seed int64, depth, cutoff int) error {
 	if err := ctx.Err(); err != nil {
 		return err // a sibling branch failed; stop early
 	}
@@ -121,14 +124,14 @@ func rb(ctx context.Context, grp *pool.Group, sub *graph.Graph, ids []int32, k, 
 		}
 		return nil
 	}
-	rng := rand.New(rand.NewSource(seed))
+	ws.rng.Seed(seed) // the stream of rand.NewSource(seed)
 	kL := (k + 1) / 2
 	fracL := float64(kL) / float64(k)
 
 	// The span covers this task's own bisection work (coarsen, initial
-	// cut, refine, split) but not the recursion: a forked left child
-	// can outlive its parent's rb call, so rb_task spans are flat
-	// siblings on the "rb" track rather than a nested tree.
+	// cut, refine) but not the recursion: a forked left child can
+	// outlive its parent's rb call, so rb_task spans are flat siblings
+	// on the "rb" track rather than a nested tree.
 	var span *obs.Span
 	if sub.NV() >= spanRBMinNV {
 		span = obs.SpanFromContext(ctx).Child("rb_task", obs.Track("rb"),
@@ -141,43 +144,49 @@ func rb(ctx context.Context, grp *pool.Group, sub *graph.Graph, ids []int32, k, 
 		// Pool-task-sized subtree: label the goroutine so CPU profiles
 		// break bisection time out by recursion depth.
 		pprof.Do(ctx, pprof.Labels("rb_depth", strconv.Itoa(depth)), func(ctx context.Context) {
-			where, bisErr = bisect(ctx, sub, fracL, eps, opt, rng, span, depth)
+			where, bisErr = bisect(ctx, sub, fracL, eps, opt, ws, span, depth)
 		})
 	} else {
-		where, bisErr = bisect(ctx, sub, fracL, eps, opt, rng, span, depth)
+		where, bisErr = bisect(ctx, sub, fracL, eps, opt, ws, span, depth)
 	}
+	span.End()
 	if bisErr != nil {
-		span.End()
 		return bisErr
 	}
+	for len(ws.depth) <= depth {
+		ws.depth = append(ws.depth, new(rbSlot))
+	}
+	sl := ws.depth[depth]
+	sl.where = append(sl.where[:0], where...)
 
-	nLeft := 0
-	for _, s := range where {
-		if s == 0 {
-			nLeft++
+	leftSeed, rightSeed := seed*1000003+1, seed*1000003+2
+	if grp != nil && sub.NV() >= cutoff {
+		left := new(graph.Graph)
+		leftIDs := split(left, nil, sub, ids, sl.where, 0, ws)
+		if err := grp.Submit(func(ctx context.Context) error {
+			return rb(ctx, grp, newWorkspace(left.NV()), left, leftIDs, kL, base, labels, eps, opt, leftSeed, depth+1, cutoff)
+		}); err != nil {
+			return err
+		}
+	} else {
+		sl.ids = split(&sl.child, sl.ids, sub, ids, sl.where, 0, ws)
+		if err := rb(ctx, grp, ws, &sl.child, sl.ids, kL, base, labels, eps, opt, leftSeed, depth+1, cutoff); err != nil {
+			return err
 		}
 	}
-	leftIDs, rightIDs := make([]int32, 0, nLeft), make([]int32, 0, len(where)-nLeft)
-	leftLocal, rightLocal := make([]int32, 0, nLeft), make([]int32, 0, len(where)-nLeft)
-	for v, s := range where {
-		if s == 0 {
-			leftIDs = append(leftIDs, ids[v])
-			leftLocal = append(leftLocal, int32(v))
-		} else {
-			rightIDs = append(rightIDs, ids[v])
-			rightLocal = append(rightLocal, int32(v))
+	sl.ids = split(&sl.child, sl.ids, sub, ids, sl.where, 1, ws)
+	return rb(ctx, grp, ws, &sl.child, sl.ids, k-kL, base+kL, labels, eps, opt, rightSeed, depth+1, cutoff)
+}
+
+// split writes side s of sub's bisection where into dst and returns
+// the side's original vertex ids in childIDs, reused when large enough.
+func split(dst *graph.Graph, childIDs []int32, sub *graph.Graph, ids []int32, where []int8, s int8, ws *workspace) []int32 {
+	sub.SplitInto(dst, where, s, &ws.gs)
+	childIDs = slices.Grow(childIDs[:0], dst.NV())
+	for v, w := range where {
+		if w == s {
+			childIDs = append(childIDs, ids[v])
 		}
 	}
-	left := sub.Induce(leftLocal)
-	right := sub.Induce(rightLocal)
-	span.End()
-
-	leftSeed := seed*1000003 + 1
-	rightSeed := seed*1000003 + 2
-	if err := grp.Fork(sub.NV(), cutoff, func(ctx context.Context) error {
-		return rb(ctx, grp, left, leftIDs, kL, base, labels, eps, opt, leftSeed, depth+1, cutoff)
-	}); err != nil {
-		return err
-	}
-	return rb(ctx, grp, right, rightIDs, k-kL, base+kL, labels, eps, opt, rightSeed, depth+1, cutoff)
+	return childIDs
 }

@@ -80,6 +80,7 @@ type kwayState struct {
 	conn    []int64 // per-partition connectivity of the current vertex
 	touched []int32 // partitions with non-zero conn
 	rank    []int32 // balance tie-break rank per vertex (seeded)
+	perm    []int   // every pass's random vertex order, drawn by permute
 	byPart  [][]int32
 	pos     []int32 // index of each vertex within its byPart list
 	drain   drainHeap
@@ -89,6 +90,7 @@ func newKwayState(g *graph.Graph, labels []int32, k int, eps float64) *kwayState
 	s := &kwayState{g: g, labels: labels, k: k, total: g.TotalWeights()}
 	s.pw, s.cnt = accumPartitionWeights(g, labels, k)
 	s.conn = make([]int64, k)
+	s.perm = make([]int, g.NV())
 	s.touched = make([]int32, 0, 16)
 	s.caps = make([]int64, g.NCon)
 	s.avg = make([]float64, g.NCon)
@@ -237,7 +239,7 @@ func (s *kwayState) fillEmpty() {
 func (s *kwayState) greedyPass(rng *rand.Rand) int {
 	moves := 0
 	conn := s.conn
-	for _, v := range rng.Perm(s.g.NV()) {
+	for _, v := range permute(rng, s.perm) {
 		if s.gather(v) {
 			own := s.labels[v]
 			ownConn := conn[own]
@@ -536,7 +538,7 @@ func (s *kwayState) balance(rng *rand.Rand) {
 	if s.rank == nil {
 		s.rank = make([]int32, nv)
 	}
-	for i, v := range rng.Perm(nv) {
+	for i, v := range permute(rng, s.perm) {
 		s.rank[v] = int32(i)
 	}
 	s.buildMembership()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -73,7 +74,8 @@ func checkPartition(t *testing.T, g *graph.Graph, labels []int32, k int, eps flo
 // fixed seed must be identical whether the graph is partitioned above
 // the cutoff (concurrent branches) or with the cutoff raised out of
 // reach (strictly serial recursion), and stable across repeated
-// concurrent runs.
+// concurrent runs. A low cutoff also forks inside forked subtrees, so
+// workspaces created for forked chains fork chains of their own.
 func TestPartitionDeterministicAcrossRBCutoff(t *testing.T) {
 	// 135*135 = 18225 vertices > 1<<14, so the root split runs its
 	// branches concurrently at the default cutoff.
@@ -96,6 +98,10 @@ func TestPartitionDeterministicAcrossRBCutoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	deep, err := kwayAt(context.Background(), g, opt, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for v := range serial {
 		if parallel1[v] != parallel2[v] {
@@ -103,6 +109,9 @@ func TestPartitionDeterministicAcrossRBCutoff(t *testing.T) {
 		}
 		if parallel1[v] != serial[v] {
 			t.Fatalf("vertex %d: concurrent %d != serial %d", v, parallel1[v], serial[v])
+		}
+		if deep[v] != serial[v] {
+			t.Fatalf("vertex %d: cutoff 2048 gives %d, serial %d", v, deep[v], serial[v])
 		}
 	}
 	checkPartition(t, g, parallel1, opt.K, opt.Imbalance)
@@ -330,20 +339,33 @@ func TestCoarsenPreservesTotals(t *testing.T) {
 	}
 }
 
+// rb's split of one side of a bisection is that side's induced
+// subgraph, with the side's original vertex ids in ascending order.
 func TestInducedSubgraph(t *testing.T) {
 	g := grid(4, 4, 1)
-	sub := g.Induce([]int32{0, 1, 4, 5}) // 2x2 corner block
+	where, ids := make([]int8, g.NV()), make([]int32, g.NV())
+	for v := range where {
+		where[v], ids[v] = 1, int32(100+v)
+	}
+	for _, v := range []int{0, 1, 4, 5} { // 2x2 corner block
+		where[v] = 0
+	}
+	var sub graph.Graph
+	subIDs := split(&sub, nil, g, ids, where, 0, newWorkspace(g.NV()))
 	if sub.NV() != 4 || sub.NE() != 4 {
 		t.Fatalf("induced NV=%d NE=%d, want 4, 4", sub.NV(), sub.NE())
 	}
 	if err := sub.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if want := []int32{100, 101, 104, 105}; !slices.Equal(subIDs, want) {
+		t.Fatalf("ids %v, want %v", subIDs, want)
+	}
 }
 
 func TestBisectionStateMachine(t *testing.T) {
 	g := grid(6, 1, 1)
-	b := newBisection(g, 0.5, 0.05, g.NV())
+	b := newBisection(g, 0.5, 0.05, newWorkspace(g.NV()))
 	if b.side[0][0] != 6 || b.side[1][0] != 0 {
 		t.Fatal("initial state wrong")
 	}

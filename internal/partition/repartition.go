@@ -68,7 +68,7 @@ func migrationPenalty(g *graph.Graph) int64 {
 func (s *kwayState) migrationAwarePass(rng *rand.Rand, old []int32, penalty int64) int {
 	moves := 0
 	conn := s.conn
-	for _, v := range rng.Perm(s.g.NV()) {
+	for _, v := range permute(rng, s.perm) {
 		if s.gather(v) {
 			own := s.labels[v]
 			ownConn := conn[own]

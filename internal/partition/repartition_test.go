@@ -160,17 +160,18 @@ func TestRepartitionAfterTopologyChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keep []int32
+	eroded := make([]int8, g.NV())
 	var carried []int32
 	for v := 0; v < g.NV(); v++ {
 		x, y := v%20, v/20
 		if x >= 8 && x < 12 && y >= 8 && y < 12 {
-			continue // eroded block
+			eroded[v] = 1
+			continue
 		}
-		keep = append(keep, int32(v))
 		carried = append(carried, labels[v])
 	}
-	sub := g.Induce(keep)
+	sub := new(graph.Graph)
+	g.SplitInto(sub, eroded, 0, new(graph.Scratch))
 	before := append([]int32(nil), carried...)
 	if err := Repartition(sub, carried, Options{K: k, Seed: 5, Imbalance: 0.05}); err != nil {
 		t.Fatal(err)

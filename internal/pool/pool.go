@@ -168,8 +168,8 @@ func (g *Group) Submit(fn func(ctx context.Context) error) error {
 	return nil
 }
 
-// Fork is the cutoff-gated scheduling helper shared by the recursive
-// partitioners (graph recursive bisection, geometric RCB): a
+// Fork is the cutoff-gated scheduling helper of the geometric RCB
+// recursion: a
 // subproblem of size >= cutoff is submitted as its own task (Fork
 // returns nil immediately), anything smaller runs inline on the
 // calling goroutine so small subtrees don't pay scheduling overhead.
