@@ -99,7 +99,7 @@ trace:
 # contactbench line then proves a real sweep's exposition passes
 # promcheck end to end, required families included; its incremental
 # repartitioning cadence puts the update path's rung and migration
-# counters in that exposition.
+# counters in that exposition, and its bisections the FM move counter.
 PROM_OUT := $(if $(TMPDIR),$(TMPDIR),/tmp)/contactbench-metrics.prom
 obs:
 	go test -race -count=1 \
@@ -107,7 +107,7 @@ obs:
 		./internal/obs ./internal/server
 	go run ./cmd/contactbench -quick -snapshots 2 -k 4 -repart-every 1 -incremental -prom $(PROM_OUT)
 	go run ./tools/promcheck \
-		-require partition,metric_eval,rb_coarsen,rb_refine,go_sched_goroutines_goroutines,repartition_diffused_total,repartition_migrated_total \
+		-require partition,metric_eval,rb_coarsen,rb_refine,go_sched_goroutines_goroutines,repartition_diffused_total,repartition_migrated_total,partition_fm_moves_total \
 		$(PROM_OUT)
 
 

@@ -447,3 +447,52 @@ func TestGoldenKWayMoves(t *testing.T) {
 		})
 	}
 }
+
+// goldenBisectScene is a projectile scene of 5,144 nodes, four times
+// the golden scene's plate area.
+func goldenBisectScene(t *testing.T) *mesh.Mesh {
+	t.Helper()
+	cfg := meshgen.DefaultScene()
+	cfg.PlateNX, cfg.PlateNY, cfg.PlateNZ = 24, 24, 3
+	cfg.ProjN, cfg.ProjLen = 3, 8
+	cfg.ContactRadius = 6
+	m, _, err := meshgen.ProjectileScene(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestGoldenKWayBisect pins partition.KWay's labels on graphs of
+// thousands of vertices — seeded random graphs of 6,000 and the nodal
+// graphs of a 5,144-node scene — so the recursive bisection runs FM on
+// multilevel ladders from the coarsest graph up to thousands of
+// vertices and the refinement schedule is covered at every size it
+// handles, not just on the golden scene's few hundred vertices.
+func TestGoldenKWayBisect(t *testing.T) {
+	type input struct {
+		name string
+		g    *graph.Graph
+		k    int
+	}
+	var inputs []input
+	m := goldenBisectScene(t)
+	for ncon := 1; ncon <= 2; ncon++ {
+		nodal := mesh.DefaultNodalOptions()
+		nodal.NCon = ncon
+		for _, k := range []int{7, 25} {
+			inputs = append(inputs,
+				input{fmt.Sprintf("ncon=%d/k=%d", ncon, k), goldenRandomGraph(int64(100*ncon+k), 6000, ncon), k},
+				input{fmt.Sprintf("scene/ncon=%d/k=%d", ncon, k), m.NodalGraph(nodal), k})
+		}
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			labels, err := partition.KWay(context.Background(), in.g, partition.Options{K: in.k, Seed: 3, Imbalance: 0.05})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "kway/bisect/"+in.name+"/labels", digest(labels))
+		})
+	}
+}

@@ -258,6 +258,14 @@ func endRBPhase(opt Options, ph obs.Phase, name string, depth int) {
 	}
 }
 
+// reportFM adds the FM moves made and rolled back since the last
+// report to c's partition_fm_moves and partition_fm_undone counters.
+func (ws *workspace) reportFM(c *obs.Collector) {
+	c.Add("partition_fm_moves", ws.fmMoves)
+	c.Add("partition_fm_undone", ws.fmUndone)
+	ws.fmMoves, ws.fmUndone = 0, 0
+}
+
 // bisect computes a multilevel 2-way partition of g with left-side
 // fraction fracLeft and per-constraint tolerance eps, returning the
 // side of every vertex in a buffer of ws (which must have room for g's
@@ -271,6 +279,7 @@ func bisect(ctx context.Context, g *graph.Graph, fracLeft, eps float64, opt Opti
 	if g.NV() == 0 {
 		return nil, nil
 	}
+	defer ws.reportFM(opt.Obs)
 	rng := ws.rng
 	ph := rbPhase(opt, span, "rb_coarsen")
 	levels := coarsen(ctx, g, coarsenTo, rng, ws)

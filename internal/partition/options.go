@@ -48,8 +48,10 @@ type Options struct {
 	Workers int
 	// Obs, when non-nil, receives per-phase wall-clock timings of the
 	// multilevel bisections (rb_coarsen, rb_initcut, rb_refine — each
-	// also broken out per recursion depth as <name>_d<depth>) plus the
-	// scheduling counters partition_rb_tasks and the worker-occupancy
+	// also broken out per recursion depth as <name>_d<depth>), the FM
+	// counters partition_fm_moves and partition_fm_undone (moves made,
+	// and those rolled back to each pass's best prefix), the
+	// scheduling counter partition_rb_tasks and the worker-occupancy
 	// gauge partition_rb_workers_max. When the ctx passed to KWay
 	// carries a trace span, every bisection task over spanRBMinNV
 	// vertices records a flat "rb_task" span on the "rb" track with
