@@ -118,12 +118,18 @@ func flagCaps(g *graph.Graph, k int, eps float64) []float64 {
 	return caps
 }
 
-// randConnGraph builds a random connected graph: spanning chain with
-// random attachment plus extra random edges, unit first weights, and
-// random sparse extra constraints.
+// randConnGraph builds a random connected graph of 15 to 264 vertices
+// and one to three constraints, and a k to partition it into.
 func randConnGraph(r *rand.Rand) (*graph.Graph, int) {
 	nv := 15 + r.Intn(250)
 	ncon := 1 + r.Intn(3)
+	return randConnGraphOf(r, nv, ncon), 2 + r.Intn(10)
+}
+
+// randConnGraphOf builds a random connected graph of nv vertices:
+// spanning chain with random attachment plus extra random edges, first
+// weights 1 to 3, and random sparse extra constraints.
+func randConnGraphOf(r *rand.Rand, nv, ncon int) *graph.Graph {
 	b := graph.NewBuilder(nv, ncon)
 	for v := 0; v < nv; v++ {
 		b.SetWeight(v, 0, 1+int32(r.Intn(3)))
@@ -139,7 +145,7 @@ func randConnGraph(r *rand.Rand) (*graph.Graph, int) {
 	for i := 0; i < nv; i++ {
 		b.AddEdge(r.Intn(nv), r.Intn(nv), 1+int32(r.Intn(4)))
 	}
-	return b.Build(), 2 + r.Intn(10)
+	return b.Build()
 }
 
 // randClusterGraph builds a disconnected graph of several random
