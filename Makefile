@@ -107,7 +107,7 @@ obs:
 		./internal/obs ./internal/server
 	go run ./cmd/contactbench -quick -snapshots 2 -k 4 -repart-every 1 -incremental -prom $(PROM_OUT)
 	go run ./tools/promcheck \
-		-require partition,metric_eval,rb_coarsen,rb_refine,go_sched_goroutines_goroutines,repartition_diffused_total,repartition_migrated_total,partition_fm_moves_total \
+		-require partition,metric_eval,rb_coarsen,rb_refine,metric_graph,surface_boxes,tree_induction,drift_eval,go_sched_goroutines_goroutines,repartition_diffused_total,repartition_migrated_total,partition_fm_moves_total \
 		$(PROM_OUT)
 
 

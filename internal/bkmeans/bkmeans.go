@@ -39,8 +39,8 @@ type Options struct {
 	// Workers bounds the worker pool for the per-point distance sweeps
 	// (<= 0 = GOMAXPROCS). Labels are identical for every value.
 	Workers int
-	// Obs, when non-nil, receives bkmeans_init/bkmeans_assign phase
-	// timers and the bkmeans_iters counter. Observational only.
+	// Obs, when non-nil, receives the bkmeans_init/bkmeans_assign
+	// phases and the bkmeans_iters counter. Observational only.
 	Obs *obs.Collector
 }
 

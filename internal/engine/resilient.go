@@ -60,7 +60,7 @@ type Options struct {
 	// NoDegrade disables the serial-recovery path: a rank failure
 	// surfaces as an error from Run instead.
 	NoDegrade bool
-	// Obs receives phase timers and the resilience counters
+	// Obs receives the phases and the resilience counters
 	// (transport_retries, transport_*_injected, engine_degraded_iters).
 	// When the ctx passed to Run carries a trace span, each rank gets
 	// a child span on its own "rank<r>" track, each engine phase a

@@ -78,7 +78,7 @@ type checkpointFile struct {
 // one mutex and writes the file under another, so experiments record
 // and read progress while a write is in flight.
 type Checkpointer struct {
-	// Obs, when non-nil, records the "checkpoint_write" phase timer
+	// Obs, when non-nil, records the "checkpoint_write" phase
 	// and the "checkpoint_writes" counter.
 	Obs *obs.Collector
 	// AfterFlush, when non-nil, is called after each atomic write

@@ -377,7 +377,8 @@ var checkpointFuzzSeeds = []string{
 		`"obs":{"phases":[{"name":"partition","count":1,"total_ns":5,"avg_ns":5,"max_ns":5}],` +
 		`"counters":[{"name":"checkpoint_writes","value":1}],"gauges":[{"name":"rb_workers","value":2}],` +
 		`"hists":[{"name":"metric_eval","count":2,"sum":30,"min":10,"max":20,"p50":10,"p90":20,"p99":20,` +
-		`"buckets":[{"i":3,"lo":8,"hi":16,"n":1},{"i":4,"lo":16,"hi":32,"n":1}]}]}}`,
+		`"buckets":[{"i":3,"lo":8,"hi":16,"n":1},{"i":4,"lo":16,"hi":32,"n":1}]},` +
+		`{"name":"partition","count":1,"sum":5,"min":5,"max":5,"p50":5,"p90":5,"p99":5,"buckets":[{"i":5,"lo":5,"hi":6,"n":1}]}]}}`,
 	`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":3,"rows":[],"evals":[]},{"cursor":0}]}`,
 	`{"version":1,"config_hash":"@hash@","experiments":[]}`,
 	`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":0},{"cursor":0}],"obs":{"hists":[{"name":"h","count":1,"buckets":[{"i":-1,"n":1}]}]}}`,
@@ -409,8 +410,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	if err := write([]byte(checkpointFuzzSeeds[0])); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path, snaps, cfgs); err != nil {
+	ck, err := LoadCheckpoint(path, snaps, cfgs)
+	if err != nil {
 		f.Fatalf("valid seed refused: %v", err)
+	}
+	if err := obs.New().Merge(*ck.SavedObs()); err != nil {
+		f.Fatalf("valid seed's report refused: %v", err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := write(data); err != nil {

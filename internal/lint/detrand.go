@@ -13,7 +13,7 @@ package lint
 //   - rand.New with no arguments (math/rand/v2's auto-seeded form);
 //   - time.Now and time.Since, which smuggle the wall clock in.
 //
-// Timing-only uses (phase timers that never influence results) are
+// Timing-only uses (phase durations that never influence results) are
 // annotated at the call site with //lint:ignore detrand <reason>.
 
 import (

@@ -93,7 +93,9 @@ func (m *Mesh) NodalGraph(opt NodalGraphOptions) *graph.Graph {
 	if n > 0 { // nil for an empty mesh, as graph.Builder leaves it
 		g.VWgt = make([]int32, n*opt.NCon)
 	}
-	weigh(g, m.ContactMask(), opt)
+	contact := make([]bool, n)
+	m.markContact(contact)
+	weigh(g, contact, opt)
 	return g
 }
 

@@ -29,7 +29,12 @@ func refNodalGraph(m *Mesh, opt NodalGraphOptions) *graph.Graph {
 	if opt.ContactEdgeWeight <= 0 {
 		opt.ContactEdgeWeight = 1
 	}
-	contact := m.ContactMask()
+	contact := make([]bool, m.NumNodes())
+	for _, s := range m.Surface {
+		for _, v := range s.Nodes {
+			contact[v] = true
+		}
+	}
 	b := graph.NewBuilder(m.NumNodes(), opt.NCon)
 	for v := 0; v < m.NumNodes(); v++ {
 		b.SetWeight(v, 0, opt.FEWeight)

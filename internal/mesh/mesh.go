@@ -130,6 +130,19 @@ func (m *Mesh) ElemNodes(e int) []int32 { return m.ENodes[m.EPtr[e]:m.EPtr[e+1]]
 // least one surface element (the paper's "contact nodes").
 func (m *Mesh) ContactNodes() []int32 {
 	mark := make([]bool, m.NumNodes())
+	out := make([]int32, 0, m.markContact(mark))
+	for n, ok := range mark {
+		if ok {
+			out = append(out, int32(n))
+		}
+	}
+	return out
+}
+
+// markContact sets mark[n] for every node n of a surface element (the
+// contact nodes) and returns how many distinct nodes it set. mark
+// holds one entry per node and must start all false.
+func (m *Mesh) markContact(mark []bool) int {
 	count := 0
 	for _, s := range m.Surface {
 		for _, n := range s.Nodes {
@@ -139,25 +152,7 @@ func (m *Mesh) ContactNodes() []int32 {
 			}
 		}
 	}
-	out := make([]int32, 0, count)
-	for n, ok := range mark {
-		if ok {
-			out = append(out, int32(n))
-		}
-	}
-	return out
-}
-
-// ContactMask returns a bitmap over nodes: true where the node belongs
-// to a surface element.
-func (m *Mesh) ContactMask() []bool {
-	mark := make([]bool, m.NumNodes())
-	for _, s := range m.Surface {
-		for _, n := range s.Nodes {
-			mark[n] = true
-		}
-	}
-	return mark
+	return count
 }
 
 // Box returns the bounding box of all mesh nodes.

@@ -162,11 +162,7 @@ func (m *Mesh) NodalGraphFrom(prev *Mesh, pg *graph.Graph, old []int32, opt Noda
 	contact := resize(ws.contact, n)
 	ws.contact = contact
 	clear(contact)
-	for _, s := range m.Surface {
-		for _, v := range s.Nodes {
-			contact[v] = true
-		}
-	}
+	m.markContact(contact)
 	vwgt := g.VWgt
 	*g = graph.Graph{NCon: opt.NCon, Xadj: xadj, Adj: adj, AdjWgt: resize(g.AdjWgt, len(adj))}
 	if n > 0 {

@@ -40,9 +40,10 @@ type State struct {
 	MeshLabels []int32
 	// Tree is the RCB cut tree, updated in place each step.
 	Tree *rcb.Tree
-	// ContactNodes / ContactLabels are the current contact points and
-	// their RCB partitions.
+	// ContactNodes / ContactPoints / ContactLabels are the current
+	// contact nodes, their coordinates, and their RCB partitions.
 	ContactNodes  []int32
+	ContactPoints []geom.Point
 	ContactLabels []int32
 }
 
@@ -76,6 +77,7 @@ func Decompose(m *mesh.Mesh, cfg Config) (*State, error) {
 	}
 	s.Tree = tree
 	s.ContactNodes = nodes
+	s.ContactPoints = pts
 	s.ContactLabels = cl
 	return s, nil
 }
@@ -91,6 +93,7 @@ func (s *State) Update(m *mesh.Mesh) {
 	pts := gatherPoints(m, nodes)
 	s.ContactLabels = s.Tree.Update(pts)
 	s.ContactNodes = nodes
+	s.ContactPoints = pts
 }
 
 // M2MComm returns the number of contact points whose FE-phase
@@ -127,8 +130,7 @@ func (s *State) NRemoteBoxes(m *mesh.Mesh, boxes []geom.AABB) int64 {
 	for i := range boxes {
 		owners[i] = s.Tree.PartOf(boxes[i].Center())
 	}
-	pts := gatherPoints(m, s.ContactNodes)
-	f := &contact.BoxFilter{Boxes: rcb.SubdomainBoxes(pts, s.ContactLabels, s.Cfg.K), Dim: m.Dim, Cells: s.Tree}
+	f := &contact.BoxFilter{Boxes: rcb.SubdomainBoxes(s.ContactPoints, s.ContactLabels, s.Cfg.K), Dim: m.Dim, Cells: s.Tree}
 	return contact.NRemote(boxes, owners, f)
 }
 

@@ -21,11 +21,14 @@ import (
 // (bit lengths 3..63, i.e. 61 octaves).
 const numHistBuckets = 4 + 4*61
 
-// hist is the in-collector histogram state.
+// hist is the in-collector histogram state. A phase histogram (one
+// fed by Observe) holds nanoseconds and is also the phase's only
+// record: Report derives its PhaseStat from count, sum, and max.
 type hist struct {
 	count, sum int64
 	min, max   int64
 	buckets    [numHistBuckets]int64
+	phase      bool
 }
 
 // histBucket returns the bucket index for v.
@@ -114,9 +117,9 @@ type HistBucket struct {
 }
 
 // HistStat is one histogram's aggregate in a Report. Values are
-// unit-agnostic int64s; histograms fed by phase timers hold
-// nanoseconds. P50/P90/P99 are bucket upper bounds (<= one bucket
-// width above the true quantile).
+// unit-agnostic int64s; phase histograms hold nanoseconds.
+// P50/P90/P99 are bucket upper bounds (<= one bucket width above the
+// true quantile).
 type HistStat struct {
 	Name    string       `json:"name"`
 	Count   int64        `json:"count"`
@@ -145,20 +148,20 @@ func (h *hist) stat(name string) HistStat {
 }
 
 // Hist records one observation of the named distribution (a message
-// size, a per-rank pair count, ...). Phase timers feed their
-// durations (in nanoseconds) into a histogram of the same name
-// automatically via Observe.
+// size, a per-rank pair count, ...). Phases record their durations
+// (in nanoseconds) into their own histograms via Observe.
 func (c *Collector) Hist(name string, v int64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.histLocked(name, v)
+	c.histLocked(name).observe(v)
 	c.mu.Unlock()
 }
 
-// histLocked records into the named histogram; caller holds c.mu.
-func (c *Collector) histLocked(name string, v int64) {
+// histLocked returns the named histogram, creating it if needed;
+// caller holds c.mu.
+func (c *Collector) histLocked(name string) *hist {
 	if c.hists == nil {
 		c.hists = map[string]*hist{}
 	}
@@ -167,7 +170,7 @@ func (c *Collector) histLocked(name string, v int64) {
 		h = &hist{}
 		c.hists[name] = h
 	}
-	h.observe(v)
+	return h
 }
 
 // sparkline renders the histogram's non-empty bucket span as a
@@ -206,7 +209,7 @@ func sparkline(st HistStat, width int) string {
 	return sb.String()
 }
 
-// mergeHistStat folds a reported histogram back into the collector's
+// merge folds a reported histogram back into the collector's
 // state (the checkpoint-resume path). Bucket indexes are part of the
 // report schema, so the fold is exact.
 func (h *hist) merge(st HistStat) error {

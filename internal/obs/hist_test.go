@@ -137,7 +137,7 @@ func TestObserveFeedsHistogram(t *testing.T) {
 	c.Observe("global_search", 2000)
 	r := c.Report()
 	if len(r.Hists) != 1 || r.Hists[0].Name != "global_search" {
-		t.Fatalf("phase timer did not feed a histogram: %+v", r.Hists)
+		t.Fatalf("phase did not feed a histogram: %+v", r.Hists)
 	}
 	h := r.Hists[0]
 	if h.Count != 2 || h.Min != 1000 || h.Max != 2000 {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -66,12 +67,16 @@ func TestCollectorMergeNil(t *testing.T) {
 	}
 }
 
-// TestCollectorMergeRoundTrip pins the good path end to end: report,
-// merge into a fresh collector, report again, identical stats.
+// TestCollectorMergeRoundTrip pins the good path end to end: a
+// report of phases, counters, gauges, and plain histograms, merged
+// into a fresh collector, reports the same JSON byte for byte — the
+// phase marks survive the fold and plain histograms do not become
+// phases.
 func TestCollectorMergeRoundTrip(t *testing.T) {
 	a := New()
 	a.Observe("partition", 3*time.Millisecond)
 	a.Observe("partition", 5*time.Millisecond)
+	a.Observe("metric_eval", 40*time.Microsecond)
 	a.Add("cut", 17)
 	a.Max("peak", 4)
 	a.Hist("sizes", 100)
@@ -81,21 +86,61 @@ func TestCollectorMergeRoundTrip(t *testing.T) {
 	if err := b.Merge(a.Report()); err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
-	ra, rb := a.Report(), b.Report()
-	if len(rb.Hists) != len(ra.Hists) {
-		t.Fatalf("hist count %d != %d", len(rb.Hists), len(ra.Hists))
+	ja, jb := reportJSON(t, a.Report()), reportJSON(t, b.Report())
+	if !bytes.Equal(ja, jb) {
+		t.Fatalf("report diverged after merge:\n a %s\n b %s", ja, jb)
 	}
-	for i := range ra.Hists {
-		ha, hb := ra.Hists[i], rb.Hists[i]
-		if ha.Name != hb.Name || ha.Count != hb.Count || ha.Sum != hb.Sum ||
-			ha.P50 != hb.P50 || ha.P99 != hb.P99 || len(ha.Buckets) != len(hb.Buckets) {
-			t.Fatalf("hist %s diverged after merge:\n a %+v\n b %+v", ha.Name, ha, hb)
+	if r := b.Report(); len(r.Phases) != 2 || len(r.Hists) != 3 {
+		t.Fatalf("merged report has %d phases, %d hists; want 2, 3", len(r.Phases), len(r.Hists))
+	}
+}
+
+// TestPhaseStatIsHistView pins the one-record invariant: every
+// PhaseStat equals its same-named histogram's count, sum, and max,
+// whether the samples came from Phase, Observe, or Merge.
+func TestPhaseStatIsHistView(t *testing.T) {
+	c := New()
+	c.Phase(nil, "tree_induction").End()
+	c.Observe("partition", 2*time.Millisecond)
+	c.Observe("partition", 9*time.Millisecond)
+	c.Hist("sizes", 7)
+	saved := New()
+	saved.Observe("partition", 4*time.Millisecond)
+	saved.Observe("drift_eval", 30*time.Microsecond)
+	if err := c.Merge(saved.Report()); err != nil {
+		t.Fatal(err)
+	}
+	r := c.Report()
+	hists := map[string]HistStat{}
+	for _, h := range r.Hists {
+		hists[h.Name] = h
+	}
+	if len(r.Phases) != 3 {
+		t.Fatalf("phases = %+v, want drift_eval, partition, tree_induction", r.Phases)
+	}
+	for _, p := range r.Phases {
+		h, ok := hists[p.Name]
+		if !ok {
+			t.Fatalf("phase %q has no histogram", p.Name)
+		}
+		if p.Count != h.Count || p.TotalNS != h.Sum || p.MaxNS != h.Max || p.AvgNS != h.Sum/h.Count {
+			t.Errorf("phase %+v is not a view of its histogram %+v", p, h)
 		}
 	}
-	if len(rb.Counters) != 1 || rb.Counters[0].Value != 17 {
-		t.Fatalf("counters = %+v", rb.Counters)
+}
+
+func TestCollectorMergeRejectsPhaseWithoutHist(t *testing.T) {
+	err := New().Merge(Report{Phases: []PhaseStat{{Name: "partition", Count: 1, TotalNS: 5, AvgNS: 5, MaxNS: 5}}})
+	if err == nil || !strings.Contains(err.Error(), "partition") {
+		t.Fatalf("Merge of a phase without a histogram: err = %v", err)
 	}
-	if len(rb.Gauges) != 1 || rb.Gauges[0].Value != 4 {
-		t.Fatalf("gauges = %+v", rb.Gauges)
+}
+
+func reportJSON(t *testing.T, r Report) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
+	return buf.Bytes()
 }

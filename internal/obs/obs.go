@@ -1,16 +1,18 @@
 // Package obs is the observability layer of the evaluation pipeline:
-// named wall-clock phase timers and monotonic counters that the
+// named wall-clock phases, histograms, and monotonic counters that the
 // decomposition pipeline (partition, tree induction), the parallel
 // engine (global search, local search), and the measurement harness
 // (metric evaluation) report into, exported as a machine-readable JSON
 // report, a human table, and Prometheus text exposition.
 //
 // Collector.Phase is the one instrumentation primitive for a timed
-// region: a single call yields the phase histogram (and with it the
-// Prometheus family of the same name) and, when a parent span is
-// given, a same-named child span in the trace. Nothing else opens a
-// timed region, so every phase name in a report is also a span name
-// in the trace of the same run.
+// region: a single call records one sample of the phase histogram
+// (and with it the Prometheus family of the same name) and, when a
+// parent span is given, opens a same-named child span in the trace.
+// The histogram is the phase's only record; a report's phases are
+// views of it (count, sum, max). Nothing else opens a timed region,
+// so every phase name in a report is also a span name in the trace of
+// the same run.
 //
 // A nil *Collector is valid everywhere and records nothing, so hot
 // paths thread a collector through unconditionally and pay one nil
@@ -50,16 +52,9 @@ import (
 // no-ops).
 type Collector struct {
 	mu       sync.Mutex
-	timers   map[string]*timer
 	counters map[string]int64
 	maxes    map[string]int64
 	hists    map[string]*hist
-}
-
-type timer struct {
-	count int64
-	total time.Duration
-	max   time.Duration
 }
 
 // New returns an empty collector.
@@ -102,28 +97,17 @@ func (p Phase) End() time.Duration {
 // for nesting further spans or for obs.ContextWithSpan.
 func (p Phase) Span() *Span { return p.span }
 
-// Observe records one completed occurrence of the named phase. The
-// duration also feeds a histogram of the same name (in nanoseconds),
-// so every phase timer reports p50/p90/p99 latency for free.
+// Observe records one completed occurrence of the named phase: its
+// duration, in nanoseconds, is one sample of the phase's histogram,
+// from which Report derives the phase's count, total, and maximum.
 func (c *Collector) Observe(name string, d time.Duration) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	if c.timers == nil {
-		c.timers = map[string]*timer{}
-	}
-	t := c.timers[name]
-	if t == nil {
-		t = &timer{}
-		c.timers[name] = t
-	}
-	t.count++
-	t.total += d
-	if d > t.max {
-		t.max = d
-	}
-	c.histLocked(name, int64(d))
+	h := c.histLocked(name)
+	h.observe(int64(d))
+	h.phase = true
 	c.mu.Unlock()
 }
 
@@ -197,16 +181,6 @@ func (c *Collector) Report() Report {
 		return r
 	}
 	c.mu.Lock()
-	for name, t := range c.timers {
-		avg := int64(0)
-		if t.count > 0 {
-			avg = int64(t.total) / t.count
-		}
-		r.Phases = append(r.Phases, PhaseStat{
-			Name: name, Count: t.count,
-			TotalNS: int64(t.total), AvgNS: avg, MaxNS: int64(t.max),
-		})
-	}
 	for name, v := range c.counters {
 		r.Counters = append(r.Counters, CounterStat{Name: name, Value: v})
 	}
@@ -215,6 +189,10 @@ func (c *Collector) Report() Report {
 	}
 	for name, h := range c.hists {
 		r.Hists = append(r.Hists, h.stat(name))
+		if h.phase { // a phase's stats are views of its histogram
+			r.Phases = append(r.Phases, PhaseStat{Name: name, Count: h.count,
+				TotalNS: h.sum, AvgNS: h.sum / max(h.count, 1), MaxNS: h.max})
+		}
 	}
 	c.mu.Unlock()
 	sort.Slice(r.Phases, func(i, j int) bool { return r.Phases[i].Name < r.Phases[j].Name })
@@ -225,31 +203,15 @@ func (c *Collector) Report() Report {
 }
 
 // Merge folds a previously exported report back into the collector:
-// phase counts/totals and counters add, gauges and phase maxima take
-// the larger value, histogram buckets add exactly (bucket indexes are
-// part of the schema). It is the resume path for checkpointed sweeps —
-// a merged collector reports cumulative numbers, not
-// post-resume-only.
+// counters and histogram buckets add (bucket indexes are part of the
+// schema, so the fold is exact), gauges take the larger value, and the
+// histograms named in r.Phases become phases again. A phase's stats
+// are views of its histogram, so a phase without one is an error. It
+// is the resume path for checkpointed sweeps — a merged collector
+// reports cumulative numbers, not post-resume-only.
 func (c *Collector) Merge(r Report) error {
 	if c == nil {
 		return nil
-	}
-	for _, p := range r.Phases {
-		c.mu.Lock()
-		if c.timers == nil {
-			c.timers = map[string]*timer{}
-		}
-		t := c.timers[p.Name]
-		if t == nil {
-			t = &timer{}
-			c.timers[p.Name] = t
-		}
-		t.count += p.Count
-		t.total += time.Duration(p.TotalNS)
-		if m := time.Duration(p.MaxNS); m > t.max {
-			t.max = m
-		}
-		c.mu.Unlock()
 	}
 	for _, ct := range r.Counters {
 		c.Add(ct.Name, ct.Value) //lint:ignore metricname merging an existing report; the originating call sites are checked
@@ -257,21 +219,19 @@ func (c *Collector) Merge(r Report) error {
 	for _, g := range r.Gauges {
 		c.Max(g.Name, g.Value) //lint:ignore metricname merging an existing report; the originating call sites are checked
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, hs := range r.Hists {
-		c.mu.Lock()
-		if c.hists == nil {
-			c.hists = map[string]*hist{}
-		}
-		h := c.hists[hs.Name]
-		if h == nil {
-			h = &hist{}
-			c.hists[hs.Name] = h
-		}
-		err := h.merge(hs)
-		c.mu.Unlock()
-		if err != nil {
+		if err := c.histLocked(hs.Name).merge(hs); err != nil {
 			return err
 		}
+	}
+	for _, p := range r.Phases {
+		h := c.hists[p.Name]
+		if h == nil {
+			return fmt.Errorf("obs: phase %q has no histogram", p.Name)
+		}
+		h.phase = true
 	}
 	return nil
 }

@@ -46,8 +46,8 @@ func TestObserveAndAdd(t *testing.T) {
 }
 
 // TestPhaseRecordsHistogramAndSpan: one Phase call yields the phase
-// timer, its histogram, and a same-named child span carrying the
-// attrs; End returns the duration it recorded.
+// histogram (and its report view) and a same-named child span
+// carrying the attrs; End returns the duration it recorded.
 func TestPhaseRecordsHistogramAndSpan(t *testing.T) {
 	c := New()
 	tr := NewTracer()
@@ -61,7 +61,7 @@ func TestPhaseRecordsHistogramAndSpan(t *testing.T) {
 	root.End()
 	r := c.Report()
 	if len(r.Phases) != 1 || r.Phases[0].Name != "work" || r.Phases[0].TotalNS != int64(d) || d <= 0 {
-		t.Errorf("timer did not record the returned %v: %+v", d, r.Phases)
+		t.Errorf("phase did not record the returned %v: %+v", d, r.Phases)
 	}
 	if len(r.Hists) != 1 || r.Hists[0].Name != "work" || r.Hists[0].Count != 1 {
 		t.Errorf("histogram did not record: %+v", r.Hists)

@@ -93,8 +93,8 @@ latency_count 3
 	}
 }
 
-// TestWritePrometheusPhases checks that a report with phase timers
-// still validates: the phase's same-named histogram carries its
+// TestWritePrometheusPhases checks that a report with phases still
+// validates: the phase's histogram carries its
 // count/sum, and the exposition stays parseable end to end.
 func TestWritePrometheusPhases(t *testing.T) {
 	c := New()

@@ -270,7 +270,7 @@ func (ws *workspace) reportFM(c *obs.Collector) {
 // fraction fracLeft and per-constraint tolerance eps, returning the
 // side of every vertex in a buffer of ws (which must have room for g's
 // vertices) that the next bisection on ws overwrites; it draws from
-// ws.rng. span and depth only feed the phase timers; they never
+// ws.rng. span and depth only feed the phases; they never
 // influence the partition. ctx is checked at every multilevel phase
 // boundary (coarsening levels, initial-cut trials, uncoarsening
 // levels); a cancelled bisection returns ctx's error with its phases

@@ -249,17 +249,15 @@ func (s *kwayState) greedyPass(rng *rand.Rand) int {
 					continue
 				}
 				gain := conn[p] - ownConn
-				if gain > bestGain || (gain == bestGain && bestP >= 0 && conn[p] > conn[bestP]) {
-					if s.fits(v, int(p)) {
-						bestP, bestGain = int(p), gain
-					}
+				if gain > bestGain && s.fits(v, int(p)) {
+					bestP, bestGain = int(p), gain
 				} else if gain == 0 && bestP < 0 && s.fits(v, int(p)) &&
 					s.loadOf(int(p)) < s.loadOf(int(own))-1e-9 {
 					// Zero-gain move that improves balance.
 					bestP = int(p)
 				}
 			}
-			if bestP >= 0 && (bestGain > 0 || s.loadOf(bestP) < s.loadOf(int(own))) {
+			if bestP >= 0 {
 				s.move(v, bestP)
 				moves++
 			}

@@ -20,6 +20,7 @@ var jobSpecFuzzSeeds = []string{
 	`{"kind":"sweep","sweep":{"snapshots":200,"steps":4000,"ks":[2]}}`,
 	`{"kind":"sweep","sweep":{"snapshots":1,"steps":4001,"ks":[2]}}`,
 	`{"kind":"sweep","sweep":{"snapshots":8,"steps":7,"ks":[2]}}`,
+	`{"kind":"graph","graph":{"ncon":1,"xadj":[0,1,2],"adj":[1,0],"dim":1,"coords":[0,1]},"k":2,"backend":"sfc"}`,
 }
 
 // FuzzJobSpec feeds arbitrary bytes through the submit path's parsing:

@@ -167,6 +167,12 @@ func TestHTTPStatusCodes(t *testing.T) {
 	if code, view, _ := postJob(t, ts, hugeK, ""); code != http.StatusBadRequest {
 		t.Fatalf("graph job with k=%d: HTTP %d (%s), want 400", hugeK.K, code, view.Error)
 	}
+	// The geometric backends need 2-D or 3-D coordinates; a 1-D graph
+	// is refused at submit rather than failing in the worker.
+	oneDim := JobSpec{Kind: KindGraph, Graph: lineSpec1D(), K: 2, Backend: "sfc"}
+	if code, view, _ := postJob(t, ts, oneDim, ""); code != http.StatusBadRequest {
+		t.Fatalf("sfc job with dim 1: HTTP %d (%s), want 400", code, view.Error)
+	}
 	// A sweep's step count is bounded too: sim.Run takes no context.
 	manySteps := JobSpec{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1, Steps: maxSteps + 1, Ks: []int{2}}}
 	if code, view, _ := postJob(t, ts, manySteps, ""); code != http.StatusBadRequest {

@@ -236,8 +236,14 @@ func (js *JobSpec) validate(maxVertices int) error {
 		if err != nil {
 			return err
 		}
-		if be.Caps().NeedsCoords && js.Graph.Coords == nil {
-			return fmt.Errorf("backend %q needs coordinates and the graph has none", be.Name())
+		if be.Caps().NeedsCoords {
+			// The geometric backends partition 2-D or 3-D points only.
+			switch {
+			case js.Graph.Coords == nil:
+				return fmt.Errorf("backend %q needs coordinates and the graph has none", be.Name())
+			case js.Graph.Dim != 2 && js.Graph.Dim != 3:
+				return fmt.Errorf("backend %q needs dim 2 or 3, got %d", be.Name(), js.Graph.Dim)
+			}
 		}
 		return js.Graph.shapeCheck(maxVertices)
 	case KindSweep:

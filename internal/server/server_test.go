@@ -36,6 +36,12 @@ func gridSpec(nx, ny int) *GraphSpec {
 	return &GraphSpec{NCon: 1, Xadj: xadj, Adj: adj}
 }
 
+// lineSpec1D is a two-vertex graph with 1-D coordinates, which the
+// geometric backends cannot partition.
+func lineSpec1D() *GraphSpec {
+	return &GraphSpec{NCon: 1, Xadj: []int32{0, 1, 2}, Adj: []int32{1, 0}, Dim: 1, Coords: []float64{0, 1}}
+}
+
 // graphJob is a small multilevel job over a 24x24 grid; distinct
 // seeds give distinct spec hashes.
 func graphJob(seed int64) JobSpec {
@@ -176,6 +182,9 @@ func TestServerValidationRejects(t *testing.T) {
 		{Kind: KindGraph, Graph: gridSpec(4, 4), K: maxK + 1},
 		{Kind: KindGraph, Graph: gridSpec(4, 4), K: 2, Backend: "no-such"},
 		{Kind: KindGraph, Graph: gridSpec(4, 4), K: 2, Backend: "rcb"}, // needs coords
+		{Kind: KindGraph, Graph: lineSpec1D(), K: 2, Backend: "sfc"},   // needs dim 2 or 3
+		{Kind: KindGraph, Graph: lineSpec1D(), K: 2, Backend: "rcb"},
+		{Kind: KindGraph, Graph: lineSpec1D(), K: 2, Backend: "bkmeans"},
 		{Kind: KindGraph, Graph: &GraphSpec{NCon: 1, Xadj: []int32{0, 2}, Adj: []int32{1}}, K: 2},
 		{Kind: KindSweep}, // no sweep
 		{Kind: KindSweep, Sweep: &SweepSpec{Snapshots: 1}}, // no ks
@@ -195,6 +204,11 @@ func TestServerValidationRejects(t *testing.T) {
 	a := s.Accounting()
 	if a.RejectedInvalid != int64(len(bad)) || a.Accepted != 0 {
 		t.Fatalf("ledger after invalid submissions: %+v", a)
+	}
+	// Multilevel ignores coordinates, so their dimension is no reason
+	// to refuse its job.
+	if err := (&JobSpec{Kind: KindGraph, Graph: lineSpec1D(), K: 2}).validate(1 << 12); err != nil {
+		t.Fatalf("multilevel job with 1-D coordinates refused: %v", err)
 	}
 }
 

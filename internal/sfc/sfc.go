@@ -17,8 +17,8 @@ type Options struct {
 	// Workers bounds the worker pool for key computation and the merge
 	// sort (<= 0 = GOMAXPROCS). Labels are identical for every value.
 	Workers int
-	// Obs, when non-nil, receives the sfc_keys/sfc_sort/sfc_split phase
-	// timers and the sfc_sort_chunks counter. Observational only.
+	// Obs, when non-nil, receives the sfc_keys/sfc_sort/sfc_split
+	// phases and the sfc_sort_chunks counter. Observational only.
 	Obs *obs.Collector
 }
 

@@ -145,7 +145,8 @@ func main() {
 		`"obs":{"phases":[{"name":"partition","count":1,"total_ns":5,"avg_ns":5,"max_ns":5}],`+
 		`"counters":[{"name":"checkpoint_writes","value":1}],"gauges":[{"name":"rb_workers","value":2}],`+
 		`"hists":[{"name":"metric_eval","count":2,"sum":30,"min":10,"max":20,"p50":10,"p90":20,"p99":20,`+
-		`"buckets":[{"i":3,"lo":8,"hi":16,"n":1},{"i":4,"lo":16,"hi":32,"n":1}]}]}}`))
+		`"buckets":[{"i":3,"lo":8,"hi":16,"n":1},{"i":4,"lo":16,"hi":32,"n":1}]},`+
+		`{"name":"partition","count":1,"sum":5,"min":5,"max":5,"p50":5,"p90":5,"p99":5,"buckets":[{"i":5,"lo":5,"hi":6,"n":1}]}]}}`))
 	write(ckptDir, "seed-cursor-without-rows", []byte(`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":3,"rows":[],"evals":[]},{"cursor":0}]}`))
 	write(ckptDir, "seed-old-version", []byte(`{"version":1,"config_hash":"@hash@","experiments":[]}`))
 	write(ckptDir, "seed-bad-bucket", []byte(`{"version":2,"config_hash":"@hash@","experiments":[{"cursor":0},{"cursor":0}],"obs":{"hists":[{"name":"h","count":1,"buckets":[{"i":-1,"n":1}]}]}}`))
@@ -153,7 +154,7 @@ func main() {
 
 	// Job specs for server.FuzzJobSpec, mirroring its seeds: graph jobs
 	// (plain, weighted with coordinates, offsets running past adj, k
-	// past the job cap),
+	// past the job cap, 1-D coordinates for a geometric backend),
 	// sweep jobs (plain, adaptive on a backend that cannot warm-start,
 	// steps at the cap, one past it, and fewer than the snapshots) and
 	// an unknown kind.
@@ -168,4 +169,5 @@ func main() {
 	write(specDir, "seed-sweep-steps-cap", []byte(`{"kind":"sweep","sweep":{"snapshots":200,"steps":4000,"ks":[2]}}`))
 	write(specDir, "seed-sweep-steps-past-cap", []byte(`{"kind":"sweep","sweep":{"snapshots":1,"steps":4001,"ks":[2]}}`))
 	write(specDir, "seed-sweep-steps-below-snapshots", []byte(`{"kind":"sweep","sweep":{"snapshots":8,"steps":7,"ks":[2]}}`))
+	write(specDir, "seed-graph-dim1-sfc", []byte(`{"kind":"graph","graph":{"ncon":1,"xadj":[0,1,2],"adj":[1,0],"dim":1,"coords":[0,1]},"k":2,"backend":"sfc"}`))
 }
